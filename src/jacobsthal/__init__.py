@@ -24,7 +24,7 @@ from .cover import (ComputePolicy, CoverAssignment, CoverWitness, HEntry,
 from .errors import (BudgetExceeded, JacobsthalError, NonCoprimeModuli,
                      NotEligible, NotInProgression, NotProvable, OutOfRange,
                      TableParseError, TableValidationError, Unavailable)
-from .gaps import GapScanResult, g_exhaustive, g_of
+from .gaps import GapScanResult, g_of
 from .progressions import (ApIso, EligibleAP, Segment, coprime_iso,
                            is_coprime_preserving_on_window, make_eligible,
                            preimage_segment, segment_of_ap_in_range)
@@ -42,8 +42,8 @@ __all__ = [
     "certificate_from_json", "certificate_to_json", "coprime_iso",
     "coverable", "crt_solve", "cw_upper", "default_h_table",
     "elementary_lower_witness", "factorize", "find_prime", "first_primes",
-    "g_exhaustive", "g_of", "h_of", "is_coprime_preserving_on_window",
-    "is_prime", "least_witness", "load_h_table", "make_eligible",
+    "g_of", "h_of", "is_coprime_preserving_on_window", "is_prime",
+    "least_witness", "load_h_table", "make_eligible",
     "max_cover_length", "max_provable_d", "min_k_for", "nth_prime",
     "preimage_segment", "prime_by_coprimality", "prime_stream", "primes_upto",
     "primorial", "radical", "render_thousandths", "save_h_table",

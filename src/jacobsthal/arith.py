@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 
-from .errors import BudgetExceeded, NonCoprimeModuli
+from .errors import BudgetExceeded, JacobsthalError, NonCoprimeModuli
 
 # Deterministic Miller-Rabin witness set: the first 13 primes decide
 # primality correctly for every n below this bound (Sorenson/Webster).
@@ -128,6 +128,14 @@ def first_primes(k: int) -> tuple[int, ...]:
         return ()
     nth_prime(k)
     return tuple(_primes[:k])
+
+
+def shared_factor_flags(primes, limit: int) -> bytearray:
+    """flags[i] == 1 iff some p in primes divides i, for 0 <= i <= limit."""
+    flags = bytearray(limit + 1)
+    for p in primes:
+        flags[p::p] = b"\x01" * (limit // p)
+    return flags
 
 
 def primorial(k: int) -> int:
@@ -252,7 +260,9 @@ def factorize(n: int, *, trial_bound: int = 100_000, rho_steps: int = 1_000_000)
         pending.extend((d, v // d))
     factors = tuple(sorted((p, e) for p, e in counts.items()))
     result = Factorization(n, factors)
-    assert result.product() == n
+    if result.product() != n:
+        raise JacobsthalError(f"internal: factors of {n} multiply to "
+                              f"{result.product()}")
     return result
 
 

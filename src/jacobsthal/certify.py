@@ -24,7 +24,8 @@ from math import gcd
 
 from .arith import first_primes, is_prime, nth_prime, primorial
 from .cover import ComputePolicy, KnownHTable, default_h_table, h_of
-from .errors import JacobsthalError, NotProvable, OutOfRange, Unavailable
+from .errors import (BudgetExceeded, JacobsthalError, NotProvable, OutOfRange,
+                     Unavailable)
 from .progressions import EligibleAP, coprime_iso, segment_of_ap_in_range
 
 MODE_UNCONDITIONAL = "unconditional"
@@ -275,8 +276,12 @@ def verify_certificate(cert: PrimeCertificate,
     failures.extend(_h_consistency(cert, table, policy))
     if Fraction(p_next * p_next - 2, cert.h_value + 1) < cert.d:
         failures.append("bound: (p_{k+1}^2 - 2)/(h + 1) < d")
-    if not is_prime(cert.prime):
-        failures.append("primality: independent test rejects prime")
+    try:
+        if not is_prime(cert.prime):
+            failures.append("primality: independent test rejects prime")
+    except BudgetExceeded:  # only past 3.3e24, far outside the range clause
+        failures.append("primality: prime exceeds the deterministic test's "
+                        "range")
     return CertificateCheck(not failures, tuple(failures))
 
 

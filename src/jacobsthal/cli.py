@@ -22,15 +22,13 @@ from . import certify, cover, gaps
 from .arith import first_primes
 from .certify import (MODE_CW, MODE_UNCONDITIONAL, MODES,
                       certificate_from_json, certificate_to_json)
-from .cover import (DEFAULT_MAX_COMPUTE_K, DEFAULT_STRATEGY, STRATEGIES,
-                    ComputePolicy, KnownHTable, SearchBudget,
-                    default_h_table, load_h_table)
+from .cover import (DEFAULT_MAX_COMPUTE_K, ComputePolicy, KnownHTable,
+                    SearchBudget, default_h_table, load_h_table)
 from .errors import BudgetExceeded, JacobsthalError
 from .progressions import coprime_iso, make_eligible
 
 H_TABLE_ENV = "JACOBSTHAL_H_TABLE"
 DEFAULT_BOUND_KS = (5, 10, 15, 20, 25, 30, 35, 40, 45, 50)
-_STRATEGIES = STRATEGIES
 
 
 @dataclass
@@ -39,24 +37,18 @@ class CliConfig:
 
     h_table_path: str | None = None
     mode: str = MODE_UNCONDITIONAL
-    worker_count: int = 1  # reserved; the exact search currently runs sequentially
     max_nodes: int | None = None
     max_seconds: float | None = None
     output_json: bool = False
     max_compute_k: int = DEFAULT_MAX_COMPUTE_K
-    strategy: str = DEFAULT_STRATEGY
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.worker_count < 1:
-            raise ValueError("worker count must be >= 1")
         if self.max_nodes is not None and self.max_nodes < 1:
             raise ValueError("node budget must be positive")
         if self.max_seconds is not None and self.max_seconds <= 0:
             raise ValueError("time budget must be positive")
-        if self.strategy not in _STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "CliConfig":
@@ -64,12 +56,10 @@ class CliConfig:
         return cls(
             h_table_path=path or None,
             mode=getattr(args, "mode", MODE_UNCONDITIONAL),
-            worker_count=getattr(args, "workers", 1),
             max_nodes=getattr(args, "max_nodes", None),
             max_seconds=getattr(args, "max_seconds", None),
             output_json=getattr(args, "json", False),
             max_compute_k=getattr(args, "max_compute_k", DEFAULT_MAX_COMPUTE_K),
-            strategy=getattr(args, "strategy", DEFAULT_STRATEGY),
         )
 
     def budget(self) -> SearchBudget | None:
@@ -80,8 +70,7 @@ class CliConfig:
     def policy(self, allow_compute: bool = True) -> ComputePolicy:
         return ComputePolicy(allow_compute=allow_compute,
                              max_compute_k=self.max_compute_k,
-                             budget=self.budget(),
-                             strategy=self.strategy)
+                             budget=self.budget())
 
     def load_table(self) -> KnownHTable:
         if self.h_table_path is not None:
@@ -95,26 +84,6 @@ def _diag(message: str) -> None:
 
 def _emit_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
 
 
 def _int_at_least(minimum: int):
@@ -188,9 +157,8 @@ def cmd_h(cfg: CliConfig, args) -> int:
     table = cfg.load_table()
     k = args.k
     if args.compute:
-        policy = cfg.policy()
-        length, assignment = cover.max_cover_length(
-            first_primes(k), budget=policy.budget, strategy=policy.strategy)
+        length, assignment = cover.max_cover_length(first_primes(k),
+                                                    budget=cfg.budget())
         h, source = length + 1, cover.HSOURCE_COMPUTED
         entry = table.get(k)
         if entry is not None and entry.h != h:
@@ -220,8 +188,7 @@ def cmd_h(cfg: CliConfig, args) -> int:
 
 def cmd_h_search(cfg: CliConfig, args) -> int:
     ps = first_primes(args.primes)
-    assignment = cover.coverable(args.length, ps, budget=cfg.budget(),
-                                 strategy=cfg.strategy)
+    assignment = cover.coverable(args.length, ps, budget=cfg.budget())
     if cfg.output_json:
         payload = {"length": args.length, "k": args.primes,
                    "coverable": assignment is not None,
@@ -398,23 +365,18 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="machine-readable output (stable byte-for-byte)")
-    common.add_argument("--workers", type=_positive_int, default=1,
-                        help="reserved for parallel search; must be >= 1")
 
     budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--max-nodes", type=_positive_int, default=None,
+    budget.add_argument("--max-nodes", type=_int_at_least(1), default=None,
                         help="abort the exact search after this many nodes")
     budget.add_argument("--max-seconds", type=_positive_float, default=None,
                         help="abort the exact search after this many seconds")
-    budget.add_argument("--strategy", choices=_STRATEGIES,
-                        default=DEFAULT_STRATEGY,
-                        help="exact-search branching strategy")
 
     tableopts = argparse.ArgumentParser(add_help=False)
     tableopts.add_argument("--table", default=None, metavar="PATH",
                            help="h-table file (default: packaged table, or "
                                 f"${H_TABLE_ENV})")
-    tableopts.add_argument("--max-compute-k", type=_positive_int,
+    tableopts.add_argument("--max-compute-k", type=_int_at_least(1),
                            default=DEFAULT_MAX_COMPUTE_K, metavar="K",
                            help="largest k the engine may compute h(k) for "
                                 "when the table lacks it")
@@ -428,12 +390,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("g", parents=[common, budget],
                        help="ordinary Jacobsthal function with witness run")
-    p.add_argument("n", type=_positive_int)
+    p.add_argument("n", type=_int_at_least(1))
     p.set_defaults(func=cmd_g)
 
     p = sub.add_parser("h", parents=[common, budget, tableopts],
                        help="primorial Jacobsthal function h(k)")
-    p.add_argument("k", type=_positive_int)
+    p.add_argument("k", type=_int_at_least(1))
     group = p.add_mutually_exclusive_group()
     group.add_argument("--compute", action="store_true",
                        help="run the exact search even if k is tabulated, "
@@ -445,9 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("h-search", parents=[common, budget],
                        help="decide whether the first k primes can cover a "
                             "run of the given length")
-    p.add_argument("length", type=_nonneg_int)
-    p.add_argument("--primes", type=_positive_int, required=True, metavar="K",
-                   help="use the first K primes")
+    p.add_argument("length", type=_int_at_least(0))
+    p.add_argument("--primes", type=_int_at_least(1), required=True,
+                   metavar="K", help="use the first K primes")
     p.set_defaults(func=cmd_h_search)
 
     p = sub.add_parser("witness-lower", parents=[common],
@@ -459,11 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("iso", parents=[common],
                        help="coprimality-preserving map onto a progression, "
                             "with a marked window table")
-    p.add_argument("a", type=_nonneg_int)
-    p.add_argument("d", type=_positive_int)
-    p.add_argument("--k", type=_positive_int, required=True,
+    p.add_argument("a", type=_int_at_least(0))
+    p.add_argument("d", type=_int_at_least(1))
+    p.add_argument("--k", type=_int_at_least(1), required=True,
                    help="preserve coprimality to the first K primes")
-    p.add_argument("--window", type=_positive_int, default=8,
+    p.add_argument("--window", type=_int_at_least(1), default=8,
                    help="tabulate n in [-window, window]")
     p.set_defaults(func=cmd_iso)
 
@@ -471,8 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
                                               modeopt],
                        help="certified prime in an eligible progression "
                             "(certificate JSON on stdout)")
-    p.add_argument("a", type=_nonneg_int)
-    p.add_argument("d", type=_positive_int)
+    p.add_argument("a", type=_int_at_least(0))
+    p.add_argument("d", type=_int_at_least(1))
     p.set_defaults(func=cmd_find_prime)
 
     p = sub.add_parser("verify", parents=[common, budget, tableopts],
@@ -483,9 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("primes", parents=[common, budget, tableopts, modeopt],
                        help="stream of distinct certified primes in a "
                             "progression")
-    p.add_argument("a", type=_nonneg_int)
-    p.add_argument("d", type=_positive_int)
-    p.add_argument("--count", type=_nonneg_int, required=True)
+    p.add_argument("a", type=_int_at_least(0))
+    p.add_argument("d", type=_int_at_least(1))
+    p.add_argument("--count", type=_int_at_least(0), required=True)
     p.set_defaults(func=cmd_primes)
 
     p = sub.add_parser("bound-table", parents=[common, budget, tableopts,

@@ -17,22 +17,17 @@ from dataclasses import dataclass, field
 from importlib import resources
 from math import gcd, prod
 
-from .arith import crt_solve, first_primes, is_prime, nth_prime
-from .errors import (BudgetExceeded, TableParseError, TableValidationError,
-                     Unavailable)
+from .arith import (crt_solve, first_primes, is_prime, nth_prime,
+                    shared_factor_flags)
+from .errors import (BudgetExceeded, JacobsthalError, TableParseError,
+                     TableValidationError, Unavailable)
 
 HSOURCE_PAPER = "paper"
 HSOURCE_COMPUTED = "computed"
 HSOURCE_INGESTED = "ingested"
 H_SOURCES = frozenset({HSOURCE_PAPER, HSOURCE_COMPUTED, HSOURCE_INGESTED})
 
-STRATEGY_POSITIONS = "positions"
-STRATEGY_PRIME_ORDER = "prime-order"
-STRATEGY_WHEEL = "wheel"
-DEFAULT_STRATEGY = STRATEGY_WHEEL
-STRATEGIES = (STRATEGY_WHEEL, STRATEGY_POSITIONS, STRATEGY_PRIME_ORDER)
-
-# Largest product of small primes whose offsets the wheel strategy
+# Largest product of small primes whose offsets the wheel search
 # enumerates outright before falling back to the positions search.
 WHEEL_PRODUCT_CAP = 30030
 
@@ -88,7 +83,6 @@ class ComputePolicy:
     allow_compute: bool = True
     max_compute_k: int = DEFAULT_MAX_COMPUTE_K
     budget: SearchBudget | None = None
-    strategy: str = DEFAULT_STRATEGY
 
 
 def _validated_primes(primes) -> tuple[int, ...]:
@@ -117,7 +111,11 @@ class _Search:
             base = 0
             for pos in range(0, length, p):
                 base |= 1 << pos
-            masks.append(tuple((base << c) & self.full for c in range(p)))
+            # Offsets c >= length cover nothing and are never looked up
+            # (lookups use u % p for a position u), so a prime far beyond
+            # the length costs O(length) masks, not O(p).
+            masks.append(tuple((base << c) & self.full
+                               for c in range(min(p, length))))
         self.masks = masks
         self.nodes = 0
         self.max_nodes = budget.max_nodes if budget else None
@@ -178,7 +176,9 @@ class _Search:
             offsets[self.primes[i]] = 0
         return offsets
 
-    # -- strategy "positions": branch on who covers the leftmost hole --------
+    # -- positions: branch on who covers the leftmost hole -------------------
+    #
+    # The wheel's inner search, and the whole search when no wheel fits.
 
     def search_positions(self) -> dict[int, int] | None:
         caps = [-(-self.length // p) for p in self.primes]
@@ -214,7 +214,7 @@ class _Search:
                 return sub
         return None
 
-    # -- strategy "wheel": enumerate small-prime offsets, then positions -----
+    # -- wheel: enumerate small-prime offsets, then positions ----------------
     #
     # The capacity bound is nearly useless while the small primes are
     # unassigned (their caps dwarf the interval), but once they are fixed the
@@ -271,42 +271,9 @@ class _Search:
                 return found
         return None
 
-    # -- strategy "prime-order": assign offsets to primes smallest-first -----
 
-    def search_prime_order(self) -> dict[int, int] | None:
-        caps = [-(-self.length // p) for p in self.primes]
-        return self._dfs_po(self.full, 0, caps)
-
-    def _dfs_po(self, uncov: int, idx: int,
-                caps: list[int]) -> dict[int, int] | None:
-        self._tick()
-        need = uncov.bit_count()
-        rem = range(idx, len(self.primes))
-        if need <= len(rem):
-            return self._finish(uncov, rem)
-        caps = caps[:]
-        if self._capacity_prune(uncov, rem, caps, need):
-            return None
-        p = self.primes[idx]
-        seen: dict[int, int] = {}
-        for c in range(p):
-            if idx == 0 and c > (self.length - 1 - c) % p:
-                continue  # keep one offset per reflection orbit at the root
-            hit = self.masks[idx][c] & uncov
-            if hit and hit not in seen:
-                # Offsets hitting nothing new never help (coverage is
-                # monotone), and equal hit sets give identical subproblems.
-                seen[hit] = c
-        for hit, c in sorted(seen.items(), key=lambda kv: -kv[0].bit_count()):
-            sub = self._dfs_po(uncov & ~self.masks[idx][c], idx + 1, caps)
-            if sub is not None:
-                sub[p] = c
-                return sub
-        return None
-
-
-def coverable(length: int, primes, budget: SearchBudget | None = None,
-              strategy: str = DEFAULT_STRATEGY) -> CoverAssignment | None:
+def coverable(length: int, primes,
+              budget: SearchBudget | None = None) -> CoverAssignment | None:
     """Exact decision: return a covering assignment for ``[0, length)`` or
     ``None`` when none exists.  Deterministic for fixed inputs."""
     ps = _validated_primes(primes)
@@ -314,19 +281,13 @@ def coverable(length: int, primes, budget: SearchBudget | None = None,
         raise ValueError(f"length must be >= 0, got {length}")
     if length == 0:
         return CoverAssignment(ps, (0,) * len(ps), 0)
-    search = _Search(length, ps, budget)
-    if strategy == STRATEGY_WHEEL:
-        found = search.search_wheel()
-    elif strategy == STRATEGY_POSITIONS:
-        found = search.search_positions()
-    elif strategy == STRATEGY_PRIME_ORDER:
-        found = search.search_prime_order()
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    found = _Search(length, ps, budget).search_wheel()
     if found is None:
         return None
     assignment = CoverAssignment(ps, tuple(found[p] for p in ps), length)
-    assert assignment.is_valid()
+    if not assignment.is_valid():
+        raise JacobsthalError(
+            f"internal: search offsets do not cover length {length} for {ps}")
     return assignment
 
 
@@ -339,8 +300,7 @@ def _extended(assignment: CoverAssignment) -> CoverAssignment | None:
     return None
 
 
-def max_cover_length(primes, budget: SearchBudget | None = None,
-                     strategy: str = DEFAULT_STRATEGY
+def max_cover_length(primes, budget: SearchBudget | None = None
                      ) -> tuple[int, CoverAssignment]:
     """Largest coverable length L* for this prime set, with a witness.
 
@@ -351,14 +311,14 @@ def max_cover_length(primes, budget: SearchBudget | None = None,
     ps = _validated_primes(primes)
     k = len(ps)
     start = 2 * ps[-2] - 1 if k >= 2 and ps == first_primes(k) else 1
-    assignment = coverable(start, ps, budget=budget, strategy=strategy)
+    assignment = coverable(start, ps, budget=budget)
     if assignment is None:  # cannot happen: start is a proven lower bound
         raise AssertionError(f"lower bound {start} not coverable for {ps}")
     length = start
     while True:
         longer = _extended(assignment)
         if longer is None:
-            longer = coverable(length + 1, ps, budget=budget, strategy=strategy)
+            longer = coverable(length + 1, ps, budget=budget)
         if longer is None:
             return length, assignment
         assignment = longer
@@ -381,9 +341,9 @@ def witness_integer(assignment: CoverAssignment) -> CoverWitness:
     start, modulus = crt_solve(congruences)
     if start == 0:
         start = modulus
-    witness = CoverWitness(start, assignment.length, assignment)
-    assert verify_cover(start, assignment.length, assignment.primes)
-    return witness
+    if not verify_cover(start, assignment.length, assignment.primes):
+        raise JacobsthalError(f"internal: run from {start} is not covered")
+    return CoverWitness(start, assignment.length, assignment)
 
 
 def least_witness(length: int, primes,
@@ -397,10 +357,7 @@ def least_witness(length: int, primes,
     period = prod(ps)
     if period + length > sieve_limit:
         return None
-    limit = period + length
-    flags = bytearray(limit + 1)
-    for p in ps:
-        flags[p::p] = b"\x01" * (limit // p)
+    flags = shared_factor_flags(ps, period + length)
     match = re.search(b"\x01{%d}" % length, bytes(flags))
     if match is None or match.start() > period:
         return None
@@ -428,10 +385,9 @@ def elementary_lower_witness(n: int) -> CoverWitness:
     length = 2 * p_second - 1
     start = t - (p_second - 1)
     offsets = tuple(-start % p for p in ps)
-    assignment = CoverAssignment(ps, offsets, length)
-    witness = CoverWitness(start, length, assignment)
-    assert verify_cover(start, length, ps)
-    return witness
+    if not verify_cover(start, length, ps):
+        raise JacobsthalError(f"internal: run from {start} is not covered")
+    return CoverWitness(start, length, CoverAssignment(ps, offsets, length))
 
 
 # --- known-value table -------------------------------------------------------
@@ -565,8 +521,7 @@ def h_of(k: int, table: KnownHTable | None = None,
             f"h({k}) is not tabulated and k exceeds the compute cap "
             f"{policy.max_compute_k}")
     length, assignment = max_cover_length(first_primes(k),
-                                          budget=policy.budget,
-                                          strategy=policy.strategy)
+                                          budget=policy.budget)
     witness = witness_integer(assignment)
     table.set(k, length + 1, HSOURCE_COMPUTED, witness=witness)
     return length + 1, HSOURCE_COMPUTED

@@ -2,8 +2,7 @@
 
 ``g_of(n)`` is the classical Jacobsthal function: the least m such that any
 m consecutive integers contain one coprime to n.  It depends only on the
-radical of n, so the scan works over one period of rad(n).  ``g_exhaustive``
-is a deliberately naive rescan kept as an independent oracle for tests.
+radical of n, so the scan works over one period of rad(n).
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import re
 from dataclasses import dataclass
 
 from . import cover
-from .arith import factorize
+from .arith import factorize, shared_factor_flags
 from .errors import BudgetExceeded
 
 DEFAULT_SCAN_LIMIT = 20_000_000
@@ -35,14 +34,6 @@ class GapScanResult:
     witness_length: int
 
 
-def _shared_factor_flags(primes, limit: int) -> bytearray:
-    """flags[i] == 1 iff some p in primes divides i, for 0 <= i <= limit."""
-    flags = bytearray(limit + 1)
-    for p in primes:
-        flags[p::p] = b"\x01" * (limit // p)
-    return flags
-
-
 def g_of(n: int, *, scan_limit: int = DEFAULT_SCAN_LIMIT,
          max_support: int = DEFAULT_MAX_SUPPORT,
          budget: "cover.SearchBudget | None" = None) -> GapScanResult:
@@ -61,7 +52,7 @@ def g_of(n: int, *, scan_limit: int = DEFAULT_SCAN_LIMIT,
         return GapScanResult(n, 1, 1, 0)
     primes = fac.primes()
     if rad <= scan_limit:
-        flags = _shared_factor_flags(primes, rad)
+        flags = shared_factor_flags(primes, rad)
         best = None  # (length, start)
         for m in _RUN.finditer(bytes(flags)):
             length = m.end() - m.start()
@@ -77,26 +68,3 @@ def g_of(n: int, *, scan_limit: int = DEFAULT_SCAN_LIMIT,
     witness = cover.witness_integer(assignment)
     return GapScanResult(n, length + 1, witness.start, length)
 
-
-def g_exhaustive(n: int, horizon: int | None = None, *,
-                 limit: int = 50_000_000) -> int:
-    """Oracle: directly scan ``1..horizon`` for the longest non-coprime run.
-
-    ``horizon`` defaults to ``2 * rad(n)`` and must be at least that, so a
-    full period plus slack is always inspected.
-    """
-    if n < 1:
-        raise ValueError(f"g(n) is defined for n >= 1, got {n}")
-    fac = factorize(n)
-    rad = fac.radical()
-    if rad == 1:
-        return 1
-    if horizon is None:
-        horizon = 2 * rad
-    if horizon < 2 * rad:
-        raise ValueError(f"horizon {horizon} < 2*rad(n) = {2 * rad}")
-    if horizon > limit:
-        raise BudgetExceeded(f"horizon {horizon} exceeds the scan limit {limit}")
-    flags = _shared_factor_flags(fac.primes(), horizon)
-    longest = max(m.end() - m.start() for m in _RUN.finditer(bytes(flags)))
-    return longest + 1

@@ -1,0 +1,82 @@
+"""Independent reference algorithms the tests check the engine against.
+
+Both are deliberately plain and share no code with ``jacobsthal.cover`` or
+``jacobsthal.gaps``, so a bug in the engine's pruning or sieving cannot
+hide in the oracle as well:
+
+- ``prime_order_cover`` decides coverability by assigning offsets prime by
+  prime, smallest first, with a simple capacity bound;
+- ``g_exhaustive`` scans integers one gcd at a time for the longest run
+  sharing a factor with n.
+"""
+
+from math import gcd, prod
+
+import sympy
+
+from jacobsthal.errors import BudgetExceeded
+
+
+def prime_order_cover(length: int, primes) -> dict[int, int] | None:
+    """Offsets ``{p: c_p}`` such that every position in ``[0, length)`` is
+    ≡ c_p (mod p) for some p, or ``None`` when no such offsets exist."""
+    ps = sorted(primes)
+    full = (1 << length) - 1
+    masks = []  # masks[i][c]: positions hit by offset c of ps[i]
+    for p in ps:
+        base = sum(1 << x for x in range(0, length, p))
+        # offsets c >= length hit nothing, so they are never needed
+        masks.append([(base << c) & full for c in range(min(p, length))])
+
+    def search(i: int, uncov: int) -> dict[int, int] | None:
+        if not uncov:
+            return {p: 0 for p in ps[i:]}
+        # prune: each remaining prime hits at most its best offset's share
+        if sum(max((m & uncov).bit_count() for m in masks[j])
+               for j in range(i, len(ps))) < uncov.bit_count():
+            return None
+        # Equal hit sets give equal subproblems, and an offset hitting
+        # nothing new never helps; try the biggest bite first.
+        first_offset: dict[int, int] = {}
+        for c, mask in enumerate(masks[i]):
+            if mask & uncov:
+                first_offset.setdefault(mask & uncov, c)
+        for hit, c in sorted(first_offset.items(),
+                             key=lambda item: -item[0].bit_count()):
+            found = search(i + 1, uncov & ~hit)
+            if found is not None:
+                found[ps[i]] = c
+                return found
+        return None
+
+    return search(0, full)
+
+
+def g_exhaustive(n: int, horizon: int | None = None, *,
+                 limit: int = 50_000_000) -> int:
+    """g(n) by scanning ``1..horizon`` for the longest run of integers
+    sharing a factor with n.
+
+    ``horizon`` defaults to ``2 * rad(n)`` and must be at least that, so a
+    full period plus slack is always inspected.
+    """
+    if n < 1:
+        raise ValueError(f"g(n) is defined for n >= 1, got {n}")
+    rad = prod(sympy.primefactors(n))
+    if rad == 1:
+        return 1
+    if horizon is None:
+        horizon = 2 * rad
+    if horizon < 2 * rad:
+        raise ValueError(f"horizon {horizon} < 2*rad(n) = {2 * rad}")
+    if horizon > limit:
+        raise BudgetExceeded(f"horizon {horizon} exceeds the scan limit {limit}")
+    longest = run = 0
+    for x in range(1, horizon + 1):
+        if gcd(x, rad) > 1:
+            run += 1
+            if run > longest:
+                longest = run
+        else:
+            run = 0
+    return longest + 1

@@ -244,6 +244,27 @@ def test_verify_flags_composite(good_cert, shipped_table):
     assert "range" in text  # the lemma makes composites violate the window
 
 
+def test_verify_reports_shift_past_primality_range(shipped_table, tmp_path,
+                                                  capsys):
+    # m shifted by 10**25 (kept a multiple of 7, so gcd(m, 210) > 1) puts
+    # prime past 3.3e24, where the deterministic test gives up; prime is
+    # kept coprime to 41# so trial division cannot settle it first
+    from jacobsthal.cli import run
+    cert = find_prime(make_eligible(1, 7), shipped_table)
+    m = cert.m + 10**25
+    while m % 7 or gcd(cert.c + cert.d * m, primorial(13)) != 1:
+        m += 1
+    forged = replace(cert, m=m, prime=cert.c + cert.d * m)
+    check = verify_certificate(forged, shipped_table)
+    assert not check.ok
+    assert [f.split(":")[0] for f in check.failures] == [
+        "range", "preimage-coprime", "primality"]
+    cert_file = tmp_path / "forged.json"
+    cert_file.write_text(certificate_to_json(forged))
+    assert run(["verify", str(cert_file)]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
 def test_verify_rejects_absurd_k(good_cert, shipped_table):
     check = verify_certificate(replace(good_cert, k=200_000), shipped_table)
     assert not check.ok

@@ -105,16 +105,21 @@ def test_h_search_coverable(capsys):
     assert "witness: 114..126" in out
 
 
-@pytest.mark.parametrize("strategy", ["wheel", "positions", "prime-order"])
-def test_h_search_strategies_agree(capsys, strategy):
+def test_h_search_strategies_agree(capsys):
+    # the CLI's decision against the independent prime-order oracle
     from jacobsthal.cover import verify_cover
-    code, out, _ = _run(capsys, "h-search", "13", "--primes", "5",
-                        "--strategy", strategy, "--json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["coverable"] is True
-    start = int(payload["witness_start"])
-    assert verify_cover(start, 13, [p for p, _ in payload["offsets"]])
+    from oracles import prime_order_cover
+    for length in (13, 14):
+        code, out, _ = _run(capsys, "h-search", str(length), "--primes", "5",
+                            "--json")
+        assert code == 0
+        payload = json.loads(out)
+        oracle = prime_order_cover(length, (2, 3, 5, 7, 11))
+        assert payload["coverable"] is (oracle is not None), length
+        if payload["coverable"]:
+            start = int(payload["witness_start"])
+            assert verify_cover(start, length,
+                                [p for p, _ in payload["offsets"]])
 
 
 def test_h_search_not_coverable(capsys):
@@ -285,7 +290,7 @@ def test_env_table_and_flag_precedence(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ("g",),                          # missing argument
     ("g", "0"),                      # domain of n
-    ("g", "10", "--workers", "0"),   # invalid worker count
+    ("g", "10", "--max-seconds", "0"),  # invalid time budget
     ("frobnicate",),                 # unknown subcommand
     ("bound-table", "--ks", "5,x"),  # malformed list
     ("h", "5", "--compute", "--table-only"),  # mutually exclusive
@@ -303,13 +308,9 @@ def test_verify_missing_file(capsys):
 
 def test_cli_config_validation():
     with pytest.raises(ValueError):
-        CliConfig(worker_count=0)
-    with pytest.raises(ValueError):
         CliConfig(mode="hopeful")
     with pytest.raises(ValueError):
         CliConfig(max_nodes=0)
-    with pytest.raises(ValueError):
-        CliConfig(strategy="oracle")
 
 
 # --- fresh-process checks ----------------------------------------------------

@@ -2,16 +2,18 @@ import pytest
 
 from math import prod
 
+from jacobsthal import cover
 from jacobsthal.arith import first_primes, primorial
 from jacobsthal.cover import (CoverAssignment, HSOURCE_COMPUTED, KnownHTable,
-                              STRATEGIES, SearchBudget, ComputePolicy,
+                              SearchBudget, ComputePolicy,
                               coverable, default_h_table,
                               elementary_lower_witness, h_of, least_witness,
                               load_h_table, max_cover_length, save_h_table,
                               verify_cover, witness_integer, _parse_h_table)
-from jacobsthal.errors import (BudgetExceeded, TableParseError,
-                               TableValidationError, Unavailable)
-from jacobsthal.gaps import g_exhaustive
+from jacobsthal.errors import (BudgetExceeded, JacobsthalError,
+                               TableParseError, TableValidationError,
+                               Unavailable)
+from oracles import g_exhaustive, prime_order_cover
 
 REMARK_ROWS = [(5, 14), (10, 46), (15, 100), (20, 174), (25, 258), (30, 330),
                (35, 432), (40, 538), (45, 642), (50, 762), (54, 858)]
@@ -41,15 +43,54 @@ def test_coverable_small_decisions():
 
 
 def test_strategies_agree_at_critical_lengths():
+    # the engine against the independent prime-order oracle
     critical = {1: 1, 2: 3, 3: 5, 4: 9, 5: 13, 6: 21, 7: 25, 8: 33}
     for k, lstar in critical.items():
         ps = first_primes(k)
         for length, feasible in ((lstar, True), (lstar + 1, False)):
-            for strategy in STRATEGIES:
-                found = coverable(length, ps, strategy=strategy)
-                assert (found is not None) == feasible, (k, length, strategy)
-                if found is not None:
-                    assert found.is_valid()
+            found = coverable(length, ps)
+            assert (found is not None) == feasible, (k, length)
+            if found is not None:
+                assert found.is_valid()
+            offsets = prime_order_cover(length, ps)
+            assert (offsets is not None) == feasible, (k, length, "oracle")
+            if offsets is not None:
+                oracle = CoverAssignment(ps, tuple(offsets[p] for p in ps),
+                                         length)
+                assert oracle.is_valid()
+
+
+# max_cover_length(first_primes(k)) -> (L*, offsets).  The witness is the
+# first cover the search reaches, so any change to its branch order shows
+# up here even when every L* stays the same.
+PINNED_SEARCH = {
+    1: (1, (0,)),
+    2: (3, (0, 1)),
+    3: (5, (0, 1, 3)),
+    4: (9, (0, 1, 3, 5)),
+    5: (13, (0, 0, 1, 5, 7)),
+    6: (21, (0, 1, 0, 3, 9, 11)),
+    7: (25, (0, 0, 2, 5, 1, 11, 13)),
+    8: (33, (0, 1, 1, 2, 5, 3, 15, 17)),
+    9: (39, (0, 1, 0, 2, 0, 3, 0, 2, 4)),
+    10: (45, (0, 1, 2, 1, 0, 9, 5, 3, 21, 23)),
+    11: (57, (0, 1, 3, 0, 6, 2, 11, 9, 5, 27, 29)),
+    12: (65, (0, 0, 1, 0, 3, 3, 2, 5, 13, 17, 23, 0)),
+}
+
+
+def test_search_path_is_pinned():
+    for k, (lstar, offsets) in PINNED_SEARCH.items():
+        length, assignment = max_cover_length(first_primes(k))
+        assert (length, assignment.offsets) == (lstar, offsets), k
+
+
+def test_self_check_is_an_error_not_an_assert(monkeypatch):
+    # must hold under python -O too, so it cannot be an assert
+    monkeypatch.setattr(cover._Search, "search_wheel",
+                        lambda self: {p: 0 for p in self.primes})
+    with pytest.raises(JacobsthalError):
+        coverable(13, first_primes(5))
 
 
 def test_max_cover_length_matches_direct_scan_oracle():

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 import sympy
 from hypothesis import given
@@ -8,7 +12,8 @@ from math import gcd, prod
 from jacobsthal.arith import primorial, radical
 from jacobsthal.cover import SearchBudget, verify_cover
 from jacobsthal.errors import BudgetExceeded
-from jacobsthal.gaps import g_exhaustive, g_of
+from jacobsthal.gaps import g_of
+from oracles import g_exhaustive
 
 
 def _witness_ok(res):
@@ -73,6 +78,23 @@ def test_primorial_values_match_engine_path():
 def test_engine_path_respects_budget():
     with pytest.raises(BudgetExceeded):
         g_of(primorial(9), budget=SearchBudget(max_nodes=3))
+
+
+def test_huge_prime_factor_takes_the_engine_quickly():
+    # rad(n) is past the scan limit, so the cover engine runs with a
+    # 13-digit prime; in a child process so a regression fails, not hangs
+    import jacobsthal
+    src = os.path.dirname(os.path.dirname(jacobsthal.__file__))
+    script = ("from jacobsthal.gaps import g_of\n"
+              "print(g_of(1000000000039).g, g_of(2 * 1000000000039).g)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    try:
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=20)
+    except subprocess.TimeoutExpired:
+        pytest.fail("g_of(1000000000039) ran past 20 s")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2", "4"]
 
 
 def test_too_many_primes_is_refused():
