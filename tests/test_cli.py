@@ -105,17 +105,30 @@ def test_h_search_coverable(capsys):
     assert "witness: 114..126" in out
 
 
-def test_h_search_strategies_agree(capsys):
-    # the CLI's decision against the independent prime-order oracle
-    from jacobsthal.cover import verify_cover
+def _reference_cover(search, length, primes):
+    # the wheel engine, its positions routine, or the independent
+    # prime-order oracle, called directly rather than through the CLI
+    from jacobsthal.cover import _Search
     from oracles import prime_order_cover
+    if search == "prime-order":
+        return prime_order_cover(length, primes)
+    engine = _Search(length, primes, None)
+    if search == "positions":
+        return engine.search_positions()
+    return engine.search_wheel()
+
+
+@pytest.mark.parametrize("search", ["wheel", "positions", "prime-order"])
+def test_h_search_strategies_agree(capsys, search):
+    # the CLI's decision against each search run directly
+    from jacobsthal.cover import verify_cover
     for length in (13, 14):
         code, out, _ = _run(capsys, "h-search", str(length), "--primes", "5",
                             "--json")
         assert code == 0
         payload = json.loads(out)
-        oracle = prime_order_cover(length, (2, 3, 5, 7, 11))
-        assert payload["coverable"] is (oracle is not None), length
+        reference = _reference_cover(search, length, (2, 3, 5, 7, 11))
+        assert payload["coverable"] is (reference is not None), length
         if payload["coverable"]:
             start = int(payload["witness_start"])
             assert verify_cover(start, length,
