@@ -333,7 +333,8 @@ def _refined(ap: EligibleAP, prime: int) -> EligibleAP:
             continue
         if prime % new_d != residue % new_d:
             return EligibleAP(residue % new_d, new_d)
-    raise AssertionError(f"no eligible refinement of {ap} avoiding {prime}")
+    raise JacobsthalError(
+        f"internal: no eligible refinement of {ap} avoiding {prime}")
 
 
 def prime_stream(ap: EligibleAP, count: int,

@@ -117,6 +117,17 @@ class _Search:
             masks.append(tuple((base << c) & self.full
                                for c in range(min(p, length))))
         self.masks = masks
+        # counts[i][c] = |masks[i][c] & uncov| for the uncovered set of the
+        # node being searched.  Only primes with 2p < length have a table:
+        # their caps start at ceil(length/p) >= 3, and a table is kept in
+        # step exactly while the prime's cap stays above 2.  Caps of 2 and 1
+        # are settled from the uncovered set itself (see _capacity_prune).
+        self.counts = [[m.bit_count() for m in ms] if 2 * p < length
+                       else None for p, ms in zip(primes, masks)]
+        self.residues = [tuple(u % p for p in primes) for u in range(length)]
+        # Two positions share a residue class of p when they differ by one
+        # of these multiples of p.
+        self.strides = [tuple(range(p, length, p)) for p in primes]
         self.nodes = 0
         self.max_nodes = budget.max_nodes if budget else None
         self.deadline = (time.monotonic() + budget.max_seconds
@@ -130,31 +141,40 @@ class _Search:
                 and time.monotonic() > self.deadline):
             raise BudgetExceeded("cover search passed its time budget")
 
-    def _cap(self, i: int, uncov: int, known: int) -> int:
-        """Max uncovered positions one offset of primes[i] can hit;
-        ``known`` is a proven upper bound from an ancestor node."""
-        p = self.primes[i]
-        if p >= self.length:
-            return 1
-        if 2 * p >= self.length:  # residue classes hold at most two positions
-            return 2 if (uncov & (uncov >> p)) else 1
-        best = 1
-        for mask in self.masks[i]:
-            hits = (mask & uncov).bit_count()
-            if hits > best:
-                best = hits
-                if best >= known:
-                    return known
-        return best
+    def _shift(self, hit: int, live, step: int) -> None:
+        """Add ``step`` to the counts of every position in ``hit``, for the
+        primes listed in ``live``: -1 as a branch covers them, +1 as it
+        gives them back."""
+        counts, residues = self.counts, self.residues
+        while hit:
+            low = hit & -hit
+            hit ^= low
+            res = residues[low.bit_length() - 1]
+            for j in live:
+                counts[j][res[j]] += step
 
     def _capacity_prune(self, uncov: int, rem, caps: list[int], need: int) -> bool:
         """True when remaining primes provably cannot cover ``need`` positions.
-        Tightens cached caps lazily and stops as soon as pruning is ruled out."""
+        Tightens cached caps lazily and stops as soon as pruning is ruled out.
+
+        A prime's cap is the most uncovered positions one of its offsets can
+        hit (at least 1), never above the bound an ancestor cached in
+        ``caps``: the largest count when the cap is above 2, else whether
+        two uncovered positions share a residue class."""
         total = 0
+        counts, strides = self.counts, self.strides
         for i in rem:
             c = caps[i]
-            if c > 1:
-                c = caps[i] = self._cap(i, uncov, c)
+            if c > 2:
+                best = max(counts[i])
+                if best < c:
+                    c = caps[i] = best if best > 1 else 1
+            elif c == 2:
+                for s in strides[i]:
+                    if uncov & (uncov >> s):
+                        break
+                else:
+                    c = caps[i] = 1
             total += c
             if total >= need:
                 return False
@@ -194,22 +214,41 @@ class _Search:
         if self._capacity_prune(uncov, rem, caps, need):
             return None
         u0 = (uncov & -uncov).bit_length() - 1
+        primes, masks, counts = self.primes, self.masks, self.counts
+        live = [j for j in rem if caps[j] > 2]  # whose counts children read
         branches = []
-        for i in rem:
-            p = self.primes[i]
+        for at, i in enumerate(rem):
+            p = primes[i]
             if p == 2 and self.even and u0 & 1:
                 # Reflection x -> length-1-x maps covers to covers and swaps
                 # the two offsets of 2 when length is even, so offset 0 for
                 # prime 2 loses no decisions.
                 continue
-            mask = self.masks[i][u0 % p]
-            branches.append(((mask & uncov).bit_count(), -p, i, mask))
+            mask = masks[i][u0 % p]
+            if caps[i] > 2:
+                bite = counts[i][u0 % p]
+            else:
+                bite = (mask & uncov).bit_count()
+            branches.append((bite, -p, at, i, mask))
         branches.sort(reverse=True)  # biggest bite first, small prime on ties
-        for _, _, i, mask in branches:
-            rest = tuple(x for x in rem if x != i)
-            sub = self._dfs_pos(uncov & ~mask, rest, caps)
+        spare = sum([caps[j] for j in rem])
+        for bite, _, at, i, mask in branches:
+            child_need = need - bite
+            if child_need >= len(rem) and spare - caps[i] < child_need:
+                # The child keeps more uncovered positions than primes, and
+                # the caps cached here already sum below that, so its
+                # capacity check fails: count the node and skip it.
+                self._tick()
+                continue
+            hit = mask & uncov
+            shifted = [j for j in live if j != i]
+            if shifted:
+                self._shift(hit, shifted, -1)
+            sub = self._dfs_pos(uncov ^ hit, rem[:at] + rem[at + 1:], caps)
+            if shifted:
+                self._shift(hit, shifted, 1)
             if sub is not None:
-                p = self.primes[i]
+                p = primes[i]
                 sub[p] = u0 % p
                 return sub
         return None
@@ -256,6 +295,7 @@ class _Search:
                 sub[self.primes[i]] = offsets[i]
             return sub
         p = self.primes[j]
+        live = [i for i in rem if caps[i] > 2]
         seen: set[int] = set()
         for c in range(p):
             if j == cut and c > (self.length - 1 - c) % p:
@@ -265,8 +305,10 @@ class _Search:
                 continue
             seen.add(left)
             offsets[j] = c
+            self._shift(uncov ^ left, live, -1)
             found = self._wheel_rec(j + 1, width, cut, left, offsets, rem,
                                     caps)
+            self._shift(uncov ^ left, live, 1)
             if found is not None:
                 return found
         return None
@@ -313,7 +355,8 @@ def max_cover_length(primes, budget: SearchBudget | None = None
     start = 2 * ps[-2] - 1 if k >= 2 and ps == first_primes(k) else 1
     assignment = coverable(start, ps, budget=budget)
     if assignment is None:  # cannot happen: start is a proven lower bound
-        raise AssertionError(f"lower bound {start} not coverable for {ps}")
+        raise JacobsthalError(
+            f"internal: lower bound {start} not coverable for {ps}")
     length = start
     while True:
         longer = _extended(assignment)
@@ -416,12 +459,15 @@ class KnownHTable:
 
     Read-mostly; writes go through :meth:`set` under a lock, and entries
     computed by the engine carry their verified witness in memory (the text
-    format only persists ``k,h,source``).
+    format only persists ``k,h,source``).  :func:`h_of` holds a second lock
+    from its miss to its insert, so threads sharing a table compute each
+    missing value once.
     """
 
     def __init__(self, entries: dict[int, HEntry] | None = None):
         self._entries: dict[int, HEntry] = dict(entries or {})
         self._lock = threading.Lock()
+        self._compute_lock = threading.Lock()
         for k, e in self._entries.items():
             _validate_h(k, e.h)
 
@@ -520,8 +566,12 @@ def h_of(k: int, table: KnownHTable | None = None,
         raise Unavailable(
             f"h({k}) is not tabulated and k exceeds the compute cap "
             f"{policy.max_compute_k}")
-    length, assignment = max_cover_length(first_primes(k),
-                                          budget=policy.budget)
-    witness = witness_integer(assignment)
-    table.set(k, length + 1, HSOURCE_COMPUTED, witness=witness)
+    with table._compute_lock:
+        entry = table.get(k)  # another thread may have just computed it
+        if entry is not None:
+            return entry.h, entry.source
+        length, assignment = max_cover_length(first_primes(k),
+                                              budget=policy.budget)
+        witness = witness_integer(assignment)
+        table.set(k, length + 1, HSOURCE_COMPUTED, witness=witness)
     return length + 1, HSOURCE_COMPUTED

@@ -1,4 +1,9 @@
+import threading
+import time
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from math import prod
 
@@ -83,6 +88,55 @@ def test_search_path_is_pinned():
     for k, (lstar, offsets) in PINNED_SEARCH.items():
         length, assignment = max_cover_length(first_primes(k))
         assert (length, assignment.offsets) == (lstar, offsets), k
+
+
+# Nodes the search visits (calls of _Search._tick) in
+# max_cover_length(first_primes(k)).  A change that only makes a node
+# cheaper must leave every count as it is.
+PINNED_NODES = {1: 2, 2: 5, 3: 7, 4: 5, 5: 9, 6: 43, 7: 38, 8: 296, 9: 363,
+                10: 3043, 11: 36417, 12: 29334}
+
+
+def test_search_node_counts_are_pinned(monkeypatch):
+    nodes = 0
+    tick = cover._Search._tick
+
+    def counting_tick(self):
+        nonlocal nodes
+        nodes += 1
+        tick(self)
+
+    monkeypatch.setattr(cover._Search, "_tick", counting_tick)
+    for k, expected in PINNED_NODES.items():
+        nodes = 0
+        max_cover_length(first_primes(k))
+        assert nodes == expected, k
+
+
+PRIMES_TO_37 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@given(length=st.integers(min_value=1, max_value=30),
+       primes=st.lists(st.sampled_from(PRIMES_TO_37), min_size=1,
+                       max_size=len(PRIMES_TO_37), unique=True))
+@example(length=30, primes=list(PRIMES_TO_37))  # p >= L and 2p >= L present
+@example(length=29, primes=list(PRIMES_TO_37))  # odd: the wheel's cut on 2
+@example(length=6, primes=[2, 3])  # even, no wheel: offset 0 for 2
+@example(length=7, primes=[2, 3, 5])  # odd, no wheel
+@example(length=12, primes=[3, 5, 7, 11, 13])  # no 2, so no reflection cut
+@example(length=10, primes=[5, 7, 31, 37])
+def test_engine_agrees_with_oracle_on_any_prime_set(length, primes):
+    found = coverable(length, primes)
+    offsets = prime_order_cover(length, primes)
+    assert (found is not None) == (offsets is not None)
+    if found is not None:
+        assert found.is_valid()
+
+
+def test_lower_bound_check_is_an_error_not_an_assert(monkeypatch):
+    monkeypatch.setattr(cover, "coverable", lambda *args, **kwargs: None)
+    with pytest.raises(JacobsthalError):
+        max_cover_length(first_primes(5))
 
 
 def test_self_check_is_an_error_not_an_assert(monkeypatch):
@@ -253,3 +307,26 @@ def test_h_of_budget_propagates():
     policy = ComputePolicy(budget=SearchBudget(max_nodes=2))
     with pytest.raises(BudgetExceeded):
         h_of(10, KnownHTable(), policy)
+
+
+def test_h_of_computes_a_shared_miss_once(monkeypatch):
+    calls = []
+    search = cover.max_cover_length
+
+    def slow_search(*args, **kwargs):
+        calls.append(args)
+        time.sleep(0.05)  # hold the miss open while the other thread looks
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(cover, "max_cover_length", slow_search)
+    table = KnownHTable()
+    results = []
+    threads = [threading.Thread(target=lambda: results.append(h_of(10, table)))
+               for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert results == [(46, HSOURCE_COMPUTED)] * 2
+    assert len(calls) == 1
