@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from decimal import ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from .arith import first_primes, is_prime, nth_prime, primorial
 from .cover import ComputePolicy, KnownHTable, default_h_table, h_of
@@ -51,7 +51,11 @@ CHECK_NAMES = (
     "primality",
 )
 
-_DECIMAL_INT = _re.compile(r"^-?[0-9]+$")
+# Primes per gcd when verify tests coprimality to the first k primes: a
+# certificate with k <= 54 takes one gcd, a cw one a gcd per 64 primes.
+_COPRIME_BLOCK = 64
+
+_DECIMAL_INT = _re.compile(r"-?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -169,18 +173,23 @@ def min_k_for(d: int, table: KnownHTable | None = None, *,
         table = default_h_table()
     if policy is None:
         policy = ComputePolicy()
-    best = 0
     if mode == MODE_UNCONDITIONAL:
         ks = _candidate_ks(table, policy)
+
+        def h_at(k: int) -> int:
+            return h_of(k, table, policy)[0]
     elif mode == MODE_CW:
-        ks = range(CW_MIN_K, CW_MAX_K + 1)
+        ks, h_at = range(CW_MIN_K, CW_MAX_K + 1), cw_upper
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    # bound(k).value >= d in integers, without a BoundRow or Fraction per k
+    best = 0
     for k in ks:
-        row = bound(k, table, mode=mode, policy=policy)
-        if row.value >= d:
+        p_next = nth_prime(k + 1)
+        top, below = p_next * p_next - 2, h_at(k) + 1
+        if top >= d * below:
             return k
-        best = max(best, int(row.value))
+        best = max(best, top // below)
     raise NotProvable(
         f"no available bound reaches d = {d} (largest provable: {best})",
         max_provable_d=best)
@@ -268,13 +277,14 @@ def verify_certificate(cert: PrimeCertificate,
     p_next = nth_prime(cert.k + 1)
     if not 2 <= cert.prime < p_next * p_next:
         failures.append("range: prime outside [2, p_{k+1}^2 - 1]")
-    modulus = primorial(cert.k)
-    if gcd(cert.m, modulus) != 1:
+    if _shares_a_prime(cert.m, qs):
         failures.append("preimage-coprime: gcd(m, k-primorial) > 1")
-    if gcd(cert.prime, modulus) != 1:
+    if _shares_a_prime(cert.prime, qs):
         failures.append("image-coprime: gcd(prime, k-primorial) > 1")
     failures.extend(_h_consistency(cert, table, policy))
-    if Fraction(p_next * p_next - 2, cert.h_value + 1) < cert.d:
+    # (p_{k+1}^2 - 2)/(h + 1) < d in integers; h + 1 <= 0 never certifies
+    below = cert.h_value + 1
+    if below <= 0 or p_next * p_next - 2 < cert.d * below:
         failures.append("bound: (p_{k+1}^2 - 2)/(h + 1) < d")
     try:
         if not is_prime(cert.prime):
@@ -283,6 +293,21 @@ def verify_certificate(cert: PrimeCertificate,
         failures.append("primality: prime exceeds the deterministic test's "
                         "range")
     return CertificateCheck(not failures, tuple(failures))
+
+
+def _shares_a_prime(n: int, qs: tuple[int, ...]) -> bool:
+    """``gcd(n, prod(qs)) > 1`` for ascending primes ``qs``, taken a block
+    at a time and stopping at the first block with a common factor or past
+    ``|n|`` (no larger prime divides a nonzero n).  So a forged k costs
+    no more than the primes up to ``|n|``, not a product of all k."""
+    size = abs(n)
+    for start in range(0, len(qs), _COPRIME_BLOCK):
+        block = qs[start:start + _COPRIME_BLOCK]
+        if gcd(n, prod(block)) > 1:
+            return True
+        if block[-1] >= size:
+            return False
+    return False
 
 
 def _h_consistency(cert: PrimeCertificate, table: KnownHTable,
@@ -401,11 +426,43 @@ def max_provable_d(table: KnownHTable | None = None, *,
 _INT_FIELDS = ("a", "d", "k", "c", "m", "prime", "h_value")
 _STR_FIELDS = ("h_source", "mode")
 
+# Python refuses int <-> str conversions past 4300 digits by default, and a
+# cw certificate's c reaches about 45.3k digits at k = CW_MAX_K, so longer
+# numbers are converted in pieces below that limit.  A certificate field
+# may have at most _FIELD_MAX_DIGITS digits, which keeps parsing a hostile
+# file cheap.
+_PIECE_DIGITS = 4000
+_FIELD_MAX_DIGITS = 60_000
+
+
+def int_to_decimal(n: int) -> str:
+    """``str(n)`` for an int of any size, whatever the interpreter's digit
+    limit."""
+    if n < 0:
+        return "-" + int_to_decimal(-n)
+    if n.bit_length() <= _PIECE_DIGITS * 3:  # under _PIECE_DIGITS digits
+        return str(n)
+    low_digits = n.bit_length() * 3 // 20  # about half of the digit count
+    high, low = divmod(n, 10 ** low_digits)
+    return int_to_decimal(high) + int_to_decimal(low).zfill(low_digits)
+
+
+def _decimal_to_int(text: str) -> int:
+    """``int(text)`` for a string of optional '-' and digits, of any length."""
+    if len(text) <= _PIECE_DIGITS:
+        return int(text)
+    if text[0] == "-":
+        return -_decimal_to_int(text[1:])
+    low_digits = len(text) // 2
+    return (_decimal_to_int(text[:-low_digits]) * 10 ** low_digits
+            + _decimal_to_int(text[-low_digits:]))
+
 
 def certificate_to_json(cert: PrimeCertificate) -> str:
     """Canonical JSON form: integers as decimal strings (c routinely
     exceeds machine width), keys sorted, newline-terminated."""
-    payload = {name: str(getattr(cert, name)) for name in _INT_FIELDS}
+    payload = {name: int_to_decimal(getattr(cert, name))
+               for name in _INT_FIELDS}
     payload.update({name: getattr(cert, name) for name in _STR_FIELDS})
     payload["checks"] = list(cert.checks)
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -414,7 +471,7 @@ def certificate_to_json(cert: PrimeCertificate) -> str:
 def certificate_from_json(text: str) -> PrimeCertificate:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also a bare number past the digit limit
         raise JacobsthalError(f"certificate is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise JacobsthalError("certificate must be a JSON object")
@@ -425,9 +482,12 @@ def certificate_from_json(text: str) -> PrimeCertificate:
     values: dict[str, object] = {}
     for name in _INT_FIELDS:
         raw = data[name]
-        if not isinstance(raw, str) or not _DECIMAL_INT.match(raw):
+        if not isinstance(raw, str) or not _DECIMAL_INT.fullmatch(raw):
             raise JacobsthalError(f"field {name!r} must be a decimal string")
-        values[name] = int(raw)
+        if len(raw.lstrip("-")) > _FIELD_MAX_DIGITS:
+            raise JacobsthalError(
+                f"field {name!r} has more than {_FIELD_MAX_DIGITS} digits")
+        values[name] = _decimal_to_int(raw)
     for name in _STR_FIELDS:
         if not isinstance(data[name], str):
             raise JacobsthalError(f"field {name!r} must be a string")

@@ -21,7 +21,8 @@ from math import gcd, prod
 from . import certify, cover, gaps
 from .arith import first_primes
 from .certify import (MODE_CW, MODE_UNCONDITIONAL, MODES,
-                      certificate_from_json, certificate_to_json)
+                      certificate_from_json, certificate_to_json,
+                      int_to_decimal)
 from .cover import (DEFAULT_MAX_COMPUTE_K, ComputePolicy, KnownHTable,
                     SearchBudget, default_h_table, load_h_table)
 from .errors import BudgetExceeded, JacobsthalError
@@ -266,7 +267,7 @@ def cmd_find_prime(cfg: CliConfig, args) -> int:
     cert = certify.find_prime(ap, table, mode=cfg.mode, policy=cfg.policy())
     sys.stdout.write(certificate_to_json(cert))
     _diag(f"certified prime {cert.prime} in {ap} "
-          f"(k = {cert.k}, c = {cert.c}, mode {cert.mode})")
+          f"(k = {cert.k}, c = {int_to_decimal(cert.c)}, mode {cert.mode})")
     return 0
 
 

@@ -286,8 +286,7 @@ class _Search:
     def _wheel_rec(self, j: int, width: int, cut: int, uncov: int,
                    offsets: list[int], rem: tuple[int, ...],
                    caps: list[int]) -> dict[int, int] | None:
-        if j == width:
-            self._tick()
+        if j == width:  # a node of the positions search, counted there
             sub = self._dfs_pos(uncov, rem, caps)
             if sub is None:
                 return None

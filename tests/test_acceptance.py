@@ -91,7 +91,7 @@ def test_criterion_05_engine_reaches_twenty(acceptance, shipped_table):
             witness = witness_integer(assignment)
             assert verify_cover(witness.start, witness.length, primes)
             computed[k] = length + 1
-        for k in (5, 10, 15, 20):
+        for k in range(1, 21):
             entry = shipped_table.get(k)
             assert computed[k] == entry.h, k
         values = [computed[k] for k in range(1, 21)]

@@ -1,4 +1,7 @@
 import json
+import random
+import sys
+import time
 from dataclasses import replace
 from decimal import Decimal, ROUND_HALF_UP, localcontext
 from fractions import Fraction
@@ -16,8 +19,10 @@ from jacobsthal.certify import (CHECK_NAMES, MODE_CW, MODE_UNCONDITIONAL,
                                 certificate_from_json, certificate_to_json,
                                 cw_upper, find_prime, max_provable_d,
                                 min_k_for, prime_by_coprimality, prime_stream,
-                                render_thousandths, verify_certificate)
-from jacobsthal.cover import ComputePolicy, KnownHTable
+                                int_to_decimal, render_thousandths,
+                                verify_certificate)
+from jacobsthal import cover
+from jacobsthal.cover import ComputePolicy, KnownHTable, default_h_table
 from jacobsthal.errors import (JacobsthalError, NotProvable, OutOfRange)
 from jacobsthal.progressions import make_eligible
 
@@ -105,7 +110,7 @@ def test_cw_mode_bound(shipped_table):
 
 @pytest.mark.parametrize("d, k", [
     (1, 1), (2, 1), (3, 2), (4, 2), (7, 4), (11, 5), (12, 6), (13, 7),
-    (30, 20), (31, 25), (76, 54),
+    (30, 16), (31, 16), (33, 18), (76, 54),
 ])
 def test_min_k_for_pinned(shipped_table, d, k):
     assert min_k_for(d, shipped_table) == k
@@ -219,8 +224,10 @@ def test_verify_h_consistency(good_cert, shipped_table):
     text = _failures(replace(good_cert, mode=MODE_CW, h_source="cw"),
                      shipped_table)
     assert "outside the conditional range" in text
-    text = _failures(replace(good_cert, k=13, h_value=74), shipped_table)
-    assert "cannot confirm h(13)" in text
+    text = _failures(replace(good_cert, k=21, h_value=190), shipped_table)
+    assert "cannot confirm h(21)" in text
+    text = _failures(replace(good_cert, h_value=-1), shipped_table)
+    assert "impossible h_value -1" in text and "bound:" in text
 
 
 def test_verify_rejects_garbage_mode(good_cert, shipped_table):
@@ -268,6 +275,33 @@ def test_verify_reports_shift_past_primality_range(shipped_table, tmp_path,
 def test_verify_rejects_absurd_k(good_cert, shipped_table):
     check = verify_certificate(replace(good_cert, k=200_000), shipped_table)
     assert not check.ok
+
+
+def test_verify_rejects_forged_k_quickly(good_cert, shipped_table):
+    forged = replace(good_cert, k=100_000)
+    started = time.perf_counter()
+    for _ in range(100):
+        check = verify_certificate(forged, shipped_table)
+        assert [f.split(":")[0] for f in check.failures] == [
+            "congruences", "image-coprime", "h-consistent"]
+    assert time.perf_counter() - started < 1.0
+
+
+def test_default_table_certifies_without_the_engine(monkeypatch):
+    # every h(k) that d <= 76 needs ships in the table
+    def no_engine(*args, **kwargs):
+        raise AssertionError("the exact search ran")
+
+    monkeypatch.setattr(cover, "max_cover_length", no_engine)
+    table = default_h_table()
+    pairs = 0
+    for d in range(1, 77):
+        for a in range(d):
+            if gcd(a, d) == 1:
+                cert = find_prime(make_eligible(a, d), table)
+                assert verify_certificate(cert, table).ok, (a, d)
+                pairs += 1
+    assert pairs == 1772
 
 
 def test_verify_ignores_stored_checks(good_cert, shipped_table):
@@ -361,12 +395,57 @@ def test_certificate_huge_ints_survive(n):
     lambda d: d.update(prime="seven"),
     lambda d: d.update(checks="eligible"),
     lambda d: d.update(mode=3),
+    lambda d: d.update(prime="7\n"),
 ])
 def test_certificate_rejects_malformed(good_cert, mutate):
     payload = json.loads(certificate_to_json(good_cert))
     mutate(payload)
     with pytest.raises(JacobsthalError):
         certificate_from_json(json.dumps(payload))
+
+
+def test_decimal_conversion_past_the_digit_limit():
+    rng = random.Random(5)
+    values = [10**4300 - 1, 10**4300, -(10**9000) + 1, 7 * 10**45000]
+    values += [rng.getrandbits(rng.randrange(1, 100_000)) for _ in range(8)]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [str(n) for n in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    for n, text in zip(values, expected):
+        assert int_to_decimal(n) == text
+        cert = PrimeCertificate(1, 3, 2, n, -n, n, 4, "computed",
+                                MODE_UNCONDITIONAL, CHECK_NAMES)
+        assert certificate_from_json(certificate_to_json(cert)) == cert
+
+
+@pytest.mark.parametrize("d", [34, 42])
+def test_cw_certificate_past_the_digit_limit(d, tmp_path, capsys):
+    from jacobsthal.cli import run
+    cert_file = tmp_path / "cert.json"
+    assert run(["find-prime", "1", str(d), "--mode", "cw"]) == 0
+    text = capsys.readouterr().out
+    cert = certificate_from_json(text)
+    assert len(int_to_decimal(cert.c)) > 4300
+    assert certificate_to_json(cert) == text
+    cert_file.write_text(text)
+    assert run(["verify", str(cert_file)]) == 0
+    assert capsys.readouterr().out.startswith("ok: ")
+
+
+def test_certificate_rejects_a_huge_field_quickly(good_cert):
+    payload = json.loads(certificate_to_json(good_cert))
+    payload["c"] = "7" * 1_000_000
+    text = json.dumps(payload)
+    started = time.perf_counter()
+    with pytest.raises(JacobsthalError, match="digits"):
+        certificate_from_json(text)
+    with pytest.raises(JacobsthalError):
+        certificate_from_json(text.replace('"' + payload["c"] + '"',
+                                           payload["c"]))
+    assert time.perf_counter() - started < 0.1
 
 
 def test_certificate_rejects_non_object():

@@ -81,12 +81,12 @@ def test_h_computed_large_period_uses_search_witness(capsys):
 
 
 def test_h_not_tabulated_fails(capsys):
-    code, _, err = _run(capsys, "h", "13")
+    code, _, err = _run(capsys, "h", "21")
     assert code == 1
     assert "error" in err
     code, _, err = _run(capsys, "h", "5", "--table-only")
     assert code == 0
-    code, _, err = _run(capsys, "h", "12", "--table-only")
+    code, _, err = _run(capsys, "h", "21", "--table-only")
     assert code == 1
 
 
