@@ -51,8 +51,8 @@ CHECK_NAMES = (
     "primality",
 )
 
-# Primes per gcd when verify tests coprimality to the first k primes: a
-# certificate with k <= 54 takes one gcd, a cw one a gcd per 64 primes.
+# Primes per block when verify tests c, m and prime against the first k
+# primes: a certificate with k <= 54 takes one block, a cw one up to 157.
 _COPRIME_BLOCK = 64
 
 _DECIMAL_INT = _re.compile(r"-?[0-9]+")
@@ -268,10 +268,9 @@ def verify_certificate(cert: PrimeCertificate,
     qs = first_primes(cert.k)
     if cert.c % cert.d != cert.a:
         failures.append("congruences: c does not lie in a + dZ")
-    for q in qs:
-        if cert.d % q != 0 and cert.c % q != 0:
-            failures.append(f"congruences: c not divisible by {q}")
-            break
+    q = _first_missing_factor(cert.c, cert.d, qs)
+    if q is not None:
+        failures.append(f"congruences: c not divisible by {q}")
     if cert.prime != cert.c + cert.d * cert.m:
         failures.append("equation: prime != c + d*m")
     p_next = nth_prime(cert.k + 1)
@@ -293,6 +292,22 @@ def verify_certificate(cert: PrimeCertificate,
         failures.append("primality: prime exceeds the deterministic test's "
                         "range")
     return CertificateCheck(not failures, tuple(failures))
+
+
+def _first_missing_factor(c: int, d: int, qs: tuple[int, ...]) -> int | None:
+    """The first prime of ``qs`` that divides neither c nor d, or None.  A
+    prime divides c*d exactly when it divides c or d, so a block of primes
+    whose product divides c*d holds none: one remainder per block.  The
+    scan is a loop, not a generator expression over ``r``: that would make
+    ``r`` a cell, one more garbage-collected object allocated per call."""
+    for start in range(0, len(qs), _COPRIME_BLOCK):
+        block = qs[start:start + _COPRIME_BLOCK]
+        r = c * d % prod(block)
+        if r:
+            for q in block:
+                if r % q:
+                    return q
+    return None
 
 
 def _shares_a_prime(n: int, qs: tuple[int, ...]) -> bool:

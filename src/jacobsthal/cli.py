@@ -1,12 +1,14 @@
 """Command-line front end.
 
-Results go to stdout, diagnostics and summaries to stderr, so certificate
-output can be piped or redirected directly into files that ``verify`` reads
-back.  Exit codes: 0 success, 1 domain errors (ineligible progression, value
-not available/provable, failed verification), 2 usage errors, 3 exhausted
-search budget.  JSON output is canonical: sorted keys, two-space indent,
-trailing newline, integers that can outgrow machine words rendered as
-decimal strings.
+Each ``cmd_*`` function computes its result and returns ``(exit code, JSON
+payload, text lines)``; ``run()`` is the only writer to stdout and the only
+reader of ``--json``, and prints one form or the other.  Diagnostics and
+summaries go to stderr, so certificate output can be piped or redirected
+directly into files that ``verify`` reads back.  Exit codes: 0 success, 1
+domain errors (ineligible progression, value not available/provable, failed
+verification), 2 usage errors, 3 exhausted search budget.  JSON output is
+canonical: sorted keys, two-space indent, trailing newline, integers that
+can outgrow machine words rendered as decimal strings.
 """
 
 from __future__ import annotations
@@ -15,14 +17,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from math import gcd, prod
 
 from . import certify, cover, gaps
 from .arith import first_primes
-from .certify import (MODE_CW, MODE_UNCONDITIONAL, MODES,
-                      certificate_from_json, certificate_to_json,
-                      int_to_decimal)
+from .certify import (MODE_UNCONDITIONAL, MODES, certificate_from_json,
+                      certificate_to_json, int_to_decimal)
 from .cover import (DEFAULT_MAX_COMPUTE_K, ComputePolicy, KnownHTable,
                     SearchBudget, default_h_table, load_h_table)
 from .errors import BudgetExceeded, JacobsthalError
@@ -31,60 +31,30 @@ from .progressions import coprime_iso, make_eligible
 H_TABLE_ENV = "JACOBSTHAL_H_TABLE"
 DEFAULT_BOUND_KS = (5, 10, 15, 20, 25, 30, 35, 40, 45, 50)
 
+# what a command returns to run(): exit code, JSON payload, text lines
+_Result = tuple[int, object, list[str]]
 
-@dataclass
-class CliConfig:
-    """Resolved invocation settings shared by the subcommands."""
 
-    h_table_path: str | None = None
-    mode: str = MODE_UNCONDITIONAL
-    max_nodes: int | None = None
-    max_seconds: float | None = None
-    output_json: bool = False
-    max_compute_k: int = DEFAULT_MAX_COMPUTE_K
+def _budget(args) -> SearchBudget | None:
+    if args.max_nodes is None and args.max_seconds is None:
+        return None
+    return SearchBudget(args.max_nodes, args.max_seconds)
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.max_nodes is not None and self.max_nodes < 1:
-            raise ValueError("node budget must be positive")
-        if self.max_seconds is not None and self.max_seconds <= 0:
-            raise ValueError("time budget must be positive")
 
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "CliConfig":
-        path = getattr(args, "table", None) or os.environ.get(H_TABLE_ENV)
-        return cls(
-            h_table_path=path or None,
-            mode=getattr(args, "mode", MODE_UNCONDITIONAL),
-            max_nodes=getattr(args, "max_nodes", None),
-            max_seconds=getattr(args, "max_seconds", None),
-            output_json=getattr(args, "json", False),
-            max_compute_k=getattr(args, "max_compute_k", DEFAULT_MAX_COMPUTE_K),
-        )
+def _policy(args, allow_compute: bool = True) -> ComputePolicy:
+    return ComputePolicy(allow_compute=allow_compute,
+                         max_compute_k=args.max_compute_k,
+                         budget=_budget(args))
 
-    def budget(self) -> SearchBudget | None:
-        if self.max_nodes is None and self.max_seconds is None:
-            return None
-        return SearchBudget(self.max_nodes, self.max_seconds)
 
-    def policy(self, allow_compute: bool = True) -> ComputePolicy:
-        return ComputePolicy(allow_compute=allow_compute,
-                             max_compute_k=self.max_compute_k,
-                             budget=self.budget())
-
-    def load_table(self) -> KnownHTable:
-        if self.h_table_path is not None:
-            return load_h_table(self.h_table_path)
-        return default_h_table()
+def _table(args) -> KnownHTable:
+    """``--table``, else ``$JACOBSTHAL_H_TABLE``, else the packaged table."""
+    path = args.table or os.environ.get(H_TABLE_ENV)
+    return load_h_table(path) if path else default_h_table()
 
 
 def _diag(message: str) -> None:
     print(message, file=sys.stderr)
-
-
-def _emit_json(payload) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _int_at_least(minimum: int):
@@ -124,20 +94,18 @@ def _k_list(text: str) -> tuple[int, ...]:
 
 # --- subcommands -------------------------------------------------------------
 
-def cmd_g(cfg: CliConfig, args) -> int:
-    result = gaps.g_of(args.n, budget=cfg.budget())
-    if cfg.output_json:
-        _emit_json({"n": str(result.n), "g": result.g,
-                    "witness_start": str(result.witness_start),
-                    "witness_length": result.witness_length})
-        return 0
-    print(f"g({result.n}) = {result.g}")
+def cmd_g(args) -> _Result:
+    result = gaps.g_of(args.n, budget=_budget(args))
+    payload = {"n": str(result.n), "g": result.g,
+               "witness_start": str(result.witness_start),
+               "witness_length": result.witness_length}
+    lines = [f"g({result.n}) = {result.g}"]
     if result.witness_length > 0:
         last = result.witness_start + result.witness_length - 1
-        print(f"witness: {result.witness_start}..{last} "
-              f"({result.witness_length} consecutive integers, each sharing "
-              f"a factor with {result.n})")
-    return 0
+        lines.append(f"witness: {result.witness_start}..{last} "
+                     f"({result.witness_length} consecutive integers, each "
+                     f"sharing a factor with {result.n})")
+    return 0, payload, lines
 
 
 def _h_witness(table: KnownHTable, k: int, h: int) -> tuple[cover.CoverWitness | None, bool]:
@@ -154,12 +122,12 @@ def _h_witness(table: KnownHTable, k: int, h: int) -> tuple[cover.CoverWitness |
     return None, False
 
 
-def cmd_h(cfg: CliConfig, args) -> int:
-    table = cfg.load_table()
+def cmd_h(args) -> _Result:
+    table = _table(args)
     k = args.k
     if args.compute:
         length, assignment = cover.max_cover_length(first_primes(k),
-                                                    budget=cfg.budget())
+                                                    budget=_budget(args))
         h, source = length + 1, cover.HSOURCE_COMPUTED
         entry = table.get(k)
         if entry is not None and entry.h != h:
@@ -168,110 +136,95 @@ def cmd_h(cfg: CliConfig, args) -> int:
                 "refusing to report either")
         table.set(k, h, source, witness=cover.witness_integer(assignment))
     else:
-        h, source = cover.h_of(k, table, cfg.policy(allow_compute=not args.table_only))
+        h, source = cover.h_of(k, table,
+                               _policy(args, allow_compute=not args.table_only))
     witness, is_least = _h_witness(table, k, h)
-    if cfg.output_json:
-        payload = {"k": k, "h": h, "source": source, "witness": None}
-        if witness is not None:
-            payload["witness"] = {"start": str(witness.start),
-                                  "length": witness.length,
-                                  "least": is_least}
-        _emit_json(payload)
-        return 0
-    print(f"h({k}) = {h} ({source})")
+    payload = {"k": k, "h": h, "source": source, "witness": None}
+    lines = [f"h({k}) = {h} ({source})"]
     if witness is not None:
+        payload["witness"] = {"start": str(witness.start),
+                              "length": witness.length, "least": is_least}
         last = witness.start + witness.length - 1
         kind = "least witness" if is_least else "witness"
-        print(f"{kind}: {witness.start}..{last} ({witness.length} consecutive "
-              f"integers, each divisible by one of the first {k} primes)")
-    return 0
+        lines.append(f"{kind}: {witness.start}..{last} ({witness.length} "
+                     f"consecutive integers, each divisible by one of the "
+                     f"first {k} primes)")
+    return 0, payload, lines
 
 
-def cmd_h_search(cfg: CliConfig, args) -> int:
+def cmd_h_search(args) -> _Result:
     ps = first_primes(args.primes)
-    assignment = cover.coverable(args.length, ps, budget=cfg.budget())
-    if cfg.output_json:
-        payload = {"length": args.length, "k": args.primes,
-                   "coverable": assignment is not None,
-                   "offsets": None, "witness_start": None}
-        if assignment is not None:
-            payload["offsets"] = [[p, c] for p, c in
-                                  zip(assignment.primes, assignment.offsets)]
-            payload["witness_start"] = str(cover.witness_integer(assignment).start)
-        _emit_json(payload)
-        return 0
+    assignment = cover.coverable(args.length, ps, budget=_budget(args))
+    payload = {"length": args.length, "k": args.primes,
+               "coverable": assignment is not None,
+               "offsets": None, "witness_start": None}
     if assignment is None:
-        print(f"not coverable: no offsets for the first {args.primes} primes "
-              f"cover {args.length} consecutive integers (exhaustive)")
-        return 0
-    offsets = " ".join(f"{p}->{c}" for p, c in
-                       zip(assignment.primes, assignment.offsets))
+        return 0, payload, [
+            f"not coverable: no offsets for the first {args.primes} primes "
+            f"cover {args.length} consecutive integers (exhaustive)"]
+    pairs = list(zip(assignment.primes, assignment.offsets))
     witness = cover.witness_integer(assignment)
-    last = witness.start + witness.length - 1
-    print(f"coverable: offsets {offsets}")
+    start = int_to_decimal(witness.start)
+    payload["offsets"] = [[p, c] for p, c in pairs]
+    payload["witness_start"] = start
+    lines = ["coverable: offsets " + " ".join(f"{p}->{c}" for p, c in pairs)]
     if args.length > 0:
-        print(f"witness: {witness.start}..{last}")
-    return 0
+        lines.append(f"witness: {start}.."
+                     f"{int_to_decimal(witness.start + witness.length - 1)}")
+    return 0, payload, lines
 
 
-def cmd_witness_lower(cfg: CliConfig, args) -> int:
+def cmd_witness_lower(args) -> _Result:
     witness = cover.elementary_lower_witness(args.n)
-    if cfg.output_json:
-        _emit_json({"n": args.n, "start": str(witness.start),
-                    "length": witness.length})
-        return 0
-    last = witness.start + witness.length - 1
-    print(f"{witness.start}..{last}: {witness.length} consecutive integers, "
-          f"each divisible by one of the first {args.n} primes")
-    return 0
+    start = int_to_decimal(witness.start)
+    last = int_to_decimal(witness.start + witness.length - 1)
+    payload = {"n": args.n, "start": start, "length": witness.length}
+    return 0, payload, [f"{start}..{last}: {witness.length} consecutive "
+                        f"integers, each divisible by one of the first "
+                        f"{args.n} primes"]
 
 
-def cmd_iso(cfg: CliConfig, args) -> int:
+def cmd_iso(args) -> _Result:
     ap = make_eligible(args.a, args.d)
     ps = first_primes(args.k)
     iso = coprime_iso(ap, ps)
     modulus = prod(ps)
-    lo, hi = -args.window, args.window
-    rows = [(n, iso(n)) for n in range(lo, hi + 1)]
-    if cfg.output_json:
-        _emit_json({
-            "a": ap.a, "d": ap.d, "c": str(iso.c),
-            "primes": list(ps),
-            "rows": [{"n": n, "image": str(x),
-                      "n_coprime": gcd(n, modulus) == 1,
-                      "image_coprime": gcd(x, modulus) == 1}
-                     for n, x in rows],
-        })
-        return 0
+    c = int_to_decimal(iso.c)
+    images = [(n, iso(n)) for n in range(-args.window, args.window + 1)]
+    rows = [(n, int_to_decimal(x), gcd(n, modulus) == 1,
+             gcd(x, modulus) == 1) for n, x in images]
+    payload = {"a": ap.a, "d": ap.d, "c": c, "primes": list(ps),
+               "rows": [{"n": n, "image": x, "n_coprime": n_ok,
+                         "image_coprime": x_ok}
+                        for n, x, n_ok, x_ok in rows]}
     prime_set = "{" + ", ".join(str(p) for p in ps) + "}"
-    print(f"c = {iso.c}: n -> {iso.c} + {ap.d}*n maps Z onto {ap}, "
-          f"preserving coprimality to {prime_set}")
-    cells = []
-    for n, x in rows:
-        n_cell = f"[{n}]" if gcd(n, modulus) == 1 else f"{n}"
-        x_cell = f"[{x}]" if gcd(x, modulus) == 1 else f"{x}"
-        cells.append((n_cell, x_cell))
-    left = max(len("n"), max(len(c) for c, _ in cells))
-    right = max(len(f"{iso.c}+{ap.d}n"), max(len(c) for _, c in cells))
-    print(f"{'n':>{left}}  {f'{iso.c}+{ap.d}n':>{right}}")
-    for n_cell, x_cell in cells:
-        print(f"{n_cell:>{left}}  {x_cell:>{right}}")
-    print(f"brackets mark integers coprime to {modulus}; every bracketed n "
-          "has a bracketed image")
-    return 0
+    image = f"{c}+{ap.d}n"
+    cells = [(f"[{n}]" if n_ok else f"{n}", f"[{x}]" if x_ok else x)
+             for n, x, n_ok, x_ok in rows]
+    left = max(len("n"), max(len(cell) for cell, _ in cells))
+    right = max(len(image), max(len(cell) for _, cell in cells))
+    lines = [f"c = {c}: n -> {c} + {ap.d}*n maps Z onto {ap}, "
+             f"preserving coprimality to {prime_set}",
+             f"{'n':>{left}}  {image:>{right}}"]
+    lines += [f"{n_cell:>{left}}  {x_cell:>{right}}"
+              for n_cell, x_cell in cells]
+    lines.append(f"brackets mark integers coprime to "
+                 f"{int_to_decimal(modulus)}; every bracketed n has a "
+                 "bracketed image")
+    return 0, payload, lines
 
 
-def cmd_find_prime(cfg: CliConfig, args) -> int:
+def cmd_find_prime(args) -> _Result:
     ap = make_eligible(args.a, args.d)
-    table = cfg.load_table()
-    cert = certify.find_prime(ap, table, mode=cfg.mode, policy=cfg.policy())
-    sys.stdout.write(certificate_to_json(cert))
+    cert = certify.find_prime(ap, _table(args), mode=args.mode,
+                              policy=_policy(args))
     _diag(f"certified prime {cert.prime} in {ap} "
           f"(k = {cert.k}, c = {int_to_decimal(cert.c)}, mode {cert.mode})")
-    return 0
+    # no --json: the text form already is the certificate JSON
+    return 0, None, certificate_to_json(cert).splitlines()
 
 
-def cmd_verify(cfg: CliConfig, args) -> int:
+def cmd_verify(args) -> _Result:
     with open(args.certificate, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -282,77 +235,55 @@ def cmd_verify(cfg: CliConfig, args) -> int:
         certs = [certificate_from_json(json.dumps(item)) for item in data]
     else:
         certs = [certificate_from_json(text)]
-    table = cfg.load_table()
-    policy = cfg.policy()
+    table = _table(args)
+    policy = _policy(args)
     results = [(cert, certify.verify_certificate(cert, table, policy=policy))
                for cert in certs]
-    if cfg.output_json:
-        payload = [{"prime": str(cert.prime), "a": cert.a, "d": cert.d,
-                    "mode": cert.mode, "ok": check.ok,
-                    "failures": list(check.failures)}
-                   for cert, check in results]
-        _emit_json(payload if isinstance(data, list) else payload[0])
-    else:
-        for cert, check in results:
-            place = f"{cert.prime} in {cert.a}+{cert.d}Z (mode {cert.mode})"
-            if check.ok:
-                print(f"ok: {place}")
-            else:
-                print(f"FAIL: {place}")
-                for failure in check.failures:
-                    print(f"  - {failure}")
-    return 0 if all(check.ok for _, check in results) else 1
+    payload = []
+    lines = []
+    for cert, check in results:
+        prime = int_to_decimal(cert.prime)
+        payload.append({"prime": prime, "a": cert.a, "d": cert.d,
+                        "mode": cert.mode, "ok": check.ok,
+                        "failures": list(check.failures)})
+        place = f"{prime} in {cert.a}+{cert.d}Z (mode {cert.mode})"
+        lines.append(f"ok: {place}" if check.ok else f"FAIL: {place}")
+        lines += [f"  - {failure}" for failure in check.failures]
+    code = 0 if all(check.ok for _, check in results) else 1
+    return code, payload if isinstance(data, list) else payload[0], lines
 
 
-def cmd_primes(cfg: CliConfig, args) -> int:
+def cmd_primes(args) -> _Result:
     ap = make_eligible(args.a, args.d)
-    table = cfg.load_table()
-    certs = certify.prime_stream(ap, args.count, table, mode=cfg.mode,
-                                 policy=cfg.policy())
-    if cfg.output_json:
-        payload = [json.loads(certificate_to_json(cert)) for cert in certs]
-        _emit_json(payload)
-    else:
-        for cert in certs:
-            print(cert.prime)
+    certs = certify.prime_stream(ap, args.count, _table(args), mode=args.mode,
+                                 policy=_policy(args))
     for cert in certs:
         _diag(f"certified prime {cert.prime} in {cert.a}+{cert.d}Z "
               f"(k = {cert.k})")
-    return 0
+    payload = [json.loads(certificate_to_json(cert)) for cert in certs]
+    return 0, payload, [str(cert.prime) for cert in certs]
 
 
-def cmd_bound_table(cfg: CliConfig, args) -> int:
-    table = cfg.load_table()
-    rows = certify.bound_table(args.ks, table, mode=cfg.mode,
-                               policy=cfg.policy())
-    if cfg.output_json:
-        _emit_json([{"k": row.k, "next_prime": row.next_prime,
-                     "h": row.h_value, "h_source": row.h_source,
-                     "value": row.text} for row in rows])
-        return 0
-    header = ("k", "p_{k+1}", "h(k)", "(p_{k+1}^2-2)/(h(k)+1)")
-    text_rows = [(str(r.k), str(r.next_prime), str(r.h_value), r.text)
-                 for r in rows]
-    widths = [max(len(header[i]), max((len(t[i]) for t in text_rows),
-                                      default=0))
-              for i in range(4)]
-    print("  ".join(h.rjust(widths[i]) for i, h in enumerate(header)))
-    for t in text_rows:
-        print("  ".join(t[i].rjust(widths[i]) for i in range(4)))
-    return 0
+def cmd_bound_table(args) -> _Result:
+    rows = certify.bound_table(args.ks, _table(args), mode=args.mode,
+                               policy=_policy(args))
+    payload = [{"k": row.k, "next_prime": row.next_prime, "h": row.h_value,
+                "h_source": row.h_source, "value": row.text} for row in rows]
+    cells = [("k", "p_{k+1}", "h(k)", "(p_{k+1}^2-2)/(h(k)+1)")]
+    cells += [(str(r.k), str(r.next_prime), str(r.h_value), r.text)
+              for r in rows]
+    widths = [max(len(t[i]) for t in cells) for i in range(4)]
+    return 0, payload, ["  ".join(t[i].rjust(widths[i]) for i in range(4))
+                        for t in cells]
 
 
-def cmd_max_d(cfg: CliConfig, args) -> int:
-    table = cfg.load_table()
-    best, k = certify.max_provable_d(table, mode=cfg.mode)
-    if cfg.output_json:
-        _emit_json({"mode": cfg.mode, "max_d": best, "k": k})
-        return 0
+def cmd_max_d(args) -> _Result:
+    best, k = certify.max_provable_d(_table(args), mode=args.mode)
+    payload = {"mode": args.mode, "max_d": best, "k": k}
     if k is None:
-        print("no bounds available (empty table)")
-    else:
-        print(f"max certifiable modulus: {best} (k = {k}, mode {cfg.mode})")
-    return 0
+        return 0, payload, ["no bounds available (empty table)"]
+    return 0, payload, [f"max certifiable modulus: {best} (k = {k}, "
+                        f"mode {args.mode})"]
 
 
 # --- parser ------------------------------------------------------------------
@@ -377,10 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
     tableopts.add_argument("--table", default=None, metavar="PATH",
                            help="h-table file (default: packaged table, or "
                                 f"${H_TABLE_ENV})")
-    tableopts.add_argument("--max-compute-k", type=_int_at_least(1),
-                           default=DEFAULT_MAX_COMPUTE_K, metavar="K",
-                           help="largest k the engine may compute h(k) for "
-                                "when the table lacks it")
+
+    computeopt = argparse.ArgumentParser(add_help=False)
+    computeopt.add_argument("--max-compute-k", type=_int_at_least(1),
+                            default=DEFAULT_MAX_COMPUTE_K, metavar="K",
+                            help="largest k the engine may compute h(k) for "
+                                 "when the table lacks it")
 
     modeopt = argparse.ArgumentParser(add_help=False)
     modeopt.add_argument("--mode", choices=MODES, default=MODE_UNCONDITIONAL,
@@ -394,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=_int_at_least(1))
     p.set_defaults(func=cmd_g)
 
-    p = sub.add_parser("h", parents=[common, budget, tableopts],
+    p = sub.add_parser("h", parents=[common, budget, tableopts, computeopt],
                        help="primorial Jacobsthal function h(k)")
     p.add_argument("k", type=_int_at_least(1))
     group = p.add_mutually_exclusive_group()
@@ -430,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tabulate n in [-window, window]")
     p.set_defaults(func=cmd_iso)
 
-    p = sub.add_parser("find-prime", parents=[common, budget, tableopts,
+    p = sub.add_parser("find-prime", parents=[budget, tableopts, computeopt,
                                               modeopt],
                        help="certified prime in an eligible progression "
                             "(certificate JSON on stdout)")
@@ -438,12 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("d", type=_int_at_least(1))
     p.set_defaults(func=cmd_find_prime)
 
-    p = sub.add_parser("verify", parents=[common, budget, tableopts],
+    p = sub.add_parser("verify", parents=[common, budget, tableopts,
+                                          computeopt],
                        help="re-check a certificate file (object or array)")
     p.add_argument("certificate", metavar="FILE")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("primes", parents=[common, budget, tableopts, modeopt],
+    p = sub.add_parser("primes", parents=[common, budget, tableopts,
+                                          computeopt, modeopt],
                        help="stream of distinct certified primes in a "
                             "progression")
     p.add_argument("a", type=_int_at_least(0))
@@ -452,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_primes)
 
     p = sub.add_parser("bound-table", parents=[common, budget, tableopts,
-                                               modeopt],
+                                               computeopt, modeopt],
                        help="certifiable-modulus bound for chosen indices")
     p.add_argument("--ks", type=_k_list, default=DEFAULT_BOUND_KS,
                    metavar="K1,K2,...")
@@ -473,12 +408,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = CliConfig.from_args(args)
-    except ValueError as exc:
-        _diag(f"usage error: {exc}")
-        return 2
-    try:
-        return args.func(cfg, args)
+        code, payload, lines = args.func(args)
     except BudgetExceeded as exc:
         _diag(f"budget exhausted: {exc}")
         return 3
@@ -491,6 +421,11 @@ def run(argv=None) -> int:
     except ValueError as exc:
         _diag(f"error: {exc}")
         return 1
+    if getattr(args, "json", False):
+        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    else:
+        sys.stdout.write("".join(line + "\n" for line in lines))
+    return code
 
 
 def main() -> None:

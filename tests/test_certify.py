@@ -21,7 +21,7 @@ from jacobsthal.certify import (CHECK_NAMES, MODE_CW, MODE_UNCONDITIONAL,
                                 min_k_for, prime_by_coprimality, prime_stream,
                                 int_to_decimal, render_thousandths,
                                 verify_certificate)
-from jacobsthal import cover
+from jacobsthal import certify, cover
 from jacobsthal.cover import ComputePolicy, KnownHTable, default_h_table
 from jacobsthal.errors import (JacobsthalError, NotProvable, OutOfRange)
 from jacobsthal.progressions import make_eligible
@@ -285,6 +285,31 @@ def test_verify_rejects_forged_k_quickly(good_cert, shipped_table):
         assert [f.split(":")[0] for f in check.failures] == [
             "congruences", "image-coprime", "h-consistent"]
     assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("index", [0, 63, 64, 100, 128])
+def test_verify_names_the_first_missing_factor(shipped_table, index):
+    # c misses the index-th and the last of the first 130 primes, so the
+    # first failing prime is in the first, second or third block of 64
+    qs = first_primes(130)
+    c = primorial(130) // (qs[index] * qs[129])
+    cert = PrimeCertificate(0, 1, 130, c, 0, c, 4, "computed",
+                            MODE_UNCONDITIONAL, CHECK_NAMES)
+    check = verify_certificate(cert, shipped_table)
+    assert f"congruences: c not divisible by {qs[index]}" in check.failures
+    # a prime of d needs no factor in c, so the next miss is named
+    moved = replace(cert, a=c % qs[index], d=qs[index])
+    check = verify_certificate(moved, shipped_table)
+    assert [f for f in check.failures if f.startswith("congruences")] == [
+        f"congruences: c not divisible by {qs[129]}"]
+
+
+def test_verify_makes_no_closure_cells():
+    # A cell is a garbage-collected object allocated on every call; one more
+    # per verify moves the collector's gen-0 trigger into the verify call.
+    for fn in (verify_certificate, certify._first_missing_factor,
+               certify._shares_a_prime, certify._h_consistency):
+        assert fn.__code__.co_cellvars == (), fn.__name__
 
 
 def test_default_table_certifies_without_the_engine(monkeypatch):

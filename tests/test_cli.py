@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from jacobsthal.cli import CliConfig, H_TABLE_ENV, run
+from jacobsthal.certify import int_to_decimal
+from jacobsthal.cli import H_TABLE_ENV, run
 
 
 @pytest.fixture(autouse=True)
@@ -184,6 +185,53 @@ def test_iso_json(capsys):
         assert row["n_coprime"] == row["image_coprime"]
 
 
+def _both_formats(capsys, *argv):
+    code, text, err = _run(capsys, *argv)
+    assert (code, err) == (0, "")
+    code, out, err = _run(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    return text, json.loads(out)
+
+
+def test_iso_past_the_digit_limit(capsys):
+    from jacobsthal.arith import first_primes, primorial
+    from jacobsthal.progressions import coprime_iso, make_eligible
+    iso = coprime_iso(make_eligible(1, 7), first_primes(2000))
+    c, below, above, modulus = (int_to_decimal(n) for n in (
+        iso.c, iso(-1), iso(1), primorial(2000)))
+    assert min(len(c), len(below), len(above), len(modulus)) > 4300
+    text, payload = _both_formats(capsys, "iso", "1", "7", "--k", "2000",
+                                  "--window", "1")
+    assert text.startswith(f"c = {c}: n -> {c} + 7*n maps Z onto 1+7Z")
+    assert f"[{below}]" in text and f"[{above}]" in text
+    assert f"coprime to {modulus};" in text
+    assert payload["c"] == c
+    assert [row["image"] for row in payload["rows"]] == [below, c, above]
+
+
+def test_witness_lower_past_the_digit_limit(capsys):
+    from jacobsthal.cover import elementary_lower_witness
+    witness = elementary_lower_witness(2000)
+    start = int_to_decimal(witness.start)
+    last = int_to_decimal(witness.start + witness.length - 1)
+    assert len(start) > 4300
+    text, payload = _both_formats(capsys, "witness-lower", "2000")
+    assert text.startswith(f"{start}..{last}: {witness.length} consecutive")
+    assert payload == {"n": 2000, "start": start, "length": witness.length}
+
+
+def test_h_search_past_the_digit_limit(capsys):
+    from jacobsthal.arith import first_primes
+    from jacobsthal.cover import coverable, witness_integer
+    witness = witness_integer(coverable(3, first_primes(2000)))
+    start = int_to_decimal(witness.start)
+    last = int_to_decimal(witness.start + 2)
+    assert len(start) > 4300
+    text, payload = _both_formats(capsys, "h-search", "3", "--primes", "2000")
+    assert text.splitlines()[1] == f"witness: {start}..{last}"
+    assert payload["witness_start"] == start
+
+
 def test_find_prime_emits_certificate(capsys):
     code, out, err = _run(capsys, "find-prime", "9", "7")
     assert code == 0
@@ -220,6 +268,20 @@ def test_verify_rejects_corrupted(tmp_path, capsys):
     code, out, _ = _run(capsys, "verify", str(cert_file))
     assert code == 1
     assert "FAIL: 25 in 1+3Z" in out
+
+
+def test_verify_reports_a_prime_past_the_digit_limit(tmp_path, capsys):
+    code, out, _ = _run(capsys, "find-prime", "1", "3")
+    payload = json.loads(out)
+    prime = payload["prime"] = int_to_decimal(10**5000 + 1)
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(json.dumps(payload))
+    code, out, err = _run(capsys, "verify", str(cert_file))
+    assert (code, err) == (1, "")
+    assert out.startswith(f"FAIL: {prime} in 1+3Z")
+    code, out, err = _run(capsys, "verify", str(cert_file), "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["prime"] == prime
 
 
 def test_verify_array_file(tmp_path, capsys):
@@ -293,10 +355,9 @@ def test_env_table_and_flag_precedence(tmp_path, capsys, monkeypatch):
     flag_table = tmp_path / "flag_table.txt"
     flag_table.write_text("54,858,paper\n")
     monkeypatch.setenv(H_TABLE_ENV, str(env_table))
-    code, out, _ = _run(capsys, "max-d", "--max-compute-k", "8", "--json")
+    code, out, _ = _run(capsys, "max-d", "--json")
     assert json.loads(out) == {"mode": "unconditional", "max_d": 71, "k": 50}
-    code, out, _ = _run(capsys, "max-d", "--max-compute-k", "8", "--json",
-                        "--table", str(flag_table))
+    code, out, _ = _run(capsys, "max-d", "--json", "--table", str(flag_table))
     assert json.loads(out) == {"mode": "unconditional", "max_d": 76, "k": 54}
 
 
@@ -307,6 +368,10 @@ def test_env_table_and_flag_precedence(tmp_path, capsys, monkeypatch):
     ("frobnicate",),                 # unknown subcommand
     ("bound-table", "--ks", "5,x"),  # malformed list
     ("h", "5", "--compute", "--table-only"),  # mutually exclusive
+    ("find-prime", "1", "3", "--mode", "hopeful"),  # unknown mode
+    ("h-search", "13", "--primes", "5", "--max-nodes", "0"),  # node budget
+    ("find-prime", "1", "3", "--json"),  # removed: stdout is always JSON
+    ("max-d", "--max-compute-k", "8"),   # removed: max-d never computes
 ])
 def test_usage_errors(capsys, argv):
     code, _, _ = _run(capsys, *argv)
@@ -317,13 +382,6 @@ def test_verify_missing_file(capsys):
     code, _, err = _run(capsys, "verify", "/nonexistent/cert.json")
     assert code == 2
     assert "usage error" in err
-
-
-def test_cli_config_validation():
-    with pytest.raises(ValueError):
-        CliConfig(mode="hopeful")
-    with pytest.raises(ValueError):
-        CliConfig(max_nodes=0)
 
 
 # --- fresh-process checks ----------------------------------------------------
@@ -355,8 +413,7 @@ def test_subprocess_output_is_byte_stable(tmp_path):
 def test_subprocess_env_table(tmp_path):
     env_table = tmp_path / "env_table.txt"
     env_table.write_text("50,762,paper\n")
-    proc = _spawn("max-d", "--max-compute-k", "8", "--json",
-                  env_extra={H_TABLE_ENV: str(env_table)})
+    proc = _spawn("max-d", "--json", env_extra={H_TABLE_ENV: str(env_table)})
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"mode": "unconditional",
                                        "max_d": 71, "k": 50}
