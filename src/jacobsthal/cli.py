@@ -30,6 +30,8 @@ from .progressions import coprime_iso, make_eligible
 
 H_TABLE_ENV = "JACOBSTHAL_H_TABLE"
 DEFAULT_BOUND_KS = (5, 10, 15, 20, 25, 30, 35, 40, 45, 50)
+# longest argument text an error message echoes in full
+_ECHO_CHARS = 40
 
 # what a command returns to run(): exit code, JSON payload, text lines
 _Result = tuple[int, object, list[str]]
@@ -57,16 +59,29 @@ def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _quoted(text: str) -> str:
+    """``repr(text)``, cut to a short prefix when the text is long."""
+    if len(text) <= _ECHO_CHARS:
+        return repr(text)
+    return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
+
+
 def _int_at_least(minimum: int):
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"not an integer: {text!r}") from None
+            digits = text.strip()
+            body = digits[1:] if digits[:1] in ("+", "-") else digits
+            if not (body.isascii() and body.isdigit()):
+                raise argparse.ArgumentTypeError(
+                    f"not an integer: {_quoted(text)}") from None
+            # a well-formed number past the interpreter's digit limit
+            value = certify._decimal_to_int(digits.removeprefix("+"))
         if value < minimum:
+            shown = value if len(text) <= _ECHO_CHARS else _quoted(text)
             raise argparse.ArgumentTypeError(
-                f"must be >= {minimum}, got {value}")
+                f"must be >= {minimum}, got {shown}")
         return value
     return parse
 
@@ -75,7 +90,8 @@ def _positive_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"not a number: {_quoted(text)}") from None
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
@@ -86,7 +102,8 @@ def _k_list(text: str) -> tuple[int, ...]:
         ks = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}") from None
+            "expected comma-separated integers, got "
+            f"{_quoted(text)}") from None
     if not ks or any(k < 1 for k in ks):
         raise argparse.ArgumentTypeError("indices must all be >= 1")
     return ks
@@ -96,15 +113,15 @@ def _k_list(text: str) -> tuple[int, ...]:
 
 def cmd_g(args) -> _Result:
     result = gaps.g_of(args.n, budget=_budget(args))
-    payload = {"n": str(result.n), "g": result.g,
-               "witness_start": str(result.witness_start),
+    n, start = int_to_decimal(result.n), int_to_decimal(result.witness_start)
+    payload = {"n": n, "g": result.g, "witness_start": start,
                "witness_length": result.witness_length}
-    lines = [f"g({result.n}) = {result.g}"]
+    lines = [f"g({n}) = {result.g}"]
     if result.witness_length > 0:
-        last = result.witness_start + result.witness_length - 1
-        lines.append(f"witness: {result.witness_start}..{last} "
+        last = int_to_decimal(result.witness_start + result.witness_length - 1)
+        lines.append(f"witness: {start}..{last} "
                      f"({result.witness_length} consecutive integers, each "
-                     f"sharing a factor with {result.n})")
+                     f"sharing a factor with {n})")
     return 0, payload, lines
 
 

@@ -137,7 +137,7 @@ class _Search:
         self.nodes += 1
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise BudgetExceeded(f"cover search passed {self.max_nodes} nodes")
-        if (self.deadline is not None and self.nodes % 1024 == 0
+        if (self.deadline is not None and self.nodes % 1024 == 1
                 and time.monotonic() > self.deadline):
             raise BudgetExceeded("cover search passed its time budget")
 
@@ -255,12 +255,15 @@ class _Search:
 
     # -- wheel: enumerate small-prime offsets, then positions ----------------
     #
-    # The capacity bound is nearly useless while the small primes are
-    # unassigned (their caps dwarf the interval), but once they are fixed the
-    # surviving positions are sparse and the bound on the remaining primes is
-    # close to tight.  So enumerate the offset combinations of a prefix of
-    # small primes directly and run the positions search on each survivor
-    # set; most combinations die on the first capacity check.
+    # Enumerate the offset combinations of a prefix of small primes directly
+    # and run the positions search on each survivor set: once the small
+    # primes are fixed the surviving positions are sparse and the capacity
+    # bound on the remaining primes is close to tight.  The bound also runs
+    # on each partial assignment, before the offsets of the next wheel prime
+    # are enumerated: every unassigned wheel prime counts its best residue
+    # class of the survivors, the other primes their caps, and a partial
+    # assignment whose total falls short of the survivors heads a subtree
+    # with no cover.  The caps it tightens hold for the whole subtree.
 
     def search_wheel(self) -> dict[int, int] | None:
         width, product = 0, 1
@@ -293,6 +296,16 @@ class _Search:
             for i in range(width):
                 sub[self.primes[i]] = offsets[i]
             return sub
+        if j:
+            # Each unassigned wheel prime takes at most its best residue
+            # class of the survivors; the rest must fit the other primes.
+            self._tick()
+            need = uncov.bit_count() - sum(
+                max([(m & uncov).bit_count() for m in self.masks[i]])
+                for i in range(j, width))
+            caps = caps[:]
+            if need > 0 and self._capacity_prune(uncov, rem, caps, need):
+                return None
         p = self.primes[j]
         live = [i for i in rem if caps[i] > 2]
         seen: set[int] = set()

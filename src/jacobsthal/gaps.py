@@ -7,7 +7,6 @@ radical of n, so the scan works over one period of rad(n).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from . import cover
@@ -16,7 +15,6 @@ from .errors import BudgetExceeded
 
 DEFAULT_SCAN_LIMIT = 20_000_000
 DEFAULT_MAX_SUPPORT = 25
-_RUN = re.compile(b"\x01+")
 
 
 @dataclass(frozen=True)
@@ -32,6 +30,29 @@ class GapScanResult:
     g: int
     witness_start: int
     witness_length: int
+
+
+def _first_longest_run(flags: bytearray) -> tuple[int, int]:
+    """``(length, start)`` of the first longest run of 1 bytes in ``flags``,
+    which must hold at least one.
+
+    ``find`` gives the first run at least a given length long, and a run
+    that long starts no earlier than one of any shorter length: so double
+    the length while such a run exists, then bisect.  Among runs of the
+    longest length, the first one found is the first maximal run.
+    """
+    length, start = 1, flags.find(1)
+    while (at := flags.find(b"\x01" * (2 * length), start)) >= 0:
+        length, start = 2 * length, at
+    absent = 2 * length  # no run is this long
+    while absent - length > 1:
+        mid = (length + absent) // 2
+        at = flags.find(b"\x01" * mid, start)
+        if at < 0:
+            absent = mid
+        else:
+            length, start = mid, at
+    return length, start
 
 
 def g_of(n: int, *, scan_limit: int = DEFAULT_SCAN_LIMIT,
@@ -52,13 +73,8 @@ def g_of(n: int, *, scan_limit: int = DEFAULT_SCAN_LIMIT,
         return GapScanResult(n, 1, 1, 0)
     primes = fac.primes()
     if rad <= scan_limit:
-        flags = shared_factor_flags(primes, rad)
-        best = None  # (length, start)
-        for m in _RUN.finditer(bytes(flags)):
-            length = m.end() - m.start()
-            if best is None or length > best[0]:
-                best = (length, m.start())
-        length, start = best  # rad >= 2 always has the run ending at rad
+        # rad >= 2 always has the run ending at rad
+        length, start = _first_longest_run(shared_factor_flags(primes, rad))
         return GapScanResult(n, length + 1, start, length)
     if len(primes) > max_support:
         raise BudgetExceeded(

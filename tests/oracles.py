@@ -1,13 +1,15 @@
 """Independent reference algorithms the tests check the engine against.
 
-Both are deliberately plain and share no code with ``jacobsthal.cover`` or
+They are deliberately plain and share no code with ``jacobsthal.cover`` or
 ``jacobsthal.gaps``, so a bug in the engine's pruning or sieving cannot
 hide in the oracle as well:
 
 - ``prime_order_cover`` decides coverability by assigning offsets prime by
   prime, smallest first, with a simple capacity bound;
 - ``g_exhaustive`` scans integers one gcd at a time for the longest run
-  sharing a factor with n.
+  sharing a factor with n;
+- ``first_longest_run`` scans one period the same way for where the first
+  longest such run starts.
 """
 
 from math import gcd, prod
@@ -80,3 +82,19 @@ def g_exhaustive(n: int, horizon: int | None = None, *,
         else:
             run = 0
     return longest + 1
+
+
+def first_longest_run(n: int) -> tuple[int, int]:
+    """``(start, length)`` of the first longest run in ``1..rad(n)`` of
+    integers sharing a factor with n; ``(1, 0)`` when there is none."""
+    rad = prod(sympy.primefactors(n))
+    best = (1, 0)
+    run = 0
+    for x in range(1, rad + 1):
+        if gcd(x, rad) > 1:
+            run += 1
+            if run > best[1]:
+                best = (x - run + 1, run)
+        else:
+            run = 0
+    return best

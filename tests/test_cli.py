@@ -49,6 +49,24 @@ def test_g_json(capsys):
                        "witness_length": 3}
 
 
+def test_g_past_the_digit_limit(capsys):
+    # 10^5000 has more digits than int() and str() take by default
+    n = "1" + "0" * 5000
+    code, out, _ = _run(capsys, "g", n)
+    assert code == 0
+    assert out.startswith(f"g({n}) = 4\n")
+    code, out, _ = _run(capsys, "g", n, "--json")
+    assert code == 0
+    assert json.loads(out) == {"n": n, "g": 4, "witness_start": "4",
+                               "witness_length": 3}
+    for argv, error in ((["g", "x" * 5000], "not an integer"),
+                        (["g", "10", "--max-seconds", "x" * 5000],
+                         "not a number")):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert error in err and len(err) < 1000
+
+
 def test_h_tabulated(capsys):
     code, out, _ = _run(capsys, "h", "5")
     assert code == 0

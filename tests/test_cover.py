@@ -96,10 +96,11 @@ def test_search_path_is_pinned():
 
 # Nodes the search visits (calls of _Search._tick) in
 # max_cover_length(first_primes(k)); a wheel survivor is one node, the
-# positions-search root it starts.  A change that only makes a node
-# cheaper must leave every count as it is.
-PINNED_NODES = {1: 2, 2: 5, 3: 7, 4: 3, 5: 5, 6: 22, 7: 20, 8: 149, 9: 194,
-                10: 1557, 11: 18210, 12: 14752}
+# positions-search root it starts, and so is each capacity check of a
+# partial wheel assignment.  A change that only makes a node cheaper must
+# leave every count as it is.
+PINNED_NODES = {1: 2, 2: 5, 3: 7, 4: 3, 5: 7, 6: 9, 7: 11, 8: 29, 9: 95,
+                10: 363, 11: 209, 12: 535}
 
 
 def test_search_node_counts_are_pinned(monkeypatch):
@@ -116,6 +117,17 @@ def test_search_node_counts_are_pinned(monkeypatch):
         nodes = 0
         max_cover_length(first_primes(k))
         assert nodes == expected, k
+
+
+@pytest.mark.parametrize("k", [11, 12, 13, 14])
+def test_wheel_prunes_partial_assignments(k):
+    # Both searches that decide h(k) stay far below the roughly 15k offset
+    # combinations of the wheel primes 2..13, because the wheel bounds its
+    # partial assignments.
+    h = dict(COMPUTED_ROWS)[k]
+    budget = SearchBudget(max_nodes=5000)
+    assert coverable(h - 1, first_primes(k), budget=budget) is not None
+    assert coverable(h, first_primes(k), budget=budget) is None
 
 
 PRIMES_TO_37 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -180,6 +192,10 @@ def test_budget_is_an_error_not_a_verdict():
         coverable(45, first_primes(10), budget=SearchBudget(max_nodes=2))
     with pytest.raises(BudgetExceeded):
         coverable(46, first_primes(10),
+                  budget=SearchBudget(max_seconds=1e-9))
+    # a search of fewer than 1024 nodes still notices an expired budget
+    with pytest.raises(BudgetExceeded):
+        coverable(45, first_primes(10),
                   budget=SearchBudget(max_seconds=1e-9))
 
 

@@ -13,7 +13,7 @@ from jacobsthal.arith import primorial, radical
 from jacobsthal.cover import SearchBudget, verify_cover
 from jacobsthal.errors import BudgetExceeded
 from jacobsthal.gaps import g_of
-from oracles import g_exhaustive
+from oracles import first_longest_run, g_exhaustive
 
 
 def _witness_ok(res):
@@ -43,6 +43,15 @@ def test_small_pinned_values(n, expected):
 def test_g_of_ten_witness_is_least():
     res = g_of(10)
     assert (res.g, res.witness_start, res.witness_length) == (4, 4, 3)
+
+
+def test_witness_is_the_first_longest_run():
+    for n in [*range(1, 2001), *(primorial(k) for k in range(1, 8))]:
+        res = g_of(n)
+        run = (res.witness_start, res.witness_length)
+        assert run == first_longest_run(n), n
+    res = g_of(primorial(8))
+    assert (res.g, res.witness_start, res.witness_length) == (34, 60044, 33)
 
 
 def test_g_depends_only_on_radical():
