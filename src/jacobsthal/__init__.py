@@ -9,25 +9,23 @@ primorial function h(k), and the known-value table), `progressions`
 """
 
 from .arith import (Factorization, crt_solve, factorize, first_primes,
-                    is_prime, nth_prime, primes_upto, primorial, radical)
+                    is_prime, nth_prime, primes_upto, primorial)
 from .certify import (MODE_CW, MODE_UNCONDITIONAL, BoundRow, CertificateCheck,
                       PrimeCertificate, bound, bound_table,
                       certificate_from_json, certificate_to_json, cw_upper,
-                      find_prime, max_provable_d, min_k_for,
-                      prime_by_coprimality, prime_stream, render_thousandths,
-                      verify_certificate)
+                      find_prime, max_provable_d, min_k_for, prime_stream,
+                      render_thousandths, verify_certificate)
 from .cover import (ComputePolicy, CoverAssignment, CoverWitness, HEntry,
                     KnownHTable, SearchBudget, coverable, default_h_table,
                     elementary_lower_witness, h_of, least_witness,
-                    load_h_table, max_cover_length, save_h_table,
-                    verify_cover, witness_integer)
+                    load_h_table, max_cover_length, verify_cover,
+                    witness_integer)
 from .errors import (BudgetExceeded, JacobsthalError, NonCoprimeModuli,
                      NotEligible, NotInProgression, NotProvable, OutOfRange,
                      TableParseError, TableValidationError, Unavailable)
 from .gaps import GapScanResult, g_of
 from .progressions import (ApIso, EligibleAP, Segment, coprime_iso,
-                           is_coprime_preserving_on_window, make_eligible,
-                           preimage_segment, segment_of_ap_in_range)
+                           make_eligible, segment_of_ap_in_range)
 
 __version__ = "0.1.0"
 
@@ -42,11 +40,9 @@ __all__ = [
     "certificate_from_json", "certificate_to_json", "coprime_iso",
     "coverable", "crt_solve", "cw_upper", "default_h_table",
     "elementary_lower_witness", "factorize", "find_prime", "first_primes",
-    "g_of", "h_of", "is_coprime_preserving_on_window", "is_prime",
-    "least_witness", "load_h_table", "make_eligible",
-    "max_cover_length", "max_provable_d", "min_k_for", "nth_prime",
-    "preimage_segment", "prime_by_coprimality", "prime_stream", "primes_upto",
-    "primorial", "radical", "render_thousandths", "save_h_table",
-    "segment_of_ap_in_range", "verify_certificate", "verify_cover",
-    "witness_integer", "__version__",
+    "g_of", "h_of", "is_prime", "least_witness", "load_h_table",
+    "make_eligible", "max_cover_length", "max_provable_d", "min_k_for",
+    "nth_prime", "prime_stream", "primes_upto", "primorial",
+    "render_thousandths", "segment_of_ap_in_range", "verify_certificate",
+    "verify_cover", "witness_integer", "__version__",
 ]

@@ -22,6 +22,8 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 _SIEVE_CAP = 80_000_000  # largest bound primes_upto will sieve
 _NTH_CAP = 4_000_000  # largest index nth_prime will serve
+_TRIAL_BOUND = 100_000  # factorize divides out the primes up to this
+_RHO_STEPS = 1_000_000  # Pollard rho steps factorize spends per split
 
 
 def ext_gcd(x: int, y: int) -> tuple[int, int, int]:
@@ -227,7 +229,7 @@ def _rho_brent(n: int, max_steps: int) -> int | None:
     return None
 
 
-def factorize(n: int, *, trial_bound: int = 100_000, rho_steps: int = 1_000_000) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Factor ``n >= 1`` by trial division, then verified Pollard rho.
 
     Every reported prime is confirmed with the deterministic test and the
@@ -240,7 +242,7 @@ def factorize(n: int, *, trial_bound: int = 100_000, rho_steps: int = 1_000_000)
         return Factorization(1, ())
     counts: dict[int, int] = {}
     m = n
-    for p in primes_upto(trial_bound):
+    for p in primes_upto(_TRIAL_BOUND):
         if p * p > m:
             break
         while m % p == 0:
@@ -254,7 +256,7 @@ def factorize(n: int, *, trial_bound: int = 100_000, rho_steps: int = 1_000_000)
         if is_prime(v):
             counts[v] = counts.get(v, 0) + 1
             continue
-        d = _rho_brent(v, rho_steps)
+        d = _rho_brent(v, _RHO_STEPS)
         if d is None or d == v:
             raise BudgetExceeded(f"failed to split composite {v} within budget")
         pending.extend((d, v // d))
@@ -264,8 +266,3 @@ def factorize(n: int, *, trial_bound: int = 100_000, rho_steps: int = 1_000_000)
         raise JacobsthalError(f"internal: factors of {n} multiply to "
                               f"{result.product()}")
     return result
-
-
-def radical(n: int) -> int:
-    """Product of the distinct primes dividing ``n`` (``radical(1) == 1``)."""
-    return factorize(n).radical()

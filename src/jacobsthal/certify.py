@@ -129,6 +129,23 @@ def cw_upper(n: int) -> int:
         return int(value.to_integral_value(ROUND_CEILING))
 
 
+def _h_under(mode: str, table: KnownHTable | None,
+             policy: ComputePolicy | None):
+    """The map k -> ``(h, source)`` that ``mode`` takes its h values from:
+    the exact h(k), or the conditional formula in cw mode."""
+    if mode == MODE_UNCONDITIONAL:
+        return lambda k: h_of(k, table, policy)
+    if mode == MODE_CW:
+        return lambda k: (cw_upper(k), HSOURCE_CW)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def _largest_d(k: int, h_value: int) -> int:
+    """The largest d with ``(p_{k+1}**2 - 2) / (h + 1) >= d``."""
+    p_next = nth_prime(k + 1)
+    return (p_next * p_next - 2) // (h_value + 1)
+
+
 def bound(k: int, table: KnownHTable | None = None, *,
           mode: str = MODE_UNCONDITIONAL,
           policy: ComputePolicy | None = None) -> BoundRow:
@@ -137,12 +154,7 @@ def bound(k: int, table: KnownHTable | None = None, *,
     mode."""
     if k < 1:
         raise ValueError(f"index must be >= 1, got {k}")
-    if mode == MODE_UNCONDITIONAL:
-        h_value, h_source = h_of(k, table, policy)
-    elif mode == MODE_CW:
-        h_value, h_source = cw_upper(k), HSOURCE_CW
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    h_value, h_source = _h_under(mode, table, policy)(k)
     p_next = nth_prime(k + 1)
     return BoundRow(k, p_next, h_value, h_source,
                     Fraction(p_next * p_next - 2, h_value + 1))
@@ -154,11 +166,6 @@ def bound_table(ks, table: KnownHTable | None = None, *,
     if table is None:
         table = default_h_table()
     return [bound(k, table, mode=mode, policy=policy) for k in ks]
-
-
-def _candidate_ks(table: KnownHTable, policy: ComputePolicy):
-    computable = range(1, policy.max_compute_k + 1) if policy.allow_compute else ()
-    return sorted(set(table.ks()) | set(computable))
 
 
 def min_k_for(d: int, table: KnownHTable | None = None, *,
@@ -173,36 +180,23 @@ def min_k_for(d: int, table: KnownHTable | None = None, *,
         table = default_h_table()
     if policy is None:
         policy = ComputePolicy()
-    if mode == MODE_UNCONDITIONAL:
-        ks = _candidate_ks(table, policy)
-
-        def h_at(k: int) -> int:
-            return h_of(k, table, policy)[0]
-    elif mode == MODE_CW:
-        ks, h_at = range(CW_MIN_K, CW_MAX_K + 1), cw_upper
+    h_at = _h_under(mode, table, policy)
+    if mode == MODE_CW:
+        ks = range(CW_MIN_K, CW_MAX_K + 1)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        computable = (range(1, policy.max_compute_k + 1)
+                      if policy.allow_compute else ())
+        ks = sorted(set(table.ks()) | set(computable))
     # bound(k).value >= d in integers, without a BoundRow or Fraction per k
     best = 0
     for k in ks:
-        p_next = nth_prime(k + 1)
-        top, below = p_next * p_next - 2, h_at(k) + 1
-        if top >= d * below:
+        largest = _largest_d(k, h_at(k)[0])
+        if largest >= d:
             return k
-        best = max(best, top // below)
+        best = max(best, largest)
     raise NotProvable(
         f"no available bound reaches d = {d} (largest provable: {best})",
         max_provable_d=best)
-
-
-def prime_by_coprimality(n: int, k: int) -> bool:
-    """Windowed primality criterion: true iff ``2 <= n < p_{k+1}**2`` and n
-    is coprime to the first k primes.  True implies n is prime; false says
-    nothing."""
-    if k < 1:
-        raise ValueError(f"index must be >= 1, got {k}")
-    p_next = nth_prime(k + 1)
-    return 2 <= n < p_next * p_next and gcd(n, primorial(k)) == 1
 
 
 def find_prime(ap: EligibleAP, table: KnownHTable | None = None, *,
@@ -220,10 +214,7 @@ def find_prime(ap: EligibleAP, table: KnownHTable | None = None, *,
     if policy is None:
         policy = ComputePolicy()
     k = min_k_for(ap.d, table, mode=mode, policy=policy)
-    if mode == MODE_UNCONDITIONAL:
-        h_value, h_source = h_of(k, table, policy)
-    else:
-        h_value, h_source = cw_upper(k), HSOURCE_CW
+    h_value, h_source = _h_under(mode, table, policy)(k)
     iso = coprime_iso(ap, first_primes(k))
     p_next = nth_prime(k + 1)
     window = segment_of_ap_in_range(ap, 2, p_next * p_next - 1)
@@ -416,23 +407,13 @@ def max_provable_d(table: KnownHTable | None = None, *,
     """
     if table is None:
         table = default_h_table()
+    h_at = _h_under(mode, table, ComputePolicy(allow_compute=False))
+    ks = range(CW_MIN_K, CW_MAX_K + 1) if mode == MODE_CW else table.ks()
     best, best_k = 0, None
-    if mode == MODE_UNCONDITIONAL:
-        rows = ((k, entry.h) for k, entry in
-                ((k, table.get(k)) for k in table.ks()))
-        for k, h_value in rows:
-            p_next = nth_prime(k + 1)
-            d = (p_next * p_next - 2) // (h_value + 1)
-            if d > best:
-                best, best_k = d, k
-    elif mode == MODE_CW:
-        for k in range(CW_MIN_K, CW_MAX_K + 1):
-            p_next = nth_prime(k + 1)
-            d = (p_next * p_next - 2) // (cw_upper(k) + 1)
-            if d > best:
-                best, best_k = d, k
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    for k in ks:
+        d = _largest_d(k, h_at(k)[0])
+        if d > best:
+            best, best_k = d, k
     return best, best_k
 
 

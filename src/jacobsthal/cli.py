@@ -128,11 +128,9 @@ def cmd_g(args) -> _Result:
 def _h_witness(table: KnownHTable, k: int, h: int) -> tuple[cover.CoverWitness | None, bool]:
     """Best display witness for h(k): the least run when the period is small
     enough to sieve, else whatever constructed witness the table holds."""
-    ps = first_primes(k)
-    if prod(ps) + h - 1 <= cover.LEAST_RUN_SIEVE_LIMIT:
-        witness = cover.least_witness(h - 1, ps)
-        if witness is not None:
-            return witness, True
+    witness = cover.least_witness(h - 1, first_primes(k))
+    if witness is not None:
+        return witness, True
     entry = table.get(k)
     if entry is not None and entry.witness is not None:
         return entry.witness, False
@@ -429,7 +427,7 @@ def run(argv=None) -> int:
     except BudgetExceeded as exc:
         _diag(f"budget exhausted: {exc}")
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a path argument that cannot be read
         _diag(f"usage error: {exc}")
         return 2
     except JacobsthalError as exc:

@@ -10,10 +10,9 @@ proof of impossibility, and budget exhaustion raises instead of answering.
 
 from __future__ import annotations
 
-import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from math import gcd, prod
 
@@ -42,12 +41,6 @@ class CoverAssignment:
     primes: tuple[int, ...]
     offsets: tuple[int, ...]
     length: int
-
-    def offset_of(self, p: int) -> int:
-        return self.offsets[self.primes.index(p)]
-
-    def offset_map(self) -> dict[int, int]:
-        return dict(zip(self.primes, self.offsets))
 
     def covers(self, position: int) -> bool:
         return any((position - c) % p == 0
@@ -401,8 +394,7 @@ def witness_integer(assignment: CoverAssignment) -> CoverWitness:
     return CoverWitness(start, assignment.length, assignment)
 
 
-def least_witness(length: int, primes,
-                  sieve_limit: int = LEAST_RUN_SIEVE_LIMIT) -> CoverWitness | None:
+def least_witness(length: int, primes) -> CoverWitness | None:
     """The earliest positive run of ``length`` integers each divisible by one
     of ``primes``, found by direct sieve.  ``None`` when the period is too
     large to sieve or no such run exists in one period."""
@@ -410,13 +402,11 @@ def least_witness(length: int, primes,
     if length == 0:
         return witness_integer(CoverAssignment(ps, (0,) * len(ps), 0))
     period = prod(ps)
-    if period + length > sieve_limit:
+    if period + length > LEAST_RUN_SIEVE_LIMIT:
         return None
-    flags = shared_factor_flags(ps, period + length)
-    match = re.search(b"\x01{%d}" % length, bytes(flags))
-    if match is None or match.start() > period:
+    start = shared_factor_flags(ps, period + length).find(b"\x01" * length)
+    if not 0 <= start <= period:
         return None
-    start = match.start()
     offsets = tuple(-start % p for p in ps)
     return CoverWitness(start, length,
                         CoverAssignment(ps, offsets, length))
@@ -507,9 +497,6 @@ class KnownHTable:
     def __contains__(self, k: int) -> bool:
         return k in self._entries
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 def _parse_h_table(lines) -> KnownHTable:
     table = KnownHTable()
@@ -539,18 +526,6 @@ def load_h_table(path) -> KnownHTable:
     """Parse a ``k,h,source`` table file ('#' comments allowed)."""
     with open(path, "r", encoding="ascii") as fh:
         return _parse_h_table(fh)
-
-
-def save_h_table(table: KnownHTable, path) -> None:
-    """Write a table in the same ``k,h,source`` format ``load_h_table`` reads.
-
-    In-memory witnesses are not part of the format and are dropped.
-    """
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("# k,h,source  where source is one of "
-                 "paper|computed|ingested\n")
-        for k, h, source in table.rows():
-            fh.write(f"{k},{h},{source}\n")
 
 
 def default_h_table() -> KnownHTable:

@@ -13,8 +13,8 @@ from . import cover
 from .arith import factorize, shared_factor_flags
 from .errors import BudgetExceeded
 
-DEFAULT_SCAN_LIMIT = 20_000_000
-DEFAULT_MAX_SUPPORT = 25
+SCAN_LIMIT = 20_000_000
+MAX_SUPPORT = 25
 
 
 @dataclass(frozen=True)
@@ -55,13 +55,12 @@ def _first_longest_run(flags: bytearray) -> tuple[int, int]:
     return length, start
 
 
-def g_of(n: int, *, scan_limit: int = DEFAULT_SCAN_LIMIT,
-         max_support: int = DEFAULT_MAX_SUPPORT,
+def g_of(n: int, *,
          budget: "cover.SearchBudget | None" = None) -> GapScanResult:
     """Compute g(n) with a maximal witness run.
 
     Small radicals are scanned directly, which also yields the run with the
-    smallest positive start.  When rad(n) exceeds ``scan_limit`` but n has
+    smallest positive start.  When rad(n) exceeds ``SCAN_LIMIT`` but n has
     few distinct primes, the exact cover engine takes over; its witness is
     deterministic and verified but not necessarily the least one.
     """
@@ -72,14 +71,14 @@ def g_of(n: int, *, scan_limit: int = DEFAULT_SCAN_LIMIT,
     if rad == 1:
         return GapScanResult(n, 1, 1, 0)
     primes = fac.primes()
-    if rad <= scan_limit:
+    if rad <= SCAN_LIMIT:
         # rad >= 2 always has the run ending at rad
         length, start = _first_longest_run(shared_factor_flags(primes, rad))
         return GapScanResult(n, length + 1, start, length)
-    if len(primes) > max_support:
+    if len(primes) > MAX_SUPPORT:
         raise BudgetExceeded(
             f"rad(n) = {rad} exceeds the scan limit and n has {len(primes)} "
-            f"distinct primes (engine handles at most {max_support})")
+            f"distinct primes (engine handles at most {MAX_SUPPORT})")
     length, assignment = cover.max_cover_length(primes, budget=budget)
     witness = cover.witness_integer(assignment)
     return GapScanResult(n, length + 1, witness.start, length)

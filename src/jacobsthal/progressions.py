@@ -10,7 +10,7 @@ That choice is a CRT computation, done in :func:`coprime_iso`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd
 
 from .arith import crt_solve, is_prime
 from .errors import NotEligible, NotInProgression
@@ -71,12 +71,6 @@ class Segment:
         if self.length < 0:
             raise ValueError(f"length must be >= 0, got {self.length}")
 
-    @property
-    def last(self) -> int:
-        if self.length == 0:
-            raise ValueError("empty segment has no last element")
-        return self.first + (self.length - 1) * self.step
-
     def __len__(self) -> int:
         return self.length
 
@@ -86,33 +80,17 @@ class Segment:
             yield value
             value += self.step
 
-    def __getitem__(self, i: int) -> int:
-        if i < 0:
-            i += self.length
-        if not 0 <= i < self.length:
-            raise IndexError(i)
-        return self.first + i * self.step
-
-    def __contains__(self, x: int) -> bool:
-        offset = x - self.first
-        return (self.length > 0 and offset % self.step == 0
-                and 0 <= offset // self.step < self.length)
-
 
 @dataclass(frozen=True)
 class ApIso:
     """The affine map ``n -> c + d*n`` onto the progression (c mod d) + dZ.
 
-    ``primes`` records the prime set whose coprimality the map is meant to
-    preserve; :func:`coprime_iso` constructs instances that actually do.
-    Nothing stops direct construction with an arbitrary c — that is how the
-    window check below gets exercised with maps that do *not* preserve
-    coprimality.
+    :func:`coprime_iso` picks c so that the map preserves coprimality to a
+    given prime set; a directly constructed map need not.
     """
 
     c: int
     d: int
-    primes: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.d < 1:
@@ -122,14 +100,8 @@ class ApIso:
     def a(self) -> int:
         return self.c % self.d
 
-    @property
-    def target(self) -> EligibleAP:
-        return EligibleAP(self.c % self.d, self.d)
-
-    def apply(self, n: int) -> int:
+    def __call__(self, n: int) -> int:
         return self.c + self.d * n
-
-    __call__ = apply
 
     def invert(self, x: int) -> int:
         offset = x - self.c
@@ -155,45 +127,7 @@ def coprime_iso(ap: EligibleAP, primes) -> ApIso:
     congruences = [(ap.a, ap.d)]
     congruences += [(0, q) for q in ps if ap.d % q != 0]
     c, _ = crt_solve(congruences)
-    return ApIso(c, ap.d, ps)
-
-
-def preimage_segment(iso: ApIso, segment: Segment) -> Segment:
-    """Pull a segment of the target progression back to consecutive integers.
-
-    The segment must step by ``iso.d`` and lie inside the progression; the
-    result has the same length and step 1.
-    """
-    if segment.length == 0:
-        return Segment(0, 1, 0)
-    if segment.step != iso.d:
-        raise NotInProgression(
-            f"segment steps by {segment.step}, the progression by {iso.d}")
-    return Segment(iso.invert(segment.first), 1, segment.length)
-
-
-def is_coprime_preserving_on_window(iso: ApIso, window: int) -> bool:
-    """Check on ``|n| <= window`` that inputs coprime to all of ``iso.primes``
-    map to images coprime to them as well.
-
-    Coprimality to the (squarefree) product is periodic, so once the window
-    covers a full period the scan drops to one period — same verdict, less
-    work — and the verdict then holds for every integer.
-    """
-    if window < 0:
-        raise ValueError(f"window must be >= 0, got {window}")
-    modulus = prod(iso.primes)
-    if modulus == 1:
-        return True
-    if window >= modulus - 1:
-        candidates = range(modulus)
-    else:
-        candidates = range(-window, window + 1)
-    apply, d, c = iso.apply, iso.d, iso.c
-    for n in candidates:
-        if gcd(n, modulus) == 1 and gcd(c + d * n, modulus) != 1:
-            return False
-    return True
+    return ApIso(c, ap.d)
 
 
 def segment_of_ap_in_range(ap: EligibleAP, lo: int, hi: int) -> Segment:

@@ -9,7 +9,10 @@ hide in the oracle as well:
 - ``g_exhaustive`` scans integers one gcd at a time for the longest run
   sharing a factor with n;
 - ``first_longest_run`` scans one period the same way for where the first
-  longest such run starts.
+  longest such run starts;
+- ``is_coprime_preserving_on_window`` checks a map ``n -> c + d*n`` one
+  input at a time for sending integers coprime to a prime set to images
+  coprime to it.
 """
 
 from math import gcd, prod
@@ -98,3 +101,27 @@ def first_longest_run(n: int) -> tuple[int, int]:
         else:
             run = 0
     return best
+
+
+def is_coprime_preserving_on_window(iso, primes, window: int) -> bool:
+    """Check on ``|n| <= window`` that inputs coprime to all of ``primes``
+    map to images coprime to them as well.
+
+    Coprimality to the (squarefree) product is periodic, so once the window
+    covers a full period the scan drops to one period — same verdict, less
+    work — and the verdict then holds for every integer.
+    """
+    if window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
+    modulus = prod(primes)
+    if modulus == 1:
+        return True
+    if window >= modulus - 1:
+        candidates = range(modulus)
+    else:
+        candidates = range(-window, window + 1)
+    d, c = iso.d, iso.c
+    for n in candidates:
+        if gcd(n, modulus) == 1 and gcd(c + d * n, modulus) != 1:
+            return False
+    return True

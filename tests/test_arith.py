@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from jacobsthal.arith import (Factorization, crt_solve, ext_gcd, factorize,
                               first_primes, is_prime, nth_prime, primes_upto,
-                              primorial, radical, _MR_LIMIT)
+                              primorial, _MR_LIMIT)
 from jacobsthal.errors import BudgetExceeded, NonCoprimeModuli
 
 from math import gcd, prod
@@ -129,4 +129,4 @@ def test_factorization_helpers():
 @given(st.integers(1, 10**6))
 def test_radical_matches_sympy(n):
     expected = prod(sympy.primefactors(n)) if n > 1 else 1
-    assert radical(n) == expected
+    assert factorize(n).radical() == expected

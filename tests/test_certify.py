@@ -18,7 +18,7 @@ from jacobsthal.certify import (CHECK_NAMES, MODE_CW, MODE_UNCONDITIONAL,
                                 PrimeCertificate, bound, bound_table,
                                 certificate_from_json, certificate_to_json,
                                 cw_upper, find_prime, max_provable_d,
-                                min_k_for, prime_by_coprimality, prime_stream,
+                                min_k_for, prime_stream,
                                 int_to_decimal, render_thousandths,
                                 verify_certificate)
 from jacobsthal import certify, cover
@@ -145,7 +145,8 @@ def test_lemma_sweep_is_exact():
         limit = nth_prime(k + 1) ** 2
         for n in range(2, limit):
             expected = sympy.isprime(n) and n > p_k
-            assert prime_by_coprimality(n, k) == expected, (n, k)
+            criterion = 2 <= n < limit and gcd(n, primorial(k)) == 1
+            assert criterion == expected, (n, k)
 
 
 @pytest.mark.parametrize("a, d, prime, k, c, m", [

@@ -402,6 +402,16 @@ def test_verify_missing_file(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify",), ("h", "3", "--table"), ("max-d", "--table"),
+])
+def test_unreadable_path_is_a_usage_error(tmp_path, capsys, argv):
+    # a directory where a file belongs fails to open, like a missing file
+    code, out, err = _run(capsys, *argv, str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ")
+
+
 # --- fresh-process checks ----------------------------------------------------
 
 def test_subprocess_g():

@@ -1,5 +1,6 @@
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -13,7 +14,7 @@ from jacobsthal.cover import (CoverAssignment, HSOURCE_COMPUTED, KnownHTable,
                               SearchBudget, ComputePolicy,
                               coverable, default_h_table,
                               elementary_lower_witness, h_of, least_witness,
-                              load_h_table, max_cover_length, save_h_table,
+                              load_h_table, max_cover_length,
                               verify_cover, witness_integer, _parse_h_table)
 from jacobsthal.errors import (BudgetExceeded, JacobsthalError,
                                TableParseError, TableValidationError,
@@ -241,8 +242,6 @@ def test_elementary_lower_witness():
 
 def test_cover_assignment_helpers():
     assignment = CoverAssignment((2, 3), (0, 2), 4)
-    assert assignment.offset_of(3) == 2
-    assert assignment.offset_map() == {2: 0, 3: 2}
     assert assignment.covers(2)
     assert not assignment.covers(1)
     assert not assignment.is_valid()  # position 1 is uncovered
@@ -298,9 +297,8 @@ def test_validation_rejects_impossible_h():
         table.set(5, 14, "folklore")
 
 
-def test_save_load_round_trip(tmp_path, shipped_table):
-    path = tmp_path / "h.txt"
-    save_h_table(shipped_table, path)
+def test_load_h_table_reads_the_packaged_file(shipped_table):
+    path = Path(cover.__file__).parent / "data" / "h_table.txt"
     assert load_h_table(path).rows() == shipped_table.rows()
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from math import gcd, prod
 
-from jacobsthal.arith import primorial, radical
+from jacobsthal.arith import factorize, primorial
 from jacobsthal.cover import SearchBudget, verify_cover
 from jacobsthal.errors import BudgetExceeded
 from jacobsthal.gaps import g_of
@@ -56,7 +56,7 @@ def test_witness_is_the_first_longest_run():
 
 def test_g_depends_only_on_radical():
     for n in (4, 8, 9, 12, 360, 2**20, 9_699_690 * 4):
-        assert g_of(n).g == g_of(radical(n)).g
+        assert g_of(n).g == g_of(factorize(n).radical()).g
 
 
 @given(st.integers(2, 50_000))
@@ -69,7 +69,7 @@ def test_witness_always_checks_out(n):
 
 def test_divisor_monotone_on_squarefree():
     # more prime factors can only lengthen the worst run
-    squarefree = [n for n in range(2, 1000) if radical(n) == n]
+    squarefree = [n for n in range(2, 1000) if factorize(n).radical() == n]
     for n in squarefree[:150]:
         for p in sympy.primefactors(n):
             assert g_of(n // p).g <= g_of(n).g
