@@ -24,8 +24,8 @@ from .errors import (BudgetExceeded, JacobsthalError, NonCoprimeModuli,
                      NotEligible, NotInProgression, NotProvable, OutOfRange,
                      TableParseError, TableValidationError, Unavailable)
 from .gaps import GapScanResult, g_of
-from .progressions import (ApIso, EligibleAP, Segment, coprime_iso,
-                           make_eligible, segment_of_ap_in_range)
+from .progressions import (ApIso, EligibleAP, coprime_iso, make_eligible,
+                           segment_of_ap_in_range)
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,7 @@ __all__ = [
     "Factorization", "GapScanResult", "HEntry", "JacobsthalError",
     "KnownHTable", "MODE_CW", "MODE_UNCONDITIONAL", "NonCoprimeModuli",
     "NotEligible", "NotInProgression", "NotProvable", "OutOfRange",
-    "PrimeCertificate", "SearchBudget", "Segment", "TableParseError",
+    "PrimeCertificate", "SearchBudget", "TableParseError",
     "TableValidationError", "Unavailable", "bound", "bound_table",
     "certificate_from_json", "certificate_to_json", "coprime_iso",
     "coverable", "crt_solve", "cw_upper", "default_h_table",

@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: extended gcd, CRT, primes, primorials, factoring.
+"""Exact integer arithmetic: CRT, primes, primorials, factoring.
 
 Everything here works with arbitrary-precision integers and is deterministic.
 Operations that could run away on absurd input take explicit caps and raise
@@ -26,26 +26,6 @@ _TRIAL_BOUND = 100_000  # factorize divides out the primes up to this
 _RHO_STEPS = 1_000_000  # Pollard rho steps factorize spends per split
 
 
-def ext_gcd(x: int, y: int) -> tuple[int, int, int]:
-    """Return ``(g, u, v)`` with ``g = gcd(x, y) >= 0`` and ``u*x + v*y = g``.
-
-    ``ext_gcd(0, 0)`` returns ``(0, 0, 0)``.
-    """
-    old_r, r = x, y
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    if old_r == 0:
-        return 0, 0, 0
-    return old_r, old_u, old_v
-
-
 def crt_solve(congruences) -> tuple[int, int]:
     """Solve ``x ≡ r_i (mod m_i)`` for pairwise coprime moduli.
 
@@ -57,11 +37,12 @@ def crt_solve(congruences) -> tuple[int, int]:
     for residue, m in congruences:
         if m < 1:
             raise ValueError(f"modulus must be positive, got {m}")
-        g, inv, _ = ext_gcd(modulus % m, m)
+        r = modulus % m
+        g = math.gcd(r, m)
         if g != 1:
             raise NonCoprimeModuli(f"moduli are not pairwise coprime (gcd {g})")
         # c' = c (mod modulus), c' = residue (mod m)
-        t = ((residue - c) * inv) % m
+        t = ((residue - c) * pow(r, -1, m)) % m
         c = c + modulus * t
         modulus *= m
     return c % modulus, modulus

@@ -103,9 +103,6 @@ class CertificateCheck:
     ok: bool
     failures: tuple[str, ...] = ()
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def render_thousandths(value: Fraction) -> str:
     """Exact 3-decimal rendering, rounding halves away from zero."""
@@ -184,9 +181,7 @@ def min_k_for(d: int, table: KnownHTable | None = None, *,
     if mode == MODE_CW:
         ks = range(CW_MIN_K, CW_MAX_K + 1)
     else:
-        computable = (range(1, policy.max_compute_k + 1)
-                      if policy.allow_compute else ())
-        ks = sorted(set(table.ks()) | set(computable))
+        ks = sorted(set(table.ks()).union(range(1, policy.max_compute_k + 1)))
     # bound(k).value >= d in integers, without a BoundRow or Fraction per k
     best = 0
     for k in ks:
@@ -407,7 +402,7 @@ def max_provable_d(table: KnownHTable | None = None, *,
     """
     if table is None:
         table = default_h_table()
-    h_at = _h_under(mode, table, ComputePolicy(allow_compute=False))
+    h_at = _h_under(mode, table, ComputePolicy(max_compute_k=0))
     ks = range(CW_MIN_K, CW_MAX_K + 1) if mode == MODE_CW else table.ks()
     best, best_k = 0, None
     for k in ks:

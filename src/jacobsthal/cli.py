@@ -43,9 +43,8 @@ def _budget(args) -> SearchBudget | None:
     return SearchBudget(args.max_nodes, args.max_seconds)
 
 
-def _policy(args, allow_compute: bool = True) -> ComputePolicy:
-    return ComputePolicy(allow_compute=allow_compute,
-                         max_compute_k=args.max_compute_k,
+def _policy(args) -> ComputePolicy:
+    return ComputePolicy(max_compute_k=args.max_compute_k,
                          budget=_budget(args))
 
 
@@ -151,8 +150,10 @@ def cmd_h(args) -> _Result:
                 "refusing to report either")
         table.set(k, h, source, witness=cover.witness_integer(assignment))
     else:
-        h, source = cover.h_of(k, table,
-                               _policy(args, allow_compute=not args.table_only))
+        policy = _policy(args)
+        if args.table_only:
+            policy.max_compute_k = 0
+        h, source = cover.h_of(k, table, policy)
     witness, is_least = _h_witness(table, k, h)
     payload = {"k": k, "h": h, "source": source, "witness": None}
     lines = [f"h({k}) = {h} ({source})"]

@@ -71,9 +71,9 @@ class SearchBudget:
 
 @dataclass
 class ComputePolicy:
-    """Controls when missing h(k) values may be computed by the engine."""
+    """Controls when missing h(k) values may be computed by the engine: only
+    for ``k <= max_compute_k``, so a cap of 0 never computes."""
 
-    allow_compute: bool = True
     max_compute_k: int = DEFAULT_MAX_COMPUTE_K
     budget: SearchBudget | None = None
 
@@ -490,17 +490,9 @@ class KnownHTable:
     def ks(self) -> list[int]:
         return sorted(self._entries)
 
-    def rows(self) -> list[tuple[int, int, str]]:
-        return [(k, self._entries[k].h, self._entries[k].source)
-                for k in self.ks()]
-
-    def __contains__(self, k: int) -> bool:
-        return k in self._entries
-
 
 def _parse_h_table(lines) -> KnownHTable:
     table = KnownHTable()
-    seen: set[int] = set()
     for number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -515,9 +507,8 @@ def _parse_h_table(lines) -> KnownHTable:
                                   number) from None
         if parts[2] not in H_SOURCES:
             raise TableParseError(f"unknown source {parts[2]!r}", number)
-        if k in seen:
+        if table.get(k) is not None:
             raise TableParseError(f"duplicate entry for k = {k}", number)
-        seen.add(k)
         table.set(k, h, parts[2])
     return table
 
@@ -547,8 +538,6 @@ def h_of(k: int, table: KnownHTable | None = None,
     entry = table.get(k)
     if entry is not None:
         return entry.h, entry.source
-    if not policy.allow_compute:
-        raise Unavailable(f"h({k}) is not tabulated and computing is disabled")
     if k > policy.max_compute_k:
         raise Unavailable(
             f"h({k}) is not tabulated and k exceeds the compute cap "

@@ -1,4 +1,4 @@
-"""Arithmetic progressions, lazy segments, and coprimality-preserving maps.
+"""Arithmetic progressions, their windows, and coprimality-preserving maps.
 
 The map ``n -> c + d*n`` is an order isomorphism from the integers onto the
 progression ``(c mod d) + dZ``.  When c is chosen so that every prime q in a
@@ -10,7 +10,7 @@ That choice is a CRT computation, done in :func:`coprime_iso`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .arith import crt_solve, is_prime
 from .errors import NotEligible, NotInProgression
@@ -38,9 +38,6 @@ class EligibleAP:
                 f"gcd({self.a}, {self.d}) > 1: the progression contains at "
                 f"most one prime and is out of scope")
 
-    def __contains__(self, x: int) -> bool:
-        return x % self.d == self.a
-
     def __str__(self) -> str:
         return f"{self.a}+{self.d}Z"
 
@@ -54,31 +51,6 @@ def make_eligible(a: int, d: int) -> EligibleAP:
     if d < 1:
         raise ValueError(f"modulus must be >= 1, got {d}")
     return EligibleAP(a % d, d)
-
-
-@dataclass(frozen=True)
-class Segment:
-    """Finite arithmetic slice ``first, first+step, ...`` of given length,
-    never materialized."""
-
-    first: int
-    step: int
-    length: int
-
-    def __post_init__(self):
-        if self.step < 1:
-            raise ValueError(f"step must be >= 1, got {self.step}")
-        if self.length < 0:
-            raise ValueError(f"length must be >= 0, got {self.length}")
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __iter__(self):
-        value = self.first
-        for _ in range(self.length):
-            yield value
-            value += self.step
 
 
 @dataclass(frozen=True)
@@ -124,19 +96,15 @@ def coprime_iso(ap: EligibleAP, primes) -> ApIso:
     for q in ps:
         if not is_prime(q):
             raise ValueError(f"{q} is not prime")
-    congruences = [(ap.a, ap.d)]
-    congruences += [(0, q) for q in ps if ap.d % q != 0]
-    c, _ = crt_solve(congruences)
+    # c ≡ 0 modulo each q not dividing d is c ≡ 0 modulo their product
+    c, _ = crt_solve([(ap.a, ap.d), (0, prod(q for q in ps if ap.d % q))])
     return ApIso(c, ap.d)
 
 
-def segment_of_ap_in_range(ap: EligibleAP, lo: int, hi: int) -> Segment:
-    """Elements of the progression inside ``[lo, hi]`` as a segment
+def segment_of_ap_in_range(ap: EligibleAP, lo: int, hi: int) -> range:
+    """Elements of the progression inside ``[lo, hi]`` as a range
     (possibly empty).  Requires ``lo <= hi + 1``.
     """
     if lo > hi + 1:
         raise ValueError(f"empty range bounds out of order: [{lo}, {hi}]")
-    first = lo + (ap.a - lo) % ap.d
-    if first > hi:
-        return Segment(first, ap.d, 0)
-    return Segment(first, ap.d, (hi - first) // ap.d + 1)
+    return range(lo + (ap.a - lo) % ap.d, hi + 1, ap.d)

@@ -3,29 +3,19 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jacobsthal.arith import (Factorization, crt_solve, ext_gcd, factorize,
-                              first_primes, is_prime, nth_prime, primes_upto,
-                              primorial, _MR_LIMIT)
+from jacobsthal.arith import (Factorization, crt_solve, factorize, first_primes,
+                              is_prime, nth_prime, primes_upto, primorial,
+                              _MR_LIMIT)
 from jacobsthal.errors import BudgetExceeded, NonCoprimeModuli
 
-from math import gcd, prod
-
-
-@given(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12))
-def test_ext_gcd_bezout(x, y):
-    g, a, b = ext_gcd(x, y)
-    assert g == gcd(x, y)
-    assert a * x + b * y == g
-
-
-def test_ext_gcd_zero_corner():
-    assert ext_gcd(0, 0) == (0, 0, 0)
+from math import prod
 
 
 def test_crt_empty_and_single():
     assert crt_solve([]) == (0, 1)
     assert crt_solve([(5, 7)]) == (5, 7)
     assert crt_solve([(12, 7)]) == (5, 7)
+    assert crt_solve([(5, 7), (0, 1)]) == (5, 7)
 
 
 @given(st.lists(st.sampled_from([(2,), (3,), (5,), (7,), (11,)]),

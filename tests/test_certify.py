@@ -121,7 +121,8 @@ def test_min_k_is_minimal(shipped_table):
     for d in (5, 17, 40, 62, 76):
         k = min_k_for(d, shipped_table)
         assert bound(k, shipped_table).value >= d
-        smaller = [j for j in range(1, k) if j in shipped_table
+        smaller = [j for j in range(1, k)
+                   if shipped_table.get(j) is not None
                    or j <= policy.max_compute_k]
         assert all(bound(j, shipped_table).value < d for j in smaller)
 
@@ -379,9 +380,10 @@ def test_prime_stream_not_provable_midway(shipped_table):
 def test_max_provable_d_unconditional(shipped_table):
     assert max_provable_d(shipped_table) == (76, 54)
     trimmed = KnownHTable()
-    for k, h, source in shipped_table.rows():
+    for k in shipped_table.ks():
         if k <= 50:
-            trimmed.set(k, h, source)
+            entry = shipped_table.get(k)
+            trimmed.set(k, entry.h, entry.source)
     assert max_provable_d(trimmed) == (71, 50)
     assert max_provable_d(KnownHTable()) == (0, None)
 

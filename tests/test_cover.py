@@ -249,11 +249,15 @@ def test_cover_assignment_helpers():
 
 # --- the known-h table -------------------------------------------------------
 
+def _rows(table):
+    return [(k, table.get(k).h, table.get(k).source) for k in table.ks()]
+
+
 def test_default_table_ships_the_known_rows():
     # a fresh load, not the shared fixture: other tests may legitimately
     # have cached computed entries into that instance
     table = default_h_table()
-    assert table.rows() == sorted(
+    assert _rows(table) == sorted(
         [(k, h, "paper") for k, h in REMARK_ROWS]
         + [(k, h, "computed") for k, h in COMPUTED_ROWS])
 
@@ -263,7 +267,7 @@ def test_parse_accepts_comments_and_blank_lines():
         "# heading", "", "  5 , 14 , paper", "3,6,computed",
         "7,26,ingested",
     ])
-    assert table.rows() == [(3, 6, "computed"), (5, 14, "paper"),
+    assert _rows(table) == [(3, 6, "computed"), (5, 14, "paper"),
                             (7, 26, "ingested")]
 
 
@@ -282,7 +286,8 @@ def test_parse_errors_carry_line_numbers(line, fragment):
 def test_parse_rejects_duplicate_k():
     with pytest.raises(TableParseError) as err:
         _parse_h_table(["5,14,paper", "5,14,paper"])
-    assert "duplicate" in str(err.value)
+    assert "duplicate entry for k = 5" in str(err.value)
+    assert "line 2" in str(err.value)
 
 
 def test_validation_rejects_impossible_h():
@@ -299,7 +304,7 @@ def test_validation_rejects_impossible_h():
 
 def test_load_h_table_reads_the_packaged_file(shipped_table):
     path = Path(cover.__file__).parent / "data" / "h_table.txt"
-    assert load_h_table(path).rows() == shipped_table.rows()
+    assert _rows(load_h_table(path)) == _rows(shipped_table)
 
 
 def test_h_of_sources_and_caching():
@@ -317,7 +322,7 @@ def test_h_of_sources_and_caching():
 def test_h_of_tabulated_and_refusals(shipped_table):
     assert h_of(5, shipped_table) == (14, "paper")
     with pytest.raises(Unavailable):
-        h_of(4, KnownHTable(), ComputePolicy(allow_compute=False))
+        h_of(4, KnownHTable(), ComputePolicy(max_compute_k=0))
     with pytest.raises(Unavailable):
         h_of(13, KnownHTable(), ComputePolicy(max_compute_k=12))
     with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from math import gcd, prod
 
-from jacobsthal.progressions import (ApIso, EligibleAP, Segment, coprime_iso,
+from jacobsthal.progressions import (ApIso, EligibleAP, coprime_iso,
                                      make_eligible, segment_of_ap_in_range)
 from jacobsthal.errors import NotEligible, NotInProgression
 from oracles import is_coprime_preserving_on_window
@@ -25,21 +25,6 @@ def test_eligible_validation():
         EligibleAP(1, 0)
 
 
-def test_eligible_membership():
-    ap = make_eligible(2, 7)
-    assert 23 in ap and 2 in ap and -5 in ap
-    assert 3 not in ap
-
-
-def test_segment_basics():
-    seg = Segment(3, 5, 4)  # 3, 8, 13, 18
-    assert list(seg) == [3, 8, 13, 18]
-    assert len(seg) == 4
-    assert list(Segment(5, 3, 0)) == []
-    with pytest.raises(ValueError):
-        Segment(0, 0, 3)
-
-
 def test_iso_apply_invert():
     iso = ApIso(3, 5)
     assert [iso(n) for n in range(-3, 4)] == [-12, -7, -2, 3, 8, 13, 18]
@@ -53,7 +38,7 @@ def test_iso_apply_invert():
 
 def test_preimage_of_the_same_segment_differs_by_map():
     # two maps onto 3+5Z pull {3, 8, 13, 18} back to different windows
-    seg = Segment(3, 5, 4)
+    seg = range(3, 19, 5)
     assert [ApIso(3, 5).invert(x) for x in seg] == [0, 1, 2, 3]
     assert [ApIso(18, 5).invert(x) for x in seg] == [-3, -2, -1, 0]
 
@@ -119,29 +104,32 @@ def test_iso_is_increasing_bijection(ap_primes, start, length):
     values = [iso(n) for n in range(start, start + min(length, 50))]
     assert all(b - a == ap.d for a, b in zip(values, values[1:]))
     assert [iso.invert(v) for v in values] == list(range(start, start + len(values)))
-    assert all(v in ap for v in values)
+    assert all(v % ap.d == ap.a for v in values)
 
 
 @given(_ap_and_primes(), st.integers(-1000, 1000), st.integers(0, 100))
 def test_preimage_preserves_length(ap_primes, n0, length):
     ap, primes = ap_primes
     iso = coprime_iso(ap, primes)
-    seg = Segment(iso(n0), ap.d, length)
+    seg = range(iso(n0), iso(n0 + length), ap.d)
     assert [iso.invert(x) for x in seg] == list(range(n0, n0 + length))
 
 
 def test_segment_of_ap_in_range():
     ap = make_eligible(2, 7)
     seg = segment_of_ap_in_range(ap, 2, 120)
-    assert seg.first == 2 and seg.step == 7
-    assert list(seg)[-1] == 114 and len(seg) == 17
-    assert all(x in ap for x in seg)
+    assert seg.start == 2 and seg.step == 7
+    assert seg[-1] == 114 and len(seg) == 17
+    assert all(x % ap.d == ap.a for x in seg)
     empty = segment_of_ap_in_range(ap, 3, 8)
     assert len(empty) == 0
     single = segment_of_ap_in_range(ap, 9, 9)
     assert list(single) == [9]
     with pytest.raises(ValueError):
         segment_of_ap_in_range(ap, 10, 5)
+    big = segment_of_ap_in_range(ap, 2**64 + 1, 2**64 + 100)
+    assert big[0] == 2**64 + 7 and big[-1] == 2**64 + 98 and len(big) == 14
+    assert all(x % ap.d == ap.a for x in big)
 
 
 @given(st.integers(1, 60), st.integers(-500, 500), st.integers(-500, 500))
@@ -150,5 +138,5 @@ def test_segment_of_ap_in_range_is_exact(d, lo, span):
     residues = [a for a in range(d) if gcd(a, d) == 1 and (a or d == 1)]
     ap = make_eligible(residues[0], d)
     seg = segment_of_ap_in_range(ap, lo, hi)
-    expected = [x for x in range(lo, hi + 1) if x in ap]
+    expected = [x for x in range(lo, hi + 1) if x % ap.d == ap.a]
     assert list(seg) == expected
