@@ -19,6 +19,8 @@ from .errors import BudgetExceeded, JacobsthalError, NonCoprimeModuli
 # primality correctly for every n below this bound (Sorenson/Webster).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
+# A composite below 43**2 has a prime factor <= 41, a witness itself.
+_TRIAL_LIMIT = 43 * 43
 
 _SIEVE_CAP = 80_000_000  # largest bound primes_upto will sieve
 _NTH_CAP = 4_000_000  # largest index nth_prime will serve
@@ -113,6 +115,14 @@ def first_primes(k: int) -> tuple[int, ...]:
     return tuple(_primes[:k])
 
 
+def is_first_primes(ps: tuple[int, ...]) -> bool:
+    """Whether ``ps == first_primes(len(ps))``, judged from the primes
+    already sieved: it never sieves, so it never raises, and a prefix
+    longer than the sieve so far reads False."""
+    table = _primes
+    return len(ps) <= len(table) and ps == tuple(table[:len(ps)])
+
+
 def shared_factor_flags(primes, limit: int) -> bytearray:
     """flags[i] == 1 iff some p in primes divides i, for 0 <= i <= limit."""
     flags = bytearray(limit + 1)
@@ -137,6 +147,8 @@ def is_prime(n: int) -> bool:
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    if n < _TRIAL_LIMIT:
+        return True
     if n >= _MR_LIMIT:
         raise BudgetExceeded(f"{n} exceeds the deterministic primality range")
     d = n - 1

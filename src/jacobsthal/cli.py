@@ -245,8 +245,10 @@ def cmd_verify(args) -> _Result:
         text = fh.read()
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also a number past the digit limit
         raise JacobsthalError(f"certificate is not valid JSON: {exc}") from exc
+    if data == []:
+        raise JacobsthalError(f"{args.certificate} holds no certificates")
     if isinstance(data, list):
         certs = [certificate_from_json(json.dumps(item)) for item in data]
     else:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from importlib import resources
 from math import gcd, prod
 
-from .arith import (crt_solve, first_primes, is_prime, nth_prime,
-                    shared_factor_flags)
+from .arith import (crt_solve, first_primes, is_first_primes, is_prime,
+                    nth_prime, shared_factor_flags)
 from .errors import (BudgetExceeded, JacobsthalError, TableParseError,
                      TableValidationError, Unavailable)
 
@@ -82,6 +82,8 @@ def _validated_primes(primes) -> tuple[int, ...]:
     ps = tuple(sorted(primes))
     if not ps:
         raise ValueError("need at least one prime")
+    if is_first_primes(ps):  # the engine's own sets need no re-proof
+        return ps
     if len(set(ps)) != len(ps):
         raise ValueError("primes must be distinct")
     for p in ps:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .arith import crt_solve, is_prime
+from .arith import crt_solve, is_first_primes, is_prime
 from .errors import NotEligible, NotInProgression
 
 
@@ -91,11 +91,12 @@ def coprime_iso(ap: EligibleAP, primes) -> ApIso:
     4
     """
     ps = tuple(sorted(primes))
-    if len(set(ps)) != len(ps):
-        raise ValueError("primes must be distinct")
-    for q in ps:
-        if not is_prime(q):
-            raise ValueError(f"{q} is not prime")
+    if not is_first_primes(ps):  # the engine's own sets need no re-proof
+        if len(set(ps)) != len(ps):
+            raise ValueError("primes must be distinct")
+        for q in ps:
+            if not is_prime(q):
+                raise ValueError(f"{q} is not prime")
     # c ≡ 0 modulo each q not dividing d is c ≡ 0 modulo their product
     c, _ = crt_solve([(ap.a, ap.d), (0, prod(q for q in ps if ap.d % q))])
     return ApIso(c, ap.d)

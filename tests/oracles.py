@@ -10,6 +10,8 @@ hide in the oracle as well:
   sharing a factor with n;
 - ``first_longest_run`` scans one period the same way for where the first
   longest such run starts;
+- ``prime_flags`` sieves the primes below a bound with no shortcut, the
+  reference for ``is_prime``;
 - ``is_coprime_preserving_on_window`` checks a map ``n -> c + d*n`` one
   input at a time for sending integers coprime to a prime set to images
   coprime to it.
@@ -101,6 +103,17 @@ def first_longest_run(n: int) -> tuple[int, int]:
         else:
             run = 0
     return best
+
+
+def prime_flags(limit: int) -> list[bool]:
+    """``flags[n]`` is True iff n is prime, for ``0 <= n < limit``, by the
+    sieve of Eratosthenes."""
+    flags = [n >= 2 for n in range(limit)]
+    for p in range(2, limit):
+        if flags[p]:
+            for multiple in range(p * p, limit, p):
+                flags[multiple] = False
+    return flags
 
 
 def is_coprime_preserving_on_window(iso, primes, window: int) -> bool:

@@ -7,6 +7,7 @@ from jacobsthal.arith import (Factorization, crt_solve, factorize, first_primes,
                               is_prime, nth_prime, primes_upto, primorial,
                               _MR_LIMIT)
 from jacobsthal.errors import BudgetExceeded, NonCoprimeModuli
+from oracles import prime_flags
 
 from math import prod
 
@@ -73,6 +74,14 @@ def test_first_primes_and_primorial():
 @given(st.integers(2, 10**6))
 def test_is_prime_matches_sympy(n):
     assert is_prime(n) == sympy.isprime(n)
+
+
+def test_is_prime_matches_a_sieve_below_100000():
+    # below 43**2 = 1849 trial division by the witnesses decides alone;
+    # 41**2, 41*43, 43**2, 31*61 and 43*47 sit around that edge
+    flags = prime_flags(10**5)
+    assert [n for n in range(10**5) if is_prime(n) != flags[n]] == []
+    assert not any(flags[n] for n in (1681, 1763, 1849, 1891, 2021))
 
 
 def test_is_prime_corners():

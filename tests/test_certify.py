@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import sys
@@ -21,7 +22,7 @@ from jacobsthal.certify import (CHECK_NAMES, MODE_CW, MODE_UNCONDITIONAL,
                                 min_k_for, prime_stream,
                                 int_to_decimal, render_thousandths,
                                 verify_certificate)
-from jacobsthal import certify, cover
+from jacobsthal import certify, cover, progressions
 from jacobsthal.cover import ComputePolicy, KnownHTable, default_h_table
 from jacobsthal.errors import (JacobsthalError, NotProvable, OutOfRange)
 from jacobsthal.progressions import make_eligible
@@ -314,21 +315,52 @@ def test_verify_makes_no_closure_cells():
         assert fn.__code__.co_cellvars == (), fn.__name__
 
 
+# SHA-256 of certificate_to_json over every eligible (a, d) with d <= 76 in
+# (d, a) order, and over cw 1 + dZ for d = 1..42: a faster certify path
+# must produce the same certificates, byte for byte.
+ALL_PAIRS_SHA256 = (
+    "f51129f4826a32c01b4ed9720a9a75e4e3638b949591b6d96a93f5806eacaf91")
+CW_LINE_SHA256 = (
+    "63e02d88d40086bf766c21f412f746998b1dcf47a92dc71e6ca9bbdb51b46879")
+
+
+def _all_pairs():
+    return [make_eligible(a, d) for d in range(1, 77) for a in range(d)
+            if gcd(a, d) == 1]
+
+
+def test_certificates_are_byte_identical(shipped_table):
+    digest = hashlib.sha256()
+    for ap in _all_pairs():
+        digest.update(certificate_to_json(find_prime(ap, shipped_table))
+                      .encode())
+    assert digest.hexdigest() == ALL_PAIRS_SHA256
+    digest = hashlib.sha256()
+    for d in range(1, 43):
+        cert = find_prime(make_eligible(1, d), shipped_table, mode=MODE_CW)
+        digest.update(certificate_to_json(cert).encode())
+    assert digest.hexdigest() == CW_LINE_SHA256
+
+
 def test_default_table_certifies_without_the_engine(monkeypatch):
-    # every h(k) that d <= 76 needs ships in the table
+    # every h(k) that d <= 76 needs ships in the table, and the prime sets
+    # find_prime validates are first_primes(k) itself: none is re-proved
     def no_engine(*args, **kwargs):
         raise AssertionError("the exact search ran")
 
     monkeypatch.setattr(cover, "max_cover_length", no_engine)
+    proved = []
+    for module in (progressions, cover):
+        real = module.is_prime
+        monkeypatch.setattr(module, "is_prime",
+                            lambda n, real=real: proved.append(n) or real(n))
     table = default_h_table()
-    pairs = 0
-    for d in range(1, 77):
-        for a in range(d):
-            if gcd(a, d) == 1:
-                cert = find_prime(make_eligible(a, d), table)
-                assert verify_certificate(cert, table).ok, (a, d)
-                pairs += 1
-    assert pairs == 1772
+    pairs = _all_pairs()
+    for ap in pairs:
+        cert = find_prime(ap, table)
+        assert verify_certificate(cert, table).ok, ap
+    assert len(pairs) == 1772
+    assert proved == []
 
 
 def test_verify_ignores_stored_checks(good_cert, shipped_table):
@@ -386,6 +418,14 @@ def test_max_provable_d_unconditional(shipped_table):
             trimmed.set(k, entry.h, entry.source)
     assert max_provable_d(trimmed) == (71, 50)
     assert max_provable_d(KnownHTable()) == (0, None)
+    # a tabulated k past the cw range reads its p_{k+1} on its own
+    far = KnownHTable()
+    far.set(20000, 2 * nth_prime(19999), "paper")
+    p_next = nth_prime(20001)
+    largest = (p_next * p_next - 2) // (2 * nth_prime(19999) + 1)
+    assert max_provable_d(far) == (largest, 20000)
+    never = ComputePolicy(max_compute_k=0)
+    assert min_k_for(largest, far, policy=never) == 20000
 
 
 def test_max_provable_d_cw(shipped_table):

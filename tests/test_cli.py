@@ -314,6 +314,25 @@ def test_verify_array_file(tmp_path, capsys):
     assert [item["prime"] for item in payload] == ["7", "23"]
 
 
+def test_verify_empty_array_is_an_error(tmp_path, capsys):
+    cert_file = tmp_path / "certs.json"
+    cert_file.write_text("[]\n")
+    code, out, err = _run(capsys, "verify", str(cert_file))
+    assert (code, out) == (1, "")
+    assert err == f"error: {cert_file} holds no certificates\n"
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "[" + "1" * 5000 + "]"],
+                         ids=["bare", "in-array"])
+def test_verify_number_past_the_digit_limit_is_not_json(tmp_path, capsys,
+                                                        text):
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(text)
+    code, out, err = _run(capsys, "verify", str(cert_file))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: certificate is not valid JSON: ")
+
+
 def test_primes_human(capsys):
     code, out, err = _run(capsys, "primes", "1", "3", "--count", "2")
     assert code == 0

@@ -40,6 +40,11 @@ def test_coverable_trivial_and_validation():
         coverable(3, (2, 2, 3))
     with pytest.raises(ValueError):
         coverable(3, (2, 9))
+    # as long as first_primes(5), so only the full checks can reject them
+    with pytest.raises(ValueError, match="^9 is not prime$"):
+        coverable(3, (2, 3, 5, 7, 9))
+    with pytest.raises(ValueError, match="^primes must be distinct$"):
+        coverable(3, (2, 3, 5, 7, 7))
     with pytest.raises(ValueError):
         coverable(-1, (2,))
 

@@ -63,6 +63,11 @@ def test_coprime_iso_validation():
         coprime_iso(make_eligible(1, 3), (4, 3))
     with pytest.raises(ValueError):
         coprime_iso(make_eligible(1, 3), (3, 3))
+    # as long as first_primes(5), so only the full checks can reject them
+    with pytest.raises(ValueError, match="^9 is not prime$"):
+        coprime_iso(make_eligible(1, 3), (2, 3, 5, 7, 9))
+    with pytest.raises(ValueError, match="^primes must be distinct$"):
+        coprime_iso(make_eligible(1, 3), (2, 3, 5, 7, 7))
 
 
 def test_window_check_catches_bad_maps():
