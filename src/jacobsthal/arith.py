@@ -115,12 +115,19 @@ def first_primes(k: int) -> tuple[int, ...]:
     return tuple(_primes[:k])
 
 
-def is_first_primes(ps: tuple[int, ...]) -> bool:
-    """Whether ``ps == first_primes(len(ps))``, judged from the primes
-    already sieved: it never sieves, so it never raises, and a prefix
-    longer than the sieve so far reads False."""
-    table = _primes
-    return len(ps) <= len(table) and ps == tuple(table[:len(ps)])
+def validated_primes(primes) -> tuple[int, ...]:
+    """``primes`` sorted, once they are known to be distinct primes.  A set
+    equal to the first primes already sieved is taken with one comparison
+    (no sieving, so no ``BudgetExceeded``); any other set is checked."""
+    ps = tuple(sorted(primes))
+    if len(ps) <= len(_primes) and ps == tuple(_primes[:len(ps)]):
+        return ps
+    if len(set(ps)) != len(ps):
+        raise ValueError("primes must be distinct")
+    for p in ps:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+    return ps
 
 
 def shared_factor_flags(primes, limit: int) -> bytearray:

@@ -137,16 +137,10 @@ def _h_under(mode: str, table: KnownHTable | None,
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _largest_ds(ks, h_at):
-    """``(k, d)`` for each k of the ascending list or range ``ks``, with d
-    the largest modulus that ``(p_{k+1}**2 - 2) / (h(k) + 1) >= d``
-    certifies.  The p_{k+1} come from one slice of the first primes; a k
-    past the cw range (only a custom table has one) looks its prime up
-    when it is reached."""
-    primes = first_primes(min(ks[-1], CW_MAX_K) + 1) if ks else ()
-    for k in ks:
-        p_next = primes[k] if k < len(primes) else nth_prime(k + 1)
-        yield k, (p_next * p_next - 2) // (h_at(k)[0] + 1)
+def _largest_d(k: int, h_value: int) -> int:
+    """The largest d with ``(p_{k+1}**2 - 2) / (h + 1) >= d``."""
+    p_next = nth_prime(k + 1)
+    return (p_next * p_next - 2) // (h_value + 1)
 
 
 def bound(k: int, table: KnownHTable | None = None, *,
@@ -190,7 +184,8 @@ def min_k_for(d: int, table: KnownHTable | None = None, *,
         ks = sorted(set(table.ks()).union(range(1, policy.max_compute_k + 1)))
     # bound(k).value >= d in integers, without a BoundRow or Fraction per k
     best = 0
-    for k, largest in _largest_ds(ks, h_at):
+    for k in ks:
+        largest = _largest_d(k, h_at(k)[0])
         if largest >= d:
             return k
         best = max(best, largest)
@@ -215,21 +210,14 @@ def find_prime(ap: EligibleAP, table: KnownHTable | None = None, *,
         policy = ComputePolicy()
     k = min_k_for(ap.d, table, mode=mode, policy=policy)
     h_value, h_source = _h_under(mode, table, policy)(k)
-    qs = first_primes(k)
-    iso = coprime_iso(ap, qs)
+    iso = coprime_iso(ap, first_primes(k))
     p_next = nth_prime(k + 1)
     window = segment_of_ap_in_range(ap, 2, p_next * p_next - 1)
-    # The preimage m = (x - c)/d must be coprime to the k-primorial.  A
-    # prime q not dividing d divides c, so q | m exactly when q | x: test
-    # the small x.  For q | d, m ≡ (x - c_low)/d (mod q) with c_low the
-    # residue of c modulo d times those primes: test that small quotient.
-    d = ap.d
-    dividing = prod(q for q in qs if d % q == 0)
-    not_dividing = primorial(k) // dividing
-    c_low = iso.c % (d * dividing)
+    modulus = primorial(k)
     for x in window:
-        if gcd(x, not_dividing) == 1 and gcd((x - c_low) // d, dividing) == 1:
-            cert = PrimeCertificate(ap.a, d, k, iso.c, iso.invert(x), x,
+        m = iso.invert(x)
+        if gcd(m, modulus) == 1:
+            cert = PrimeCertificate(ap.a, ap.d, k, iso.c, m, x,
                                     h_value, h_source, mode, CHECK_NAMES)
             check = verify_certificate(cert, table, policy=policy)
             if not check.ok:  # engine bug or poisoned table — never emit
@@ -417,7 +405,8 @@ def max_provable_d(table: KnownHTable | None = None, *,
     h_at = _h_under(mode, table, ComputePolicy(max_compute_k=0))
     ks = range(CW_MIN_K, CW_MAX_K + 1) if mode == MODE_CW else table.ks()
     best, best_k = 0, None
-    for k, d in _largest_ds(ks, h_at):
+    for k in ks:
+        d = _largest_d(k, h_at(k)[0])
         if d > best:
             best, best_k = d, k
     return best, best_k

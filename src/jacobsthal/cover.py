@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from importlib import resources
 from math import gcd, prod
 
-from .arith import (crt_solve, first_primes, is_first_primes, is_prime,
-                    nth_prime, shared_factor_flags)
+# is_prime stays bound here for the benchmark's tracer (perfbench/tracing.py)
+from .arith import (crt_solve, first_primes, is_prime,  # noqa: F401
+                    nth_prime, shared_factor_flags, validated_primes)
 from .errors import (BudgetExceeded, JacobsthalError, TableParseError,
                      TableValidationError, Unavailable)
 
@@ -79,16 +80,9 @@ class ComputePolicy:
 
 
 def _validated_primes(primes) -> tuple[int, ...]:
-    ps = tuple(sorted(primes))
+    ps = validated_primes(primes)
     if not ps:
         raise ValueError("need at least one prime")
-    if is_first_primes(ps):  # the engine's own sets need no re-proof
-        return ps
-    if len(set(ps)) != len(ps):
-        raise ValueError("primes must be distinct")
-    for p in ps:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
     return ps
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .arith import crt_solve, is_first_primes, is_prime
+# is_prime stays bound here for the benchmark's tracer (perfbench/tracing.py)
+from .arith import crt_solve, is_prime, validated_primes  # noqa: F401
 from .errors import NotEligible, NotInProgression
 
 
@@ -90,13 +91,7 @@ def coprime_iso(ap: EligibleAP, primes) -> ApIso:
     >>> coprime_iso(make_eligible(1, 3), (2, 3)).c
     4
     """
-    ps = tuple(sorted(primes))
-    if not is_first_primes(ps):  # the engine's own sets need no re-proof
-        if len(set(ps)) != len(ps):
-            raise ValueError("primes must be distinct")
-        for q in ps:
-            if not is_prime(q):
-                raise ValueError(f"{q} is not prime")
+    ps = validated_primes(primes)
     # c ≡ 0 modulo each q not dividing d is c ≡ 0 modulo their product
     c, _ = crt_solve([(ap.a, ap.d), (0, prod(q for q in ps if ap.d % q))])
     return ApIso(c, ap.d)

@@ -22,7 +22,7 @@ from jacobsthal.certify import (CHECK_NAMES, MODE_CW, MODE_UNCONDITIONAL,
                                 min_k_for, prime_stream,
                                 int_to_decimal, render_thousandths,
                                 verify_certificate)
-from jacobsthal import certify, cover, progressions
+from jacobsthal import arith, certify, cover, progressions
 from jacobsthal.cover import ComputePolicy, KnownHTable, default_h_table
 from jacobsthal.errors import (JacobsthalError, NotProvable, OutOfRange)
 from jacobsthal.progressions import make_eligible
@@ -324,17 +324,7 @@ CW_LINE_SHA256 = (
     "63e02d88d40086bf766c21f412f746998b1dcf47a92dc71e6ca9bbdb51b46879")
 
 
-def _all_pairs():
-    return [make_eligible(a, d) for d in range(1, 77) for a in range(d)
-            if gcd(a, d) == 1]
-
-
-def test_certificates_are_byte_identical(shipped_table):
-    digest = hashlib.sha256()
-    for ap in _all_pairs():
-        digest.update(certificate_to_json(find_prime(ap, shipped_table))
-                      .encode())
-    assert digest.hexdigest() == ALL_PAIRS_SHA256
+def test_cw_certificates_are_byte_identical(shipped_table):
     digest = hashlib.sha256()
     for d in range(1, 43):
         cert = find_prime(make_eligible(1, d), shipped_table, mode=MODE_CW)
@@ -343,24 +333,31 @@ def test_certificates_are_byte_identical(shipped_table):
 
 
 def test_default_table_certifies_without_the_engine(monkeypatch):
-    # every h(k) that d <= 76 needs ships in the table, and the prime sets
-    # find_prime validates are first_primes(k) itself: none is re-proved
+    # every h(k) that d <= 76 needs ships in the table, the prime sets
+    # find_prime validates are first_primes(k) itself, so none is re-proved,
+    # and the certificates are the pinned ones
     def no_engine(*args, **kwargs):
         raise AssertionError("the exact search ran")
 
     monkeypatch.setattr(cover, "max_cover_length", no_engine)
     proved = []
-    for module in (progressions, cover):
+    for module in (arith, progressions, cover):
         real = module.is_prime
         monkeypatch.setattr(module, "is_prime",
                             lambda n, real=real: proved.append(n) or real(n))
     table = default_h_table()
-    pairs = _all_pairs()
-    for ap in pairs:
-        cert = find_prime(ap, table)
-        assert verify_certificate(cert, table).ok, ap
-    assert len(pairs) == 1772
+    digest = hashlib.sha256()
+    pairs = 0
+    for d in range(1, 77):
+        for a in range(d):
+            if gcd(a, d) == 1:
+                cert = find_prime(make_eligible(a, d), table)
+                assert verify_certificate(cert, table).ok, (a, d)
+                digest.update(certificate_to_json(cert).encode())
+                pairs += 1
+    assert pairs == 1772
     assert proved == []
+    assert digest.hexdigest() == ALL_PAIRS_SHA256
 
 
 def test_verify_ignores_stored_checks(good_cert, shipped_table):
@@ -418,14 +415,6 @@ def test_max_provable_d_unconditional(shipped_table):
             trimmed.set(k, entry.h, entry.source)
     assert max_provable_d(trimmed) == (71, 50)
     assert max_provable_d(KnownHTable()) == (0, None)
-    # a tabulated k past the cw range reads its p_{k+1} on its own
-    far = KnownHTable()
-    far.set(20000, 2 * nth_prime(19999), "paper")
-    p_next = nth_prime(20001)
-    largest = (p_next * p_next - 2) // (2 * nth_prime(19999) + 1)
-    assert max_provable_d(far) == (largest, 20000)
-    never = ComputePolicy(max_compute_k=0)
-    assert min_k_for(largest, far, policy=never) == 20000
 
 
 def test_max_provable_d_cw(shipped_table):
