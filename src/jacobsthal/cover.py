@@ -14,7 +14,7 @@ import threading
 import time
 from dataclasses import dataclass
 from importlib import resources
-from math import gcd, prod
+from math import prod
 
 # is_prime stays bound here for the benchmark's tracer (perfbench/tracing.py)
 from .arith import (crt_solve, first_primes, is_prime,  # noqa: F401
@@ -48,7 +48,11 @@ class CoverAssignment:
                    for p, c in zip(self.primes, self.offsets))
 
     def is_valid(self) -> bool:
-        return all(self.covers(i) for i in range(self.length))
+        marks = bytearray(max(self.length, 0))
+        for p, c in zip(self.primes, self.offsets):
+            r = c % p
+            marks[r::p] = b"\x01" * len(range(r, self.length, p))
+        return 0 not in marks
 
 
 @dataclass(frozen=True)
@@ -373,8 +377,8 @@ def verify_cover(start: int, length: int, primes) -> bool:
     """Check that ``start .. start+length-1`` each share a factor with the
     product of ``primes``.  Empty runs are trivially valid."""
     ps = _validated_primes(primes)
-    modulus = prod(ps)
-    return all(gcd(x, modulus) > 1 for x in range(start, start + length))
+    offsets = tuple(-start % p for p in ps)
+    return CoverAssignment(ps, offsets, length).is_valid()
 
 
 def witness_integer(assignment: CoverAssignment) -> CoverWitness:
@@ -425,10 +429,10 @@ def elementary_lower_witness(n: int) -> CoverWitness:
     t, _ = crt_solve([(0, small_modulus), (1, p_second), (-1 % ps[-1], ps[-1])])
     length = 2 * p_second - 1
     start = t - (p_second - 1)
-    offsets = tuple(-start % p for p in ps)
-    if not verify_cover(start, length, ps):
+    assignment = CoverAssignment(ps, tuple(-start % p for p in ps), length)
+    if not assignment.is_valid():
         raise JacobsthalError(f"internal: run from {start} is not covered")
-    return CoverWitness(start, length, CoverAssignment(ps, offsets, length))
+    return CoverWitness(start, length, assignment)
 
 
 # --- known-value table -------------------------------------------------------

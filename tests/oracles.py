@@ -10,6 +10,9 @@ hide in the oracle as well:
   sharing a factor with n;
 - ``first_longest_run`` scans one period the same way for where the first
   longest such run starts;
+- ``shares_factor_throughout`` checks a run of integers one gcd at a
+  time for each sharing a factor with a prime set, the reference for
+  ``verify_cover``;
 - ``prime_flags`` sieves the primes below a bound with no shortcut, the
   reference for ``is_prime``;
 - ``is_coprime_preserving_on_window`` checks a map ``n -> c + d*n`` one
@@ -103,6 +106,13 @@ def first_longest_run(n: int) -> tuple[int, int]:
         else:
             run = 0
     return best
+
+
+def shares_factor_throughout(start: int, length: int, primes) -> bool:
+    """True iff each of ``start .. start+length-1`` shares a factor with
+    the product of ``primes``; an empty run does."""
+    modulus = prod(primes)
+    return all(gcd(x, modulus) > 1 for x in range(start, start + length))
 
 
 def prime_flags(limit: int) -> list[bool]:

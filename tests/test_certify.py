@@ -95,11 +95,22 @@ def test_cw_upper_pinned_and_range():
             cw_upper(bad)
 
 
-@pytest.mark.parametrize("n", [50, 100, 777, 5000, 10000])
+# Every n of the conditional range, in spans that start at these points.
+_CW_SPAN_STARTS = [50, 100, 777, 5000, 10000, 10001]
+
+
+@pytest.mark.parametrize("n", _CW_SPAN_STARTS[:-1])
 def test_cw_upper_against_mpmath(n):
+    # cw_upper takes the formula in double precision, so its ceiling is
+    # exact only while each real value keeps its distance from an integer
+    stop = _CW_SPAN_STARTS[_CW_SPAN_STARTS.index(n) + 1]
     with mpmath.workdps(40):
-        value = mpmath.mpf("0.27749612254") * n * n * mpmath.log(n)
-        assert cw_upper(n) == int(mpmath.ceil(value))
+        coefficient = mpmath.mpf("0.27749612254")
+        for k in range(n, stop):
+            value = coefficient * k * k * mpmath.log(k)
+            assert cw_upper(k) == int(mpmath.ceil(value)), k
+            assert value - mpmath.floor(value) >= 1e-5, k
+            assert mpmath.ceil(value) - value >= 1e-5, k
 
 
 def test_cw_mode_bound(shipped_table):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from math import prod
 
 from jacobsthal import cover
-from jacobsthal.arith import first_primes, primorial
+from jacobsthal.arith import first_primes, nth_prime, primorial
 from jacobsthal.cover import (CoverAssignment, HSOURCE_COMPUTED, KnownHTable,
                               SearchBudget, ComputePolicy,
                               coverable, default_h_table,
@@ -19,7 +19,7 @@ from jacobsthal.cover import (CoverAssignment, HSOURCE_COMPUTED, KnownHTable,
 from jacobsthal.errors import (BudgetExceeded, JacobsthalError,
                                TableParseError, TableValidationError,
                                Unavailable)
-from oracles import g_exhaustive, prime_order_cover
+from oracles import g_exhaustive, prime_order_cover, shares_factor_throughout
 
 REMARK_ROWS = [(5, 14), (10, 46), (15, 100), (20, 174), (25, 258), (30, 330),
                (35, 432), (40, 538), (45, 642), (50, 762), (54, 858)]
@@ -225,10 +225,41 @@ def test_least_witness_pinned_and_bounds():
     assert least_witness(45, first_primes(10)) is None  # period too large
 
 
+def _agrees_with_reference(start, length, ps):
+    """verify_cover, and is_valid with each offset moved out of [0, p) by a
+    different multiple of p, against the gcd-per-position reference."""
+    expected = shares_factor_throughout(start, length, ps)
+    assert verify_cover(start, length, ps) is expected, (start, length, ps)
+    offsets = tuple(-start % p + (i % 5 - 2) * p for i, p in enumerate(ps))
+    assert CoverAssignment(ps, offsets, length).is_valid() is expected
+    return expected
+
+
 def test_verify_cover():
     assert verify_cover(2, 3, (2, 3))  # 2, 3, 4
     assert not verify_cover(2, 4, (2, 3))  # 5 is coprime to 6
     assert verify_cover(90, 0, (2, 3))  # empty run
+    # covered windows and the same windows shifted by one
+    verdicts = set()
+    for n in range(3, 16):
+        ps = first_primes(n)
+        witness = elementary_lower_witness(n)
+        for start in (witness.start - 1, witness.start, witness.start + 1):
+            verdicts.add(_agrees_with_reference(start, witness.length, ps))
+    assert verdicts == {True, False}
+    # short windows, negative starts and primes longer than the window
+    ps = first_primes(6)
+    assert {_agrees_with_reference(start, length, ps)
+            for start in range(-40, 40) for length in range(8)} == {True, False}
+
+
+def test_elementary_lower_witness_is_fast():
+    # its self-check marks each prime's class once; a gcd with the
+    # primorial per position took about ten seconds
+    started = time.perf_counter()
+    witness = elementary_lower_witness(5000)
+    assert time.perf_counter() - started < 2
+    assert witness.length == 2 * nth_prime(4999) - 1
 
 
 def test_elementary_lower_witness():
