@@ -73,7 +73,7 @@ def _ensure_sieved(bound: int) -> None:
         raise BudgetExceeded(f"refusing to sieve beyond {_SIEVE_CAP}")
     with _prime_lock:
         if bound > _sieved_to:
-            target = max(bound, min(2 * _sieved_to, _SIEVE_CAP), 1 << 16)
+            target = max(bound, min(2 * _sieved_to, _SIEVE_CAP), 1 << 10)
             # swap in a fresh list so concurrent readers see a consistent one
             _primes = _sieve(target)
             _sieved_to = target

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import json
 import re as _re
+import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd, log, prod
+from math import ceil, gcd, inf, log, prod
 
 from .arith import first_primes, is_prime, nth_prime, primorial
 from .cover import ComputePolicy, KnownHTable, default_h_table, h_of
@@ -122,21 +124,15 @@ def cw_upper(n: int) -> int:
     return ceil(CW_COEFFICIENT * n * n * log(n))
 
 
-def _h_under(mode: str, table: KnownHTable | None,
-             policy: ComputePolicy | None):
-    """The map k -> ``(h, source)`` that ``mode`` takes its h values from:
-    the exact h(k), or the conditional formula in cw mode."""
+def _h_at(k: int, table: KnownHTable | None, mode: str,
+          policy: ComputePolicy | None) -> tuple[int, str]:
+    """``(h, source)`` for index k under ``mode``: the exact h(k), or the
+    conditional formula in cw mode."""
     if mode == MODE_UNCONDITIONAL:
-        return lambda k: h_of(k, table, policy)
+        return h_of(k, table, policy)
     if mode == MODE_CW:
-        return lambda k: (cw_upper(k), HSOURCE_CW)
+        return cw_upper(k), HSOURCE_CW
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def _largest_d(k: int, h_value: int) -> int:
-    """The largest d with ``(p_{k+1}**2 - 2) / (h + 1) >= d``."""
-    p_next = nth_prime(k + 1)
-    return (p_next * p_next - 2) // (h_value + 1)
 
 
 def bound(k: int, table: KnownHTable | None = None, *,
@@ -147,7 +143,7 @@ def bound(k: int, table: KnownHTable | None = None, *,
     mode."""
     if k < 1:
         raise ValueError(f"index must be >= 1, got {k}")
-    h_value, h_source = _h_under(mode, table, policy)(k)
+    h_value, h_source = _h_at(k, table, mode, policy)
     p_next = nth_prime(k + 1)
     return BoundRow(k, p_next, h_value, h_source,
                     Fraction(p_next * p_next - 2, h_value + 1))
@@ -159,6 +155,35 @@ def bound_table(ks, table: KnownHTable | None = None, *,
     if table is None:
         table = default_h_table()
     return [bound(k, table, mode=mode, policy=policy) for k in ks]
+
+
+def _least_row(d: float, table: KnownHTable, mode: str,
+               policy: ComputePolicy) -> tuple[int, int, str]:
+    """``(k, h, source)`` at the least k whose bound certifies d.  The table
+    keeps the walk up the k until its next ``set``: a sentinel, then one
+    ``(reach, k, h, source)`` per k, reach the largest d certified so far."""
+    derived = table._derived  # read once: a set() from here on orphans it
+    key = policy.max_compute_k if mode == MODE_UNCONDITIONAL else mode
+    walk = derived.get(key)
+    if walk is None:
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        ks = range(CW_MIN_K, CW_MAX_K + 1) if mode == MODE_CW else sorted(
+            set(table.ks()).union(range(1, policy.max_compute_k + 1)))
+        walk = derived.setdefault(key, (ks, [(0,)], threading.Lock()))
+    ks, rows, lock = walk
+    with lock:
+        while rows[-1][0] < d and len(rows) <= len(ks):
+            k = ks[len(rows) - 1]
+            h_value, h_source = _h_at(k, table, mode, policy)
+            p_next = nth_prime(k + 1)  # largest d: (p_{k+1}^2 - 2) // (h + 1)
+            rows.append((max(rows[-1][0], (p_next * p_next - 2)
+                             // (h_value + 1)), k, h_value, h_source))
+    if rows[-1][0] < d:
+        raise NotProvable(f"no available bound reaches d = {d} (largest "
+                          f"provable: {rows[-1][0]})",
+                          max_provable_d=rows[-1][0])
+    return rows[bisect_left(rows, (d,))][1:]
 
 
 def min_k_for(d: int, table: KnownHTable | None = None, *,
@@ -173,21 +198,7 @@ def min_k_for(d: int, table: KnownHTable | None = None, *,
         table = default_h_table()
     if policy is None:
         policy = ComputePolicy()
-    h_at = _h_under(mode, table, policy)
-    if mode == MODE_CW:
-        ks = range(CW_MIN_K, CW_MAX_K + 1)
-    else:
-        ks = sorted(set(table.ks()).union(range(1, policy.max_compute_k + 1)))
-    # bound(k).value >= d in integers, without a BoundRow or Fraction per k
-    best = 0
-    for k in ks:
-        largest = _largest_d(k, h_at(k)[0])
-        if largest >= d:
-            return k
-        best = max(best, largest)
-    raise NotProvable(
-        f"no available bound reaches d = {d} (largest provable: {best})",
-        max_provable_d=best)
+    return _least_row(d, table, mode, policy)[0]
 
 
 def find_prime(ap: EligibleAP, table: KnownHTable | None = None, *,
@@ -204,8 +215,7 @@ def find_prime(ap: EligibleAP, table: KnownHTable | None = None, *,
         table = default_h_table()
     if policy is None:
         policy = ComputePolicy()
-    k = min_k_for(ap.d, table, mode=mode, policy=policy)
-    h_value, h_source = _h_under(mode, table, policy)(k)
+    k, h_value, h_source = _least_row(ap.d, table, mode, policy)
     iso = coprime_iso(ap, first_primes(k))
     p_next = nth_prime(k + 1)
     window = segment_of_ap_in_range(ap, 2, p_next * p_next - 1)
@@ -398,14 +408,12 @@ def max_provable_d(table: KnownHTable | None = None, *,
     """
     if table is None:
         table = default_h_table()
-    h_at = _h_under(mode, table, ComputePolicy(max_compute_k=0))
-    ks = range(CW_MIN_K, CW_MAX_K + 1) if mode == MODE_CW else table.ks()
-    best, best_k = 0, None
-    for k in ks:
-        d = _largest_d(k, h_at(k)[0])
-        if d > best:
-            best, best_k = d, k
-    return best, best_k
+    policy = ComputePolicy(max_compute_k=0)
+    try:  # no bound reaches inf: this walks to the end
+        _least_row(inf, table, mode, policy)
+    except NotProvable as exc:
+        best = exc.max_provable_d
+    return best, (_least_row(best, table, mode, policy)[0] if best else None)
 
 
 # --- serialization -----------------------------------------------------------

@@ -468,6 +468,7 @@ class KnownHTable:
 
     def __init__(self, entries: dict[int, HEntry] | None = None):
         self._entries: dict[int, HEntry] = dict(entries or {})
+        self._derived: dict = {}  # what callers derive from the rows
         self._lock = threading.Lock()
         self._compute_lock = threading.Lock()
         for k, e in self._entries.items():
@@ -486,6 +487,7 @@ class KnownHTable:
                 f"witness length {witness.length} does not match h-1 = {h - 1}")
         with self._lock:
             self._entries[k] = HEntry(h, source, witness)
+            self._derived = {}  # so no caller reads it against old rows
 
     def ks(self) -> list[int]:
         return sorted(self._entries)

@@ -17,7 +17,10 @@ hide in the oracle as well:
   reference for ``is_prime``;
 - ``is_coprime_preserving_on_window`` checks a map ``n -> c + d*n`` one
   input at a time for sending integers coprime to a prime set to images
-  coprime to it.
+  coprime to it;
+- ``least_k_walk`` and ``max_d_walk`` walk the bound table from its first
+  k on every call, the reference for ``certify.min_k_for`` and
+  ``certify.max_provable_d``, which keep one walk per table.
 """
 
 from math import gcd, prod
@@ -148,3 +151,30 @@ def is_coprime_preserving_on_window(iso, primes, window: int) -> bool:
         if gcd(n, modulus) == 1 and gcd(c + d * n, modulus) != 1:
             return False
     return True
+
+
+def least_k_walk(d: int, ks, h_at) -> tuple[str, int]:
+    """``("k", k)`` for the first k of the ascending ``ks`` with
+    ``(p_{k+1}^2 - 2)/(h_at(k) + 1) >= d``, else ``("max", best)`` with the
+    largest d any of them reaches.  Looks up h for each k it passes, in
+    order, on every call."""
+    best = 0
+    for k in ks:
+        p_next = sympy.sieve[k + 1]
+        largest = (p_next * p_next - 2) // (h_at(k) + 1)
+        if largest >= d:
+            return "k", k
+        best = max(best, largest)
+    return "max", best
+
+
+def max_d_walk(ks, h_at) -> tuple[int, int | None]:
+    """The largest d any k of ``ks`` reaches, with the first k that reaches
+    it; ``(0, None)`` when none reaches a d >= 1."""
+    best, best_k = 0, None
+    for k in ks:
+        p_next = sympy.sieve[k + 1]
+        largest = (p_next * p_next - 2) // (h_at(k) + 1)
+        if largest > best:
+            best, best_k = largest, k
+    return best, best_k

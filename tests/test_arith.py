@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 import sympy
 from hypothesis import given
@@ -61,6 +65,26 @@ def test_nth_prime_specials():
     assert nth_prime(10001) == 104743
     with pytest.raises(ValueError):
         nth_prime(0)
+
+
+def test_a_fresh_process_sieves_only_what_it_reads():
+    # loading the table reads primes up to p_53 = 241, and factorize the
+    # primes up to 100000: one sieve each, with no larger floor behind them
+    import jacobsthal
+    src = os.path.dirname(os.path.dirname(jacobsthal.__file__))
+    script = ("from jacobsthal import arith, default_h_table\n"
+              "sieves = []\n"
+              "real = arith._sieve\n"
+              "arith._sieve = lambda n: sieves.append(n) or real(n)\n"
+              "default_h_table()\n"
+              "print(*sieves)\n"
+              "arith.factorize(2 ** 61 - 1)\n"
+              "print(*sieves)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["1024", "1024 100000"]
 
 
 def test_first_primes_and_primorial():

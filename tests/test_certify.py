@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import sys
+import threading
 import time
 from dataclasses import replace
 from decimal import Decimal, ROUND_HALF_UP, localcontext
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from jacobsthal.arith import first_primes, nth_prime, primorial
 from jacobsthal.certify import (CHECK_NAMES, MODE_CW, MODE_UNCONDITIONAL,
-                                PrimeCertificate, bound, bound_table,
+                                MODES, PrimeCertificate, bound, bound_table,
                                 certificate_from_json, certificate_to_json,
                                 cw_upper, find_prime, max_provable_d,
                                 min_k_for, prime_stream,
@@ -26,6 +27,7 @@ from jacobsthal import arith, certify, cover, progressions
 from jacobsthal.cover import ComputePolicy, KnownHTable, default_h_table
 from jacobsthal.errors import (JacobsthalError, NotProvable, OutOfRange)
 from jacobsthal.progressions import make_eligible
+from oracles import least_k_walk, max_d_walk
 
 REMARK_TABLE = [
     (5, 13, 14, "11.133"),
@@ -150,6 +152,173 @@ def test_min_k_cw(shipped_table):
     with pytest.raises(NotProvable) as err:
         min_k_for(43, shipped_table, mode=MODE_CW)
     assert err.value.max_provable_d == 42
+
+
+def _copy_rows(table, keep=lambda k: True):
+    copy = KnownHTable()
+    for k in table.ks():
+        if keep(k):
+            entry = table.get(k)
+            copy.set(k, entry.h, entry.source)
+    return copy
+
+
+def _reference_walk(table, mode, cap):
+    """The k that min_k_for walks, with their h, for the reference walk."""
+    if mode == MODE_CW:
+        return range(certify.CW_MIN_K, certify.CW_MAX_K + 1), cw_upper
+    policy = ComputePolicy(max_compute_k=cap)
+    ks = sorted(set(table.ks()) | set(range(1, cap + 1)))
+    return ks, lambda k: cover.h_of(k, table, policy)[0]
+
+
+def _outcome(d, table, mode, policy=None):
+    """min_k_for as ``("k", k)``, or ``("max", best)`` from its NotProvable
+    after checking the message."""
+    try:
+        return "k", min_k_for(d, table, mode=mode, policy=policy)
+    except NotProvable as exc:
+        best = exc.max_provable_d
+        assert str(exc) == (f"no available bound reaches d = {d} "
+                            f"(largest provable: {best})")
+        return "max", best
+
+
+TABLE_VARIANTS = {
+    "shipped": lambda t: _copy_rows(t),
+    "k<=50": lambda t: _copy_rows(t, lambda k: k <= 50),
+    "no 50, 54": lambda t: _copy_rows(t, lambda k: k not in (50, 54)),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("variant", sorted(TABLE_VARIANTS))
+def test_min_k_for_matches_the_reference_walk(shipped_table, variant, mode,
+                                              monkeypatch):
+    # one table, every d in 1..80 in shuffled order: the kept walk answers
+    # each as a walk from the first k would, and walks each k once, in order
+    table = TABLE_VARIANTS[variant](shipped_table)
+    ks, h_at = _reference_walk(table, mode, ComputePolicy().max_compute_k)
+    looked_up = []
+    real = certify._h_at
+    monkeypatch.setattr(certify, "_h_at",
+                        lambda k, *rest: looked_up.append(k) or real(k, *rest))
+    ds = list(range(1, 81))
+    random.Random(11).shuffle(ds)
+    for d in ds:
+        assert _outcome(d, table, mode) == least_k_walk(d, ks, h_at), d
+    assert looked_up == list(ks)  # some d past 76 walked to the end
+    max_ks, max_h_at = _reference_walk(table, mode, 0)
+    assert max_provable_d(table, mode=mode) == max_d_walk(max_ks, max_h_at)
+
+
+def test_min_k_for_computes_what_the_reference_walk_computes():
+    # from an empty table with cap 3, the engine fills in h(1..3) only as
+    # the walk reaches them: after every d, the same rows as the reference
+    engine, reference = KnownHTable(), KnownHTable()
+    policy = ComputePolicy(max_compute_k=3)
+    ks, h_at = _reference_walk(reference, MODE_UNCONDITIONAL, 3)
+    ds = list(range(1, 81))
+    random.Random(5).shuffle(ds)
+    for d in ds:
+        assert _outcome(d, engine, MODE_UNCONDITIONAL, policy) == (
+            least_k_walk(d, ks, h_at)), d
+        assert engine.ks() == reference.ks(), d
+    assert engine.ks() == [1, 2, 3]
+    assert max_provable_d(engine) == (6, 3)
+    assert max_provable_d(KnownHTable()) == (0, None)
+
+
+def test_min_k_for_cw_walk_stays_lazy(monkeypatch):
+    # a cold cw question looks up only the k it needs, and a later one
+    # within reach looks up none
+    looked_up = []
+    real = certify.cw_upper
+    monkeypatch.setattr(certify, "cw_upper",
+                        lambda k: looked_up.append(k) or real(k))
+    table = KnownHTable()
+    assert min_k_for(19, table, mode=MODE_CW) == 50
+    assert looked_up == [50]
+    assert min_k_for(42, table, mode=MODE_CW) == 8119
+    assert looked_up == list(range(50, 8120))
+    assert min_k_for(30, table, mode=MODE_CW) < 8119
+    assert len(looked_up) == 8070
+
+
+def test_min_k_for_sees_every_set(shipped_table):
+    # a row raised after a walk takes d = 76 out of reach, as on a fresh
+    # table; a row added back brings it into reach again
+    table = _copy_rows(shipped_table)
+    assert min_k_for(76, table) == 54
+    table.set(54, 900, "paper")
+    fresh = _copy_rows(table)
+    with pytest.raises(NotProvable) as err:
+        min_k_for(76, table)
+    with pytest.raises(NotProvable) as expected:
+        min_k_for(76, fresh)
+    assert err.value.max_provable_d == expected.value.max_provable_d == 73
+    assert str(err.value) == str(expected.value)
+    assert max_provable_d(table) == max_provable_d(fresh) == (73, 54)
+    table.set(54, 858, "paper")
+    assert min_k_for(76, table) == 54
+    trimmed = _copy_rows(shipped_table, lambda k: k != 54)
+    with pytest.raises(NotProvable):
+        min_k_for(76, trimmed)
+    trimmed.set(54, 858, "paper")
+    assert min_k_for(76, trimmed) == 54
+    assert max_provable_d(trimmed) == (76, 54)
+
+
+@pytest.mark.parametrize("computed", [False, True])
+def test_min_k_for_agrees_across_threads(shipped_table, computed):
+    # four threads start together on one fresh table, five times over;
+    # with ``computed`` the rows k <= 12 are missing, so the walks run the
+    # engine and its inserts drop them mid-walk
+    keep = (lambda k: k > 12) if computed else (lambda k: True)
+    ks, h_at = _reference_walk(_copy_rows(shipped_table, keep),
+                               MODE_UNCONDITIONAL,
+                               ComputePolicy().max_compute_k)
+    expected = {d: least_k_walk(d, ks, h_at) for d in range(1, 77)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch often, so the walks interleave
+    try:
+        for _ in range(5):
+            table = _copy_rows(shipped_table, keep)
+            start = threading.Barrier(4)
+            results = [dict() for _ in range(4)]
+
+            def work(seed):
+                ds = list(range(1, 77))
+                random.Random(seed).shuffle(ds)
+                start.wait()
+                for d in ds:
+                    results[seed][d] = _outcome(d, table, MODE_UNCONDITIONAL)
+
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_warm_find_prime_looks_up_h_once(monkeypatch):
+    # once the table's walk has reached d, find_prime takes k and h from it
+    # and only verify's h-consistent clause asks for h(k)
+    table = default_h_table()
+    find_prime(make_eligible(1, 76), table)
+    looked_up = []
+    real = certify.h_of
+    monkeypatch.setattr(certify, "h_of",
+                        lambda k, *rest: looked_up.append(k) or real(k, *rest))
+    for a, d in ((1, 76), (3, 76), (1, 5), (2, 33), (0, 1)):
+        looked_up.clear()
+        cert = find_prime(make_eligible(a, d), table)
+        assert looked_up == [cert.k], (a, d)
 
 
 def test_lemma_sweep_is_exact():
@@ -321,8 +490,10 @@ def test_verify_names_the_first_missing_factor(shipped_table, index):
 def test_verify_makes_no_closure_cells():
     # A cell is a garbage-collected object allocated on every call; one more
     # per verify moves the collector's gen-0 trigger into the verify call.
+    # The same holds for the bound walk that find_prime reads.
     for fn in (verify_certificate, certify._first_missing_factor,
-               certify._shares_a_prime, certify._h_consistency):
+               certify._shares_a_prime, certify._h_consistency, min_k_for,
+               find_prime, certify._least_row, certify._h_at):
         assert fn.__code__.co_cellvars == (), fn.__name__
 
 
