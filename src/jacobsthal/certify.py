@@ -99,8 +99,11 @@ class PrimeCertificate:
 
 @dataclass(frozen=True)
 class CertificateCheck:
-    ok: bool
     failures: tuple[str, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 def render_thousandths(value: Fraction) -> str:
@@ -127,7 +130,8 @@ def cw_upper(n: int) -> int:
 def _h_at(k: int, table: KnownHTable | None, mode: str,
           policy: ComputePolicy | None) -> tuple[int, str]:
     """``(h, source)`` for index k under ``mode``: the exact h(k), or the
-    conditional formula in cw mode."""
+    conditional formula in cw mode.  find_prime's walk, ``bound`` and
+    verify's h-consistent clause all read the bound from here."""
     if mode == MODE_UNCONDITIONAL:
         return h_of(k, table, policy)
     if mode == MODE_CW:
@@ -251,12 +255,12 @@ def verify_certificate(cert: PrimeCertificate,
         policy = ComputePolicy()
     failures: list[str] = []
     if cert.mode not in MODES:
-        return CertificateCheck(False, (f"unknown mode {cert.mode!r}",))
+        return CertificateCheck((f"unknown mode {cert.mode!r}",))
     if cert.k < 1 or cert.k > 100_000:
-        return CertificateCheck(False, (f"index k = {cert.k} out of range",))
+        return CertificateCheck((f"index k = {cert.k} out of range",))
     if cert.d < 1 or not 0 <= cert.a < cert.d or gcd(cert.a, cert.d) != 1:
         return CertificateCheck(
-            False, ("eligible: a + dZ is not an eligible progression",))
+            ("eligible: a + dZ is not an eligible progression",))
     qs = first_primes(cert.k)
     if cert.c % cert.d != cert.a:
         failures.append("congruences: c does not lie in a + dZ")
@@ -283,7 +287,7 @@ def verify_certificate(cert: PrimeCertificate,
     except BudgetExceeded:  # only past 3.3e24, far outside the range clause
         failures.append("primality: prime exceeds the deterministic test's "
                         "range")
-    return CertificateCheck(not failures, tuple(failures))
+    return CertificateCheck(tuple(failures))
 
 
 def _first_missing_factor(c: int, d: int, qs: tuple[int, ...]) -> int | None:
@@ -321,25 +325,20 @@ def _h_consistency(cert: PrimeCertificate, table: KnownHTable,
                    policy: ComputePolicy) -> list[str]:
     if cert.h_value < 1:
         return [f"h-consistent: impossible h_value {cert.h_value}"]
-    if cert.mode == MODE_CW:
-        if cert.h_source != HSOURCE_CW:
-            return ["h-consistent: cw mode requires the cw source"]
-        try:
-            expected = cw_upper(cert.k)
-        except OutOfRange:
-            return [f"h-consistent: k = {cert.k} outside the conditional range"]
-        if expected != cert.h_value:
-            return [f"h-consistent: conditional bound for k = {cert.k} is "
-                    f"{expected}, certificate says {cert.h_value}"]
-        return []
-    if cert.h_source == HSOURCE_CW:
-        return ["h-consistent: unconditional mode with conditional source"]
+    cw = cert.mode == MODE_CW
+    if cw != (cert.h_source == HSOURCE_CW):
+        return ["h-consistent: cw mode requires the cw source" if cw else
+                "h-consistent: unconditional mode with conditional source"]
     try:
-        expected, _ = h_of(cert.k, table, policy)
+        expected, _ = _h_at(cert.k, table, cert.mode, policy)
+    except OutOfRange:
+        return [f"h-consistent: k = {cert.k} outside the conditional range"]
     except JacobsthalError as exc:
         return [f"h-consistent: cannot confirm h({cert.k}) here ({exc})"]
     if expected != cert.h_value:
-        return [f"h-consistent: h({cert.k}) = {expected}, certificate says "
+        named = (f"conditional bound for k = {cert.k} is" if cw
+                 else f"h({cert.k}) =")
+        return [f"h-consistent: {named} {expected}, certificate says "
                 f"{cert.h_value}"]
     return []
 

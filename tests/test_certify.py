@@ -400,17 +400,47 @@ def test_verify_bound_clause_alone(good_cert, shipped_table):
 
 
 def test_verify_h_consistency(good_cert, shipped_table):
-    text = _failures(replace(good_cert, h_value=100), shipped_table)
-    assert "h-consistent" in text and "h(2) = 4" in text
-    text = _failures(replace(good_cert, h_source="cw"), shipped_table)
-    assert "conditional source" in text
-    text = _failures(replace(good_cert, mode=MODE_CW, h_source="cw"),
-                     shipped_table)
-    assert "outside the conditional range" in text
-    text = _failures(replace(good_cert, k=21, h_value=190), shipped_table)
-    assert "cannot confirm h(21)" in text
-    text = _failures(replace(good_cert, h_value=-1), shipped_table)
-    assert "impossible h_value -1" in text and "bound:" in text
+    # every outcome of the h-consistent clause, word for word
+    cw_cert = find_prime(make_eligible(1, 3), shipped_table, mode=MODE_CW)
+    cases = [
+        (replace(good_cert, h_value=-1),
+         "h-consistent: impossible h_value -1"),
+        (replace(cw_cert, h_source="paper"),
+         "h-consistent: cw mode requires the cw source"),
+        (replace(good_cert, mode=MODE_CW, h_source="cw"),
+         "h-consistent: k = 2 outside the conditional range"),
+        (replace(cw_cert, h_value=2715),
+         "h-consistent: conditional bound for k = 50 is 2714, certificate "
+         "says 2715"),
+        (replace(good_cert, h_source="cw"),
+         "h-consistent: unconditional mode with conditional source"),
+        (replace(good_cert, k=21, h_value=190),
+         "h-consistent: cannot confirm h(21) here (h(21) is not tabulated "
+         "and k exceeds the compute cap 12)"),
+        (replace(good_cert, h_value=100),
+         "h-consistent: h(2) = 4, certificate says 100"),
+    ]
+    for forged, expected in cases:
+        check = verify_certificate(forged, shipped_table)
+        assert not check.ok
+        assert [f for f in check.failures
+                if f.startswith("h-consistent")] == [expected]
+    assert "bound:" in _failures(replace(good_cert, h_value=-1),
+                                 shipped_table)
+
+
+def test_find_and_verify_read_one_h_lookup(monkeypatch):
+    # a cw bound raised by one reaches find_prime's walk and verify's
+    # h-consistent clause alike, so the certificate it yields verifies
+    real = certify._h_at
+    monkeypatch.setattr(
+        certify, "_h_at",
+        lambda k, table, mode, policy: (cw_upper(k) + 1, "cw")
+        if mode == MODE_CW else real(k, table, mode, policy))
+    table = default_h_table()
+    cert = find_prime(make_eligible(1, 3), table, mode=MODE_CW)
+    assert (cert.k, cert.h_value, cert.h_source) == (50, 2715, "cw")
+    assert verify_certificate(cert, table).ok
 
 
 def test_verify_rejects_garbage_mode(good_cert, shipped_table):
