@@ -24,8 +24,7 @@ from .errors import (BudgetExceeded, JacobsthalError, NonCoprimeModuli,
                      NotEligible, NotInProgression, NotProvable, OutOfRange,
                      TableParseError, TableValidationError, Unavailable)
 from .gaps import GapScanResult, g_of
-from .progressions import (ApIso, EligibleAP, coprime_iso, make_eligible,
-                           segment_of_ap_in_range)
+from .progressions import ApIso, EligibleAP, coprime_iso, make_eligible
 
 __version__ = "0.1.0"
 
@@ -43,6 +42,6 @@ __all__ = [
     "g_of", "h_of", "is_prime", "least_witness", "load_h_table",
     "make_eligible", "max_cover_length", "max_provable_d", "min_k_for",
     "nth_prime", "prime_stream", "primes_upto", "primorial",
-    "render_thousandths", "segment_of_ap_in_range", "verify_certificate",
+    "render_thousandths", "verify_certificate",
     "verify_cover", "witness_integer", "__version__",
 ]

@@ -25,7 +25,7 @@ from math import ceil, gcd, inf, log, prod
 from .arith import first_primes, is_prime, nth_prime, primorial
 from .cover import ComputePolicy, KnownHTable, default_h_table, h_of
 from .errors import BudgetExceeded, JacobsthalError, NotProvable, OutOfRange
-from .progressions import EligibleAP, coprime_iso, segment_of_ap_in_range
+from .progressions import EligibleAP, coprime_iso
 
 MODE_UNCONDITIONAL = "unconditional"
 MODE_CW = "cw"
@@ -211,23 +211,22 @@ def find_prime(ap: EligibleAP, table: KnownHTable | None = None, *,
     """Produce a verified prime certificate for an eligible progression.
 
     Deterministic: picks the minimal usable k, builds the canonical
-    coprimality-preserving map, and scans the progression's elements in
-    ``[2, p_{k+1}**2 - 1]`` upward for the first one whose preimage is
-    coprime to the k-primorial.
+    coprimality-preserving map ``m -> c + d*m``, and scans upward the
+    preimages m whose images lie in ``[2, p_{k+1}**2 - 1]`` for the first
+    one coprime to the k-primorial.  The map is increasing, so those m are
+    one range and the first hit is the least such element of the window.
     """
     if table is None:
         table = default_h_table()
     if policy is None:
         policy = ComputePolicy()
     k, h_value, h_source = _least_row(ap.d, table, mode, policy)
-    iso = coprime_iso(ap, first_primes(k))
+    c = coprime_iso(ap, first_primes(k)).c
     p_next = nth_prime(k + 1)
-    window = segment_of_ap_in_range(ap, 2, p_next * p_next - 1)
     modulus = primorial(k)
-    for x in window:
-        m = iso.invert(x)
+    for m in range((1 - c) // ap.d + 1, (p_next * p_next - 1 - c) // ap.d + 1):
         if gcd(m, modulus) == 1:
-            cert = PrimeCertificate(ap.a, ap.d, k, iso.c, m, x,
+            cert = PrimeCertificate(ap.a, ap.d, k, c, m, c + ap.d * m,
                                     h_value, h_source, mode, CHECK_NAMES)
             check = verify_certificate(cert, table, policy=policy)
             if not check.ok:  # engine bug or poisoned table — never emit
@@ -330,7 +329,7 @@ def _h_consistency(cert: PrimeCertificate, table: KnownHTable,
         return ["h-consistent: cw mode requires the cw source" if cw else
                 "h-consistent: unconditional mode with conditional source"]
     try:
-        expected, _ = _h_at(cert.k, table, cert.mode, policy)
+        expected, source = _h_at(cert.k, table, cert.mode, policy)
     except OutOfRange:
         return [f"h-consistent: k = {cert.k} outside the conditional range"]
     except JacobsthalError as exc:
@@ -340,6 +339,9 @@ def _h_consistency(cert: PrimeCertificate, table: KnownHTable,
                  else f"h({cert.k}) =")
         return [f"h-consistent: {named} {expected}, certificate says "
                 f"{cert.h_value}"]
+    if source != cert.h_source:
+        return [f"h-consistent: h({cert.k}) comes from {source}, "
+                f"certificate says {cert.h_source}"]
     return []
 
 

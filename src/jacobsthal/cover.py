@@ -193,10 +193,6 @@ class _Search:
     #
     # The wheel's inner search, and the whole search when no wheel fits.
 
-    def search_positions(self) -> dict[int, int] | None:
-        caps = [-(-self.length // p) for p in self.primes]
-        return self._dfs_pos(self.full, tuple(range(len(self.primes))), caps)
-
     def _dfs_pos(self, uncov: int, rem: tuple[int, ...],
                  caps: list[int]) -> dict[int, int] | None:
         self._tick()
@@ -265,8 +261,7 @@ class _Search:
                and self.primes[width] <= self.length // 4):
             product *= self.primes[width]
             width += 1
-        if width == 0:
-            return self.search_positions()
+        # At width 0 no wheel fits and _wheel_rec is the positions search.
         # Reflection x -> length-1-x maps covers to covers, acting on each
         # offset as c -> (length-1-c) mod p.  Keep one offset per orbit at
         # the first wheel prime the action moves (it fixes offsets of 2
@@ -459,20 +454,18 @@ def _validate_h(k: int, h: int) -> None:
 class KnownHTable:
     """Known values of the primorial Jacobsthal function h(k).
 
-    Read-mostly; writes go through :meth:`set` under a lock, and entries
-    computed by the engine carry their verified witness in memory (the text
-    format only persists ``k,h,source``).  :func:`h_of` holds a second lock
-    from its miss to its insert, so threads sharing a table compute each
-    missing value once.
+    Read-mostly; rows enter only through :meth:`set`, which checks them and
+    writes under a lock, and entries computed by the engine carry their
+    verified witness in memory (the text format only persists
+    ``k,h,source``).  :func:`h_of` holds a second lock from its miss to its
+    insert, so threads sharing a table compute each missing value once.
     """
 
-    def __init__(self, entries: dict[int, HEntry] | None = None):
-        self._entries: dict[int, HEntry] = dict(entries or {})
+    def __init__(self):
+        self._entries: dict[int, HEntry] = {}
         self._derived: dict = {}  # what callers derive from the rows
         self._lock = threading.Lock()
         self._compute_lock = threading.Lock()
-        for k, e in self._entries.items():
-            _validate_h(k, e.h)
 
     def get(self, k: int) -> HEntry | None:
         return self._entries.get(k)

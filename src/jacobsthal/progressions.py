@@ -1,4 +1,4 @@
-"""Arithmetic progressions, their windows, and coprimality-preserving maps.
+"""Arithmetic progressions and coprimality-preserving maps onto them.
 
 The map ``n -> c + d*n`` is an order isomorphism from the integers onto the
 progression ``(c mod d) + dZ``.  When c is chosen so that every prime q in a
@@ -96,11 +96,3 @@ def coprime_iso(ap: EligibleAP, primes) -> ApIso:
     c, _ = crt_solve([(ap.a, ap.d), (0, prod(q for q in ps if ap.d % q))])
     return ApIso(c, ap.d)
 
-
-def segment_of_ap_in_range(ap: EligibleAP, lo: int, hi: int) -> range:
-    """Elements of the progression inside ``[lo, hi]`` as a range
-    (possibly empty).  Requires ``lo <= hi + 1``.
-    """
-    if lo > hi + 1:
-        raise ValueError(f"empty range bounds out of order: [{lo}, {hi}]")
-    return range(lo + (ap.a - lo) % ap.d, hi + 1, ap.d)

@@ -402,6 +402,7 @@ def test_verify_bound_clause_alone(good_cert, shipped_table):
 def test_verify_h_consistency(good_cert, shipped_table):
     # every outcome of the h-consistent clause, word for word
     cw_cert = find_prime(make_eligible(1, 3), shipped_table, mode=MODE_CW)
+    seven = find_prime(make_eligible(1, 7), shipped_table)
     cases = [
         (replace(good_cert, h_value=-1),
          "h-consistent: impossible h_value -1"),
@@ -419,6 +420,10 @@ def test_verify_h_consistency(good_cert, shipped_table):
          "and k exceeds the compute cap 12)"),
         (replace(good_cert, h_value=100),
          "h-consistent: h(2) = 4, certificate says 100"),
+        (replace(seven, h_source="made-up"),
+         "h-consistent: h(4) comes from computed, certificate says made-up"),
+        (replace(seven, h_source="paper"),
+         "h-consistent: h(4) comes from computed, certificate says paper"),
     ]
     for forged, expected in cases:
         check = verify_certificate(forged, shipped_table)

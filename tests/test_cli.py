@@ -125,19 +125,16 @@ def test_h_search_coverable(capsys):
 
 
 def _reference_cover(search, length, primes):
-    # the wheel engine, its positions routine, or the independent
-    # prime-order oracle, called directly rather than through the CLI
+    # the wheel engine or the independent prime-order oracle, called
+    # directly rather than through the CLI
     from jacobsthal.cover import _Search
     from oracles import prime_order_cover
     if search == "prime-order":
         return prime_order_cover(length, primes)
-    engine = _Search(length, primes, None)
-    if search == "positions":
-        return engine.search_positions()
-    return engine.search_wheel()
+    return _Search(length, primes, None).search_wheel()
 
 
-@pytest.mark.parametrize("search", ["wheel", "positions", "prime-order"])
+@pytest.mark.parametrize("search", ["wheel", "prime-order"])
 def test_h_search_strategies_agree(capsys, search):
     # the CLI's decision against each search run directly
     from jacobsthal.cover import verify_cover

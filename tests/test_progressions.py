@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from math import gcd, prod
 
 from jacobsthal.progressions import (ApIso, EligibleAP, coprime_iso,
-                                     make_eligible, segment_of_ap_in_range)
+                                     make_eligible)
 from jacobsthal.errors import NotEligible, NotInProgression
 from oracles import is_coprime_preserving_on_window
 
@@ -119,29 +119,3 @@ def test_preimage_preserves_length(ap_primes, n0, length):
     seg = range(iso(n0), iso(n0 + length), ap.d)
     assert [iso.invert(x) for x in seg] == list(range(n0, n0 + length))
 
-
-def test_segment_of_ap_in_range():
-    ap = make_eligible(2, 7)
-    seg = segment_of_ap_in_range(ap, 2, 120)
-    assert seg.start == 2 and seg.step == 7
-    assert seg[-1] == 114 and len(seg) == 17
-    assert all(x % ap.d == ap.a for x in seg)
-    empty = segment_of_ap_in_range(ap, 3, 8)
-    assert len(empty) == 0
-    single = segment_of_ap_in_range(ap, 9, 9)
-    assert list(single) == [9]
-    with pytest.raises(ValueError):
-        segment_of_ap_in_range(ap, 10, 5)
-    big = segment_of_ap_in_range(ap, 2**64 + 1, 2**64 + 100)
-    assert big[0] == 2**64 + 7 and big[-1] == 2**64 + 98 and len(big) == 14
-    assert all(x % ap.d == ap.a for x in big)
-
-
-@given(st.integers(1, 60), st.integers(-500, 500), st.integers(-500, 500))
-def test_segment_of_ap_in_range_is_exact(d, lo, span):
-    hi = lo + abs(span)
-    residues = [a for a in range(d) if gcd(a, d) == 1 and (a or d == 1)]
-    ap = make_eligible(residues[0], d)
-    seg = segment_of_ap_in_range(ap, lo, hi)
-    expected = [x for x in range(lo, hi + 1) if x % ap.d == ap.a]
-    assert list(seg) == expected

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -38,3 +39,31 @@ def test_package_imports_only_the_standard_library():
         found += [f"{name}:{node.lineno} {module}" for module in modules
                   if module.split(".")[0] not in sys.stdlib_module_names]
     assert found == []
+
+
+def _references(node, name):
+    """Loads of ``name`` under ``node``, skipping the body of a function or
+    class that defines it (recursion is no use from outside)."""
+    if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name == name):
+        return 0
+    found = int(isinstance(node, ast.Name) and node.id == name
+                and isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.Attribute) and node.attr == name)
+    return found + sum(_references(child, name)
+                       for child in ast.iter_child_nodes(node))
+
+
+def test_every_export_has_a_user_or_a_readme_entry():
+    # an export that only tests use is surface without a product reason:
+    # each public name is used by the package beyond its own definition or
+    # documented in the README
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES
+             if path.name != "__init__.py"]
+    readme = (Path(__file__).parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    unused = [name for name in jacobsthal.__all__
+              if not name.startswith("__")
+              and not any(_references(tree, name) for tree in trees)
+              and not re.search(rf"\b{name}\b", readme)]
+    assert unused == []
