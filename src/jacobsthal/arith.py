@@ -11,6 +11,7 @@ import math
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import BudgetExceeded, JacobsthalError, NonCoprimeModuli
 
@@ -51,18 +52,20 @@ def crt_solve(congruences) -> tuple[int, int]:
 
 # --- prime generation -------------------------------------------------------
 
+# The primes sieved so far, ascending, in one immutable tuple: first_primes
+# hands out slices of it, and a larger sieve swaps in a new tuple.
 _prime_lock = threading.Lock()
-_primes: list[int] = []
+_primes: tuple[int, ...] = ()
 _sieved_to = 1
 
 
-def _sieve(bound: int) -> list[int]:
+def _sieve(bound: int) -> tuple[int, ...]:
     flags = bytearray([1]) * (bound + 1)
     flags[0:2] = b"\x00\x00"
     for p in range(2, math.isqrt(bound) + 1):
         if flags[p]:
             flags[p * p :: p] = b"\x00" * ((bound - p * p) // p + 1)
-    return [i for i, f in enumerate(flags) if f]
+    return tuple(compress(range(bound + 1), flags))
 
 
 def _ensure_sieved(bound: int) -> None:
@@ -74,7 +77,7 @@ def _ensure_sieved(bound: int) -> None:
     with _prime_lock:
         if bound > _sieved_to:
             target = max(bound, min(2 * _sieved_to, _SIEVE_CAP), 1 << 10)
-            # swap in a fresh list so concurrent readers see a consistent one
+            # swap in a fresh tuple so concurrent readers see a consistent one
             _primes = _sieve(target)
             _sieved_to = target
 
@@ -85,7 +88,7 @@ def primes_upto(bound: int) -> list[int]:
         return []
     _ensure_sieved(bound)
     table = _primes
-    return table[: bisect_right(table, bound)]
+    return list(table[: bisect_right(table, bound)])
 
 
 def nth_prime(k: int) -> int:
@@ -105,22 +108,23 @@ def nth_prime(k: int) -> int:
 
 
 def first_primes(k: int) -> tuple[int, ...]:
-    """The first ``k`` primes as a tuple."""
+    """The first ``k`` primes as a tuple: a slice of the sieved primes."""
     if k < 0:
         raise ValueError(f"count must be >= 0, got {k}")
     if k == 0:
         return ()
     nth_prime(k)
-    return tuple(_primes[:k])
+    return _primes[:k]
 
 
 def validated_primes(primes) -> tuple[int, ...]:
-    """``primes`` sorted, once they are known to be distinct primes.  A set
-    equal to the first primes already sieved is taken with one comparison
-    (no sieving, so no ``BudgetExceeded``); any other set is checked."""
+    """``primes`` as a sorted tuple, once they are known to be distinct
+    primes.  A tuple equal to the first primes already sieved, such as
+    ``first_primes(k)``, is returned as it is after one comparison (no
+    sieving, so no ``BudgetExceeded``); any other set is checked."""
+    if isinstance(primes, tuple) and primes == _primes[:len(primes)]:
+        return primes
     ps = tuple(sorted(primes))
-    if len(ps) <= len(_primes) and ps == tuple(_primes[:len(ps)]):
-        return ps
     if len(set(ps)) != len(ps):
         raise ValueError("primes must be distinct")
     for p in ps:

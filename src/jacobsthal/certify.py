@@ -261,9 +261,10 @@ def verify_certificate(cert: PrimeCertificate,
         return CertificateCheck(
             ("eligible: a + dZ is not an eligible progression",))
     qs = first_primes(cert.k)
+    products: list[int] = []  # block products, shared by the three clauses
     if cert.c % cert.d != cert.a:
         failures.append("congruences: c does not lie in a + dZ")
-    q = _first_missing_factor(cert.c, cert.d, qs)
+    q = _first_missing_factor(cert.c, cert.d, qs, products)
     if q is not None:
         failures.append(f"congruences: c not divisible by {q}")
     if cert.prime != cert.c + cert.d * cert.m:
@@ -271,9 +272,9 @@ def verify_certificate(cert: PrimeCertificate,
     p_next = nth_prime(cert.k + 1)
     if not 2 <= cert.prime < p_next * p_next:
         failures.append("range: prime outside [2, p_{k+1}^2 - 1]")
-    if _shares_a_prime(cert.m, qs):
+    if _shares_a_prime(cert.m, qs, products):
         failures.append("preimage-coprime: gcd(m, k-primorial) > 1")
-    if _shares_a_prime(cert.prime, qs):
+    if _shares_a_prime(cert.prime, qs, products):
         failures.append("image-coprime: gcd(prime, k-primorial) > 1")
     failures.extend(_h_consistency(cert, table, policy))
     # (p_{k+1}^2 - 2)/(h + 1) < d in integers; h + 1 <= 0 never certifies
@@ -289,34 +290,46 @@ def verify_certificate(cert: PrimeCertificate,
     return CertificateCheck(tuple(failures))
 
 
-def _first_missing_factor(c: int, d: int, qs: tuple[int, ...]) -> int | None:
+def _block_product(qs: tuple[int, ...], products: list[int],
+                   start: int) -> int:
+    """The product of the block of ``qs`` from ``start`` on.  ``products``
+    holds the blocks before it, and a block is multiplied out on first use,
+    so a verify forms each block product at most once, and only those its
+    clauses read."""
+    index = start // _COPRIME_BLOCK
+    if index == len(products):
+        products.append(prod(qs[start:start + _COPRIME_BLOCK]))
+    return products[index]
+
+
+def _first_missing_factor(c: int, d: int, qs: tuple[int, ...],
+                          products: list[int]) -> int | None:
     """The first prime of ``qs`` that divides neither c nor d, or None.  A
     prime divides c*d exactly when it divides c or d, so a block of primes
     whose product divides c*d holds none: one remainder per block.  The
     scan is a loop, not a generator expression over ``r``: that would make
     ``r`` a cell, one more garbage-collected object allocated per call."""
+    cd = c * d
     for start in range(0, len(qs), _COPRIME_BLOCK):
-        block = qs[start:start + _COPRIME_BLOCK]
-        r = c * d % prod(block)
+        r = cd % _block_product(qs, products, start)
         if r:
-            for q in block:
+            for q in qs[start:start + _COPRIME_BLOCK]:
                 if r % q:
                     return q
     return None
 
 
-def _shares_a_prime(n: int, qs: tuple[int, ...]) -> bool:
+def _shares_a_prime(n: int, qs: tuple[int, ...], products: list[int]) -> bool:
     """``gcd(n, prod(qs)) > 1`` for ascending primes ``qs``, taken a block
     at a time and stopping at the first block with a common factor or past
     ``|n|`` (no larger prime divides a nonzero n).  So a forged k costs
     no more than the primes up to ``|n|``, not a product of all k."""
     size = abs(n)
     for start in range(0, len(qs), _COPRIME_BLOCK):
-        block = qs[start:start + _COPRIME_BLOCK]
-        if gcd(n, prod(block)) > 1:
-            return True
-        if block[-1] >= size:
+        if start and qs[start - 1] >= size:
             return False
+        if gcd(n, _block_product(qs, products, start)) > 1:
+            return True
     return False
 
 

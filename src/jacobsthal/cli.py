@@ -234,10 +234,16 @@ def cmd_find_prime(args) -> _Result:
     ap = make_eligible(args.a, args.d)
     cert = certify.find_prime(ap, _table(args), mode=args.mode,
                               policy=_policy(args))
-    _diag(f"certified prime {cert.prime} in {ap} "
-          f"(k = {cert.k}, c = {int_to_decimal(cert.c)}, mode {cert.mode})")
     # no --json: the text form already is the certificate JSON
-    return 0, None, certificate_to_json(cert).splitlines()
+    lines = certificate_to_json(cert).splitlines()
+    # the summary reads c's digits back from the JSON, cut when they are many
+    c = next(line for line in lines
+             if line.startswith('  "c": ')).split('"')[3]
+    if len(c) > _ECHO_CHARS:
+        c = f"{c[:_ECHO_CHARS]}... ({len(c)} digits)"
+    _diag(f"certified prime {cert.prime} in {ap} "
+          f"(k = {cert.k}, c = {c}, mode {cert.mode})")
+    return 0, None, lines
 
 
 def cmd_verify(args) -> _Result:

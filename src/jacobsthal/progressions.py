@@ -4,7 +4,8 @@ The map ``n -> c + d*n`` is an order isomorphism from the integers onto the
 progression ``(c mod d) + dZ``.  When c is chosen so that every prime q in a
 set S either divides d or divides c, the map also preserves coprimality to
 the primes of S in both directions — coprime inputs land on coprime images.
-That choice is a CRT computation, done in :func:`coprime_iso`.
+That choice is a two-modulus CRT solution in closed form, done in
+:func:`coprime_iso`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, prod
 
-# is_prime stays bound here for the benchmark's tracer (perfbench/tracing.py)
+# crt_solve and is_prime stay bound here for the benchmark's tracer
+# (perfbench/tracing.py)
 from .arith import crt_solve, is_prime, validated_primes  # noqa: F401
 from .errors import NotEligible, NotInProgression
 
@@ -91,8 +93,9 @@ def coprime_iso(ap: EligibleAP, primes) -> ApIso:
     >>> coprime_iso(make_eligible(1, 3), (2, 3)).c
     4
     """
-    ps = validated_primes(primes)
-    # c ≡ 0 modulo each q not dividing d is c ≡ 0 modulo their product
-    c, _ = crt_solve([(ap.a, ap.d), (0, prod(q for q in ps if ap.d % q))])
-    return ApIso(c, ap.d)
+    # c ≡ 0 modulo each q not dividing d is c ≡ 0 modulo their product F,
+    # which is coprime to d: so c = F * (a / F mod d), and d = 1 gives 0
+    product = prod(validated_primes(primes))
+    f = product // gcd(product, ap.d)
+    return ApIso(f * (ap.a * pow(f, -1, ap.d) % ap.d), ap.d)
 

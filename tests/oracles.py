@@ -18,6 +18,8 @@ hide in the oracle as well:
 - ``is_coprime_preserving_on_window`` checks a map ``n -> c + d*n`` one
   input at a time for sending integers coprime to a prime set to images
   coprime to it;
+- ``crt_coprime_c`` solves one congruence per prime for the c of that map,
+  the reference for ``progressions.coprime_iso``'s closed form;
 - ``least_k_walk`` and ``max_d_walk`` walk the bound table from its first
   k on every call, the reference for ``certify.min_k_for`` and
   ``certify.max_provable_d``, which keep one walk per table.
@@ -26,6 +28,7 @@ hide in the oracle as well:
 from math import gcd, prod
 
 import sympy
+from sympy.ntheory.modular import crt
 
 from jacobsthal.errors import BudgetExceeded
 
@@ -151,6 +154,15 @@ def is_coprime_preserving_on_window(iso, primes, window: int) -> bool:
         if gcd(n, modulus) == 1 and gcd(c + d * n, modulus) != 1:
             return False
     return True
+
+
+def crt_coprime_c(a: int, d: int, primes) -> int:
+    """The least nonnegative c with ``c ≡ a (mod d)`` and ``c ≡ 0 (mod q)``
+    for every q in ``primes`` not dividing d, by the Chinese remainder
+    theorem over one congruence per prime."""
+    moduli = [d] + [q for q in primes if d % q]
+    solution = crt(moduli, [a] + [0] * (len(moduli) - 1))
+    return int(solution[0]) % int(solution[1])
 
 
 def least_k_walk(d: int, ks, h_at) -> tuple[str, int]:

@@ -1,15 +1,18 @@
 import os
+import random
 import subprocess
 import sys
+import threading
 
 import pytest
 import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+from jacobsthal import arith
 from jacobsthal.arith import (Factorization, crt_solve, factorize, first_primes,
                               is_prime, nth_prime, primes_upto, primorial,
-                              _MR_LIMIT)
+                              validated_primes, _MR_LIMIT)
 from jacobsthal.errors import BudgetExceeded, NonCoprimeModuli
 from oracles import prime_flags
 
@@ -90,9 +93,62 @@ def test_a_fresh_process_sieves_only_what_it_reads():
 def test_first_primes_and_primorial():
     assert first_primes(5) == (2, 3, 5, 7, 11)
     assert first_primes(0) == ()
+    # a tuple equal to the sieved prefix is validated as it is
+    ps = first_primes(54)
+    assert validated_primes(ps) is ps
+    assert validated_primes(list(reversed(ps))) == ps
     assert primorial(0) == 1
     assert primorial(5) == 2310
     assert primorial(8) == 9699690
+
+
+def test_the_prime_store_under_threads(monkeypatch):
+    # four readers ask for prime prefixes from a fresh store while a fifth
+    # thread sieves past 10**6, which swaps in a larger tuple mid-read
+    monkeypatch.setattr(arith, "_primes", ())
+    monkeypatch.setattr(arith, "_sieved_to", 1)
+    expected = tuple(sympy.primerange(2, 1_000_100))
+    start = threading.Barrier(5)
+    errors = []
+
+    def read(seed):
+        rng = random.Random(seed)
+        ks = [rng.randrange(1, 3000) if i % 10 else
+              rng.randrange(1, len(expected) + 1) for i in range(200)]
+        start.wait()
+        try:
+            for k in ks:
+                ps = first_primes(k)
+                if type(ps) is not tuple or ps != expected[:k]:
+                    errors.append(("first_primes", k))
+                if nth_prime(k) != expected[k - 1]:
+                    errors.append(("nth_prime", k))
+                if validated_primes(ps) != ps:
+                    errors.append(("validated_primes", k))
+        except Exception as exc:  # a reader that raises fails the test too
+            errors.append(("raised", repr(exc)))
+
+    def sieve():
+        start.wait()
+        table = primes_upto(1_000_100)
+        if type(table) is not list or table != list(expected):
+            errors.append(("primes_upto", 1_000_100))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch often, so reads meet the swap
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+        threads.append(threading.Thread(target=sieve))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert arith._sieved_to >= 1_000_100
+    assert type(primes_upto(100)) is list
 
 
 @given(st.integers(2, 10**6))

@@ -7,7 +7,7 @@ import time
 from dataclasses import replace
 from decimal import Decimal, ROUND_HALF_UP, localcontext
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import mpmath
 import pytest
@@ -505,6 +505,25 @@ def test_verify_rejects_forged_k_quickly(good_cert, shipped_table):
     assert time.perf_counter() - started < 1.0
 
 
+def test_verify_forms_each_block_product_once(good_cert, shipped_table,
+                                              monkeypatch):
+    # the cw certificate of 1 + 42Z has k = 8119: 127 blocks of 64 primes,
+    # which the congruence clause and both coprimality clauses all read
+    cert = find_prime(make_eligible(1, 42), shipped_table, mode=MODE_CW)
+    blocks = []
+    monkeypatch.setattr(certify, "prod",
+                        lambda block: blocks.append(block) or prod(block))
+    assert verify_certificate(cert, shipped_table).ok
+    assert len(blocks) == len(set(blocks)) == -(-8119 // 64)
+    assert sum(blocks, ()) == first_primes(8119)
+    # a forged k stays lazy: the blocks up to the first failing one
+    blocks.clear()
+    check = verify_certificate(replace(good_cert, k=100_000), shipped_table)
+    assert [f.split(":")[0] for f in check.failures] == [
+        "congruences", "image-coprime", "h-consistent"]
+    assert 1 <= len(blocks) <= 2
+
+
 @pytest.mark.parametrize("index", [0, 63, 64, 100, 128])
 def test_verify_names_the_first_missing_factor(shipped_table, index):
     # c misses the index-th and the last of the first 130 primes, so the
@@ -527,7 +546,8 @@ def test_verify_makes_no_closure_cells():
     # per verify moves the collector's gen-0 trigger into the verify call.
     # The same holds for the bound walk that find_prime reads.
     for fn in (verify_certificate, certify._first_missing_factor,
-               certify._shares_a_prime, certify._h_consistency, min_k_for,
+               certify._shares_a_prime, certify._block_product,
+               certify._h_consistency, min_k_for,
                find_prime, certify._least_row, certify._h_at):
         assert fn.__code__.co_cellvars == (), fn.__name__
 

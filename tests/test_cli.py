@@ -258,6 +258,19 @@ def test_find_prime_emits_certificate(capsys):
     assert "certified prime 23" in err
 
 
+def test_find_prime_summary_cuts_a_long_c(capsys):
+    # stdout is the full certificate; stderr shows at most 40 digits of c
+    code, out, err = _run(capsys, "find-prime", "1", "5", "--mode", "cw")
+    assert code == 0
+    c = json.loads(out)["c"]
+    assert len(c) == 91
+    assert err == (f"certified prime 241 in 1+5Z (k = 50, c = {c[:40]}... "
+                   "(91 digits), mode cw)\n")
+    code, out, err = _run(capsys, "find-prime", "2", "7")
+    assert err == ("certified prime 23 in 2+7Z (k = 4, c = 30, "
+                   "mode unconditional)\n")
+
+
 def test_find_prime_rejects_ineligible(capsys):
     code, out, err = _run(capsys, "find-prime", "4", "6")
     assert code == 1

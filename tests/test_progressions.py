@@ -1,5 +1,6 @@
 import pytest
-from hypothesis import given
+import sympy
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from math import gcd, prod
@@ -7,9 +8,10 @@ from math import gcd, prod
 from jacobsthal.progressions import (ApIso, EligibleAP, coprime_iso,
                                      make_eligible)
 from jacobsthal.errors import NotEligible, NotInProgression
-from oracles import is_coprime_preserving_on_window
+from oracles import crt_coprime_c, is_coprime_preserving_on_window
 
 FIRST_SIX = (2, 3, 5, 7, 11, 13)
+PRIMES_BELOW_200 = tuple(sympy.primerange(2, 200))
 
 
 def test_eligible_validation():
@@ -68,6 +70,45 @@ def test_coprime_iso_validation():
         coprime_iso(make_eligible(1, 3), (2, 3, 5, 7, 9))
     with pytest.raises(ValueError, match="^primes must be distinct$"):
         coprime_iso(make_eligible(1, 3), (2, 3, 5, 7, 7))
+    # unsorted and in a list, the same sets are refused the same way
+    with pytest.raises(ValueError, match="^9 is not prime$"):
+        coprime_iso(make_eligible(1, 3), [9, 7, 5, 3, 2])
+    with pytest.raises(ValueError, match="^primes must be distinct$"):
+        coprime_iso(make_eligible(1, 3), (7, 2, 3, 5, 7))
+    with pytest.raises(ValueError, match="^1 is not prime$"):
+        coprime_iso(make_eligible(1, 3), (1,))
+
+
+@pytest.mark.parametrize("a, d, primes", [
+    (0, 1, ()),                       # the whole line, no primes
+    (0, 1, (2, 3, 5, 7)),             # d = 1 maps n to itself plus 0
+    (1, 2, ()),                       # no primes: c is a itself
+    (5, 12, (2, 3)),                  # every prime divides d
+    (5, 12, (2, 3, 5, 7, 11)),        # a prefix holding divisors of d
+    (3, 10, (3, 7, 19)),              # not a prefix
+    (9_999, 10_000, (11, 2, 5, 3)),   # unsorted, holding divisors of d
+])
+def test_coprime_iso_c_matches_the_crt_oracle_on_corners(a, d, primes):
+    assert coprime_iso(make_eligible(a, d), primes).c == crt_coprime_c(
+        a, d, primes)
+
+
+@st.composite
+def _wide_ap_and_prime_set(draw):
+    d = draw(st.integers(1, 10**4))
+    a = draw(st.integers(0, d - 1))
+    assume(gcd(a, d) == 1)
+    pool = sorted(set(PRIMES_BELOW_200).union(sympy.primefactors(d)))
+    primes = draw(st.lists(st.sampled_from(pool), unique=True, max_size=20))
+    return a, d, primes
+
+
+@given(_wide_ap_and_prime_set())
+def test_coprime_iso_c_matches_the_crt_oracle(a_d_primes):
+    a, d, primes = a_d_primes
+    iso = coprime_iso(make_eligible(a, d), primes)
+    assert iso.c == crt_coprime_c(a, d, primes)
+    assert (iso.d, iso.a) == (d, a)
 
 
 def test_window_check_catches_bad_maps():
