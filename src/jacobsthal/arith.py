@@ -11,7 +11,8 @@ import math
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, compress
+from operator import mul
 
 from .errors import BudgetExceeded, JacobsthalError, NonCoprimeModuli
 
@@ -26,6 +27,10 @@ _SIEVE_CAP = 80_000_000  # largest bound primes_upto will sieve
 _NTH_CAP = 4_000_000  # largest index nth_prime will serve
 _TRIAL_BOUND = 100_000  # factorize divides out the primes up to this
 _RHO_STEPS = 1_000_000  # Pollard rho steps factorize spends per split
+# primorial keeps P_0 .. P_64, built on first use; verify_certificate tests
+# c, m and prime against the first k primes in blocks of this many primes.
+_COPRIME_BLOCK = 64
+_primorials: tuple[int, ...] = ()
 
 
 def crt_solve(congruences) -> tuple[int, int]:
@@ -142,8 +147,14 @@ def shared_factor_flags(primes, limit: int) -> bytearray:
 
 
 def primorial(k: int) -> int:
-    """Product of the first ``k`` primes (``primorial(0) == 1``)."""
-    return math.prod(first_primes(k))
+    """Product of the first ``k`` primes; P_0 = 1 .. P_64 are kept."""
+    global _primorials
+    if not 0 <= k <= _COPRIME_BLOCK:  # first_primes raises for k < 0
+        return math.prod(first_primes(k))
+    if not _primorials:
+        _primorials = tuple(accumulate(first_primes(_COPRIME_BLOCK), mul,
+                                       initial=1))
+    return _primorials[k]
 
 
 def is_prime(n: int) -> bool:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd, inf, log, prod
 
-from .arith import first_primes, is_prime, nth_prime, primorial
+from .arith import (_COPRIME_BLOCK, first_primes, is_prime, nth_prime,
+                    primorial)
 from .cover import ComputePolicy, KnownHTable, default_h_table, h_of
 from .errors import BudgetExceeded, JacobsthalError, NotProvable, OutOfRange
 from .progressions import EligibleAP, coprime_iso
@@ -49,10 +50,6 @@ CHECK_NAMES = (
     "bound",
     "primality",
 )
-
-# Primes per block when verify tests c, m and prime against the first k
-# primes: a certificate with k <= 54 takes one block, a cw one up to 157.
-_COPRIME_BLOCK = 64
 
 _DECIMAL_INT = _re.compile(r"-?[0-9]+")
 
@@ -211,10 +208,12 @@ def find_prime(ap: EligibleAP, table: KnownHTable | None = None, *,
     """Produce a verified prime certificate for an eligible progression.
 
     Deterministic: picks the minimal usable k, builds the canonical
-    coprimality-preserving map ``m -> c + d*m``, and scans upward the
-    preimages m whose images lie in ``[2, p_{k+1}**2 - 1]`` for the first
-    one coprime to the k-primorial.  The map is increasing, so those m are
-    one range and the first hit is the least such element of the window.
+    coprimality-preserving map ``m -> c + d*m``, and scans the elements x
+    of a + dZ in ``[2, p_{k+1}**2 - 1]`` upward for the first whose
+    preimage m is coprime to the k-primorial.  Each of its primes that does
+    not divide d divides c, so it divides m exactly when it divides x, and
+    none that divides d divides x: so the small x takes the primorial gcd,
+    and the one test on m covers only the primes that divide d.
     """
     if table is None:
         table = default_h_table()
@@ -224,9 +223,10 @@ def find_prime(ap: EligibleAP, table: KnownHTable | None = None, *,
     c = coprime_iso(ap, first_primes(k)).c
     p_next = nth_prime(k + 1)
     modulus = primorial(k)
-    for m in range((1 - c) // ap.d + 1, (p_next * p_next - 1 - c) // ap.d + 1):
-        if gcd(m, modulus) == 1:
-            cert = PrimeCertificate(ap.a, ap.d, k, c, m, c + ap.d * m,
+    shared = gcd(modulus, ap.d)
+    for x in range(2 + (ap.a - 2) % ap.d, p_next * p_next, ap.d):
+        if gcd(x, modulus) == 1 and gcd(m := (x - c) // ap.d, shared) == 1:
+            cert = PrimeCertificate(ap.a, ap.d, k, c, m, x,
                                     h_value, h_source, mode, CHECK_NAMES)
             check = verify_certificate(cert, table, policy=policy)
             if not check.ok:  # engine bug or poisoned table — never emit
@@ -261,7 +261,8 @@ def verify_certificate(cert: PrimeCertificate,
         return CertificateCheck(
             ("eligible: a + dZ is not an eligible progression",))
     qs = first_primes(cert.k)
-    products: list[int] = []  # block products, shared by the three clauses
+    # block products, shared by the three clauses; the first one is kept
+    products = [primorial(min(cert.k, _COPRIME_BLOCK))]
     if cert.c % cert.d != cert.a:
         failures.append("congruences: c does not lie in a + dZ")
     q = _first_missing_factor(cert.c, cert.d, qs, products)

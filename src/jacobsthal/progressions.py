@@ -15,7 +15,8 @@ from math import gcd, prod
 
 # crt_solve and is_prime stay bound here for the benchmark's tracer
 # (perfbench/tracing.py)
-from .arith import crt_solve, is_prime, validated_primes  # noqa: F401
+from .arith import (crt_solve, first_primes, is_prime,  # noqa: F401
+                    primorial, validated_primes)
 from .errors import NotEligible, NotInProgression
 
 
@@ -95,7 +96,8 @@ def coprime_iso(ap: EligibleAP, primes) -> ApIso:
     """
     # c ≡ 0 modulo each q not dividing d is c ≡ 0 modulo their product F,
     # which is coprime to d: so c = F * (a / F mod d), and d = 1 gives 0
-    product = prod(validated_primes(primes))
+    ps = validated_primes(primes)
+    product = primorial(len(ps)) if ps == first_primes(len(ps)) else prod(ps)
     f = product // gcd(product, ap.d)
     return ApIso(f * (ap.a * pow(f, -1, ap.d) % ap.d), ap.d)
 

@@ -20,6 +20,9 @@ hide in the oracle as well:
   coprime to it;
 - ``crt_coprime_c`` solves one congruence per prime for the c of that map,
   the reference for ``progressions.coprime_iso``'s closed form;
+- ``preimage_scan`` walks the preimages m of the window upward and takes
+  one gcd of each with the primorial, the reference for
+  ``certify.find_prime``'s scan of the small images;
 - ``least_k_walk`` and ``max_d_walk`` walk the bound table from its first
   k on every call, the reference for ``certify.min_k_for`` and
   ``certify.max_provable_d``, which keep one walk per table.
@@ -163,6 +166,17 @@ def crt_coprime_c(a: int, d: int, primes) -> int:
     moduli = [d] + [q for q in primes if d % q]
     solution = crt(moduli, [a] + [0] * (len(moduli) - 1))
     return int(solution[0]) % int(solution[1])
+
+
+def preimage_scan(c: int, d: int, k: int) -> int | None:
+    """The least m with ``2 <= c + d*m < p_{k+1}**2`` that is coprime to the
+    first k primes, or ``None`` when the window holds none."""
+    p_next = sympy.prime(k + 1)
+    modulus = prod(sympy.primerange(p_next))
+    for m in range((1 - c) // d + 1, (p_next * p_next - 1 - c) // d + 1):
+        if gcd(m, modulus) == 1:
+            return m
+    return None
 
 
 def least_k_walk(d: int, ks, h_at) -> tuple[str, int]:

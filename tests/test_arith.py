@@ -102,6 +102,18 @@ def test_first_primes_and_primorial():
     assert primorial(8) == 9699690
 
 
+@pytest.mark.parametrize("k", [0, 1, 63, 64, 65, 130])
+def test_primorial_on_both_sides_of_the_kept_products(k):
+    # k <= 64 reads the kept prefix products, a larger k multiplies out
+    assert primorial(k) == prod(first_primes(k))
+
+
+def test_primorial_refuses_a_negative_count():
+    # the kept tuple indexed by -1 would quietly answer P_64
+    with pytest.raises(ValueError):
+        primorial(-1)
+
+
 def test_the_prime_store_under_threads(monkeypatch):
     # four readers ask for prime prefixes from a fresh store while a fifth
     # thread sieves past 10**6, which swaps in a larger tuple mid-read

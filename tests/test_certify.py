@@ -12,7 +12,7 @@ from math import gcd, prod
 import mpmath
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from jacobsthal.arith import first_primes, nth_prime, primorial
@@ -26,8 +26,8 @@ from jacobsthal.certify import (CHECK_NAMES, MODE_CW, MODE_UNCONDITIONAL,
 from jacobsthal import arith, certify, cover, progressions
 from jacobsthal.cover import ComputePolicy, KnownHTable, default_h_table
 from jacobsthal.errors import (JacobsthalError, NotProvable, OutOfRange)
-from jacobsthal.progressions import make_eligible
-from oracles import least_k_walk, max_d_walk
+from jacobsthal.progressions import coprime_iso, make_eligible
+from oracles import least_k_walk, max_d_walk, preimage_scan
 
 REMARK_TABLE = [
     (5, 13, 14, "11.133"),
@@ -346,6 +346,76 @@ def test_find_prime_pinned_traces(shipped_table, a, d, prime, k, c, m):
     assert verify_certificate(cert, shipped_table).ok
 
 
+@given(st.integers(1, 400), st.integers(0, 399), st.integers(1, 70))
+def test_the_image_and_the_primes_of_d_decide_the_preimage(d, a, k):
+    # find_prime tests each x = c + d*m of the window against P_k, and m
+    # only against the primes P_k shares with d: together exactly the test
+    # of m against P_k
+    assume(gcd(a, d) == 1 and a < d)
+    modulus = primorial(k)
+    shared = gcd(modulus, d)
+    c = coprime_iso(make_eligible(a, d), first_primes(k)).c
+    p_next = nth_prime(k + 1)
+    for x in range(2 + (a - 2) % d, p_next * p_next, d):
+        m = (x - c) // d
+        assert (gcd(m, modulus) == 1) == (
+            gcd(x, modulus) == 1 and gcd(m, shared) == 1), (x, m)
+
+
+def test_find_prime_picks_the_preimage_scan_m(shipped_table):
+    # the image scan picks the m the old preimage scan picked, on every
+    # pair with d <= 76 and on the cw certificate of 1 + 42Z
+    for d in range(1, 77):
+        for a in range(d):
+            if gcd(a, d) == 1:
+                cert = find_prime(make_eligible(a, d), shipped_table)
+                assert preimage_scan(cert.c, d, cert.k) == cert.m, (a, d)
+    cert = find_prime(make_eligible(1, 42), shipped_table, mode=MODE_CW)
+    assert preimage_scan(cert.c, 42, cert.k) == cert.m
+
+
+def test_scan_tests_m_only_for_an_x_coprime_to_the_primorial(
+        shipped_table, monkeypatch):
+    for a, d in ((1, 76), (3, 76), (1, 70), (5, 66)):
+        ap = make_eligible(a, d)
+        cert = find_prime(ap, shipped_table)
+        modulus = primorial(cert.k)
+        shared = gcd(modulus, d)
+        calls = []
+        with monkeypatch.context() as patched:
+            patched.setattr(certify, "gcd",
+                            lambda u, v: calls.append((u, v)) or gcd(u, v))
+            assert find_prime(ap, shipped_table) == cert
+        scanned = range(2 + (a - 2) % d, cert.prime + 1, d)
+        preimage = {(x - cert.c) // d: x for x in scanned}
+        tested = [preimage[u] for u, v in calls
+                  if v == shared and u in preimage]
+        assert tested == [x for x in scanned if gcd(x, modulus) == 1], (a, d)
+
+
+def test_warm_unconditional_find_multiplies_out_no_primes(shipped_table,
+                                                          monkeypatch):
+    # P_0 .. P_64 are kept: at k <= 64 the map, the scan and verify read
+    # them, so neither a find nor its verify forms a product of primes
+    aps = [make_eligible(a, d) for a, d in ((1, 76), (5, 38), (0, 1))]
+    for ap in aps:
+        find_prime(ap, shipped_table)
+    formed = []
+
+    def counting(*args):
+        formed.append(args)
+        return prod(*args)
+
+    for module in (certify, progressions):
+        monkeypatch.setattr(module, "prod", counting)
+    monkeypatch.setattr(arith.math, "prod", counting)
+    for ap in aps:
+        cert = find_prime(ap, shipped_table)
+        assert cert.k <= 64
+        assert verify_certificate(cert, shipped_table).ok
+    assert formed == []
+
+
 def test_find_prime_uses_tabulated_h(shipped_table):
     cert = find_prime(make_eligible(1, 11), shipped_table)
     assert cert.k == 5
@@ -509,19 +579,25 @@ def test_verify_forms_each_block_product_once(good_cert, shipped_table,
                                               monkeypatch):
     # the cw certificate of 1 + 42Z has k = 8119: 127 blocks of 64 primes,
     # which the congruence clause and both coprimality clauses all read
+    # block 0 is the kept P_64, and the other 126 are multiplied out
     cert = find_prime(make_eligible(1, 42), shipped_table, mode=MODE_CW)
-    blocks = []
+    blocks, kept = [], []
     monkeypatch.setattr(certify, "prod",
                         lambda block: blocks.append(block) or prod(block))
+    monkeypatch.setattr(certify, "primorial",
+                        lambda k: kept.append(k) or primorial(k))
     assert verify_certificate(cert, shipped_table).ok
-    assert len(blocks) == len(set(blocks)) == -(-8119 // 64)
-    assert sum(blocks, ()) == first_primes(8119)
+    assert kept == [64]
+    assert len(blocks) == len(set(blocks)) == -(-8119 // 64) - 1
+    assert first_primes(64) + sum(blocks, ()) == first_primes(8119)
     # a forged k stays lazy: the blocks up to the first failing one
     blocks.clear()
+    kept.clear()
     check = verify_certificate(replace(good_cert, k=100_000), shipped_table)
     assert [f.split(":")[0] for f in check.failures] == [
         "congruences", "image-coprime", "h-consistent"]
-    assert 1 <= len(blocks) <= 2
+    assert kept == [64]
+    assert 1 <= len(kept) + len(blocks) <= 2
 
 
 @pytest.mark.parametrize("index", [0, 63, 64, 100, 128])
