@@ -6,6 +6,12 @@ integers can each be divisible by one of the primes.  The largest coverable
 L for the first k primes is exactly ``h(k) - 1``, where h is the primorial
 Jacobsthal function.  The search below is exact: a ``None`` answer is a
 proof of impossibility, and budget exhaustion raises instead of answering.
+
+Prime 2 never enters the search.  For a prime set S that contains 2,
+``[0, L)`` is coverable by S exactly when ``[0, L // 2)`` is coverable by
+``S - {2}``: with 2 at offset 0, odd position ``2i + 1`` is position i of
+the smaller problem, and offset 1 leaves more positions.  Hence
+``g(2m) = 2 g(m)`` for odd m.
 """
 
 from __future__ import annotations
@@ -91,13 +97,13 @@ def _validated_primes(primes) -> tuple[int, ...]:
 
 
 class _Search:
-    """One exact cover search over a fixed interval length and prime set."""
+    """One exact cover search over a fixed interval length and prime set;
+    only :func:`coverable` builds one, and never with prime 2 in the set."""
 
     def __init__(self, length: int, primes: tuple[int, ...],
                  budget: SearchBudget | None):
         self.length = length
         self.primes = primes
-        self.even = length % 2 == 0
         self.full = (1 << length) - 1
         masks = []
         for p in primes:
@@ -208,11 +214,6 @@ class _Search:
         branches = []
         for at, i in enumerate(rem):
             p = primes[i]
-            if p == 2 and self.even and u0 & 1:
-                # Reflection x -> length-1-x maps covers to covers and swaps
-                # the two offsets of 2 when length is even, so offset 0 for
-                # prime 2 loses no decisions.
-                continue
             mask = masks[i][u0 % p]
             if caps[i] > 2:
                 bite = counts[i][u0 % p]
@@ -262,19 +263,11 @@ class _Search:
             product *= self.primes[width]
             width += 1
         # At width 0 no wheel fits and _wheel_rec is the positions search.
-        # Reflection x -> length-1-x maps covers to covers, acting on each
-        # offset as c -> (length-1-c) mod p.  Keep one offset per orbit at
-        # the first wheel prime the action moves (it fixes offsets of 2
-        # exactly when the length is odd).
-        cut = 0
-        if self.primes[0] == 2 and self.length % 2 == 1:
-            cut = 1 if width > 1 else -1
         rem = tuple(range(width, len(self.primes)))
         caps = [-(-self.length // p) for p in self.primes]
-        return self._wheel_rec(0, width, cut, self.full, [0] * width, rem,
-                               caps)
+        return self._wheel_rec(0, width, self.full, [0] * width, rem, caps)
 
-    def _wheel_rec(self, j: int, width: int, cut: int, uncov: int,
+    def _wheel_rec(self, j: int, width: int, uncov: int,
                    offsets: list[int], rem: tuple[int, ...],
                    caps: list[int]) -> dict[int, int] | None:
         if j == width:  # a node of the positions search, counted there
@@ -298,7 +291,9 @@ class _Search:
         live = [i for i in rem if caps[i] > 2]
         seen: set[int] = set()
         for c in range(p):
-            if j == cut and c > (self.length - 1 - c) % p:
+            # Reflection x -> length-1-x maps covers to covers: keep one
+            # offset per orbit {c, (length-1-c) mod p} of the first prime.
+            if j == 0 and c > (self.length - 1 - c) % p:
                 continue
             left = uncov & ~self.masks[j][c]
             if left in seen:  # identical survivor set, identical subtree
@@ -306,8 +301,7 @@ class _Search:
             seen.add(left)
             offsets[j] = c
             self._shift(uncov ^ left, live, -1)
-            found = self._wheel_rec(j + 1, width, cut, left, offsets, rem,
-                                    caps)
+            found = self._wheel_rec(j + 1, width, left, offsets, rem, caps)
             self._shift(uncov ^ left, live, 1)
             if found is not None:
                 return found
@@ -317,15 +311,21 @@ class _Search:
 def coverable(length: int, primes,
               budget: SearchBudget | None = None) -> CoverAssignment | None:
     """Exact decision: return a covering assignment for ``[0, length)`` or
-    ``None`` when none exists.  Deterministic for fixed inputs."""
+    ``None`` when none exists.  Deterministic for fixed inputs.  A set with
+    2 is decided on half the length without it (module docstring): an offset
+    c of an odd prime q there lifts to ``(2c + 1) mod q``."""
     ps = _validated_primes(primes)
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
     if length == 0:
         return CoverAssignment(ps, (0,) * len(ps), 0)
-    found = _Search(length, ps, budget).search_wheel()
+    halve = ps[0] == 2
+    found = _Search(length // 2 if halve else length, ps[halve:],
+                    budget).search_wheel()
     if found is None:
         return None
+    if halve:
+        found = {q: (2 * c + 1) % q for q, c in found.items()} | {2: 0}
     assignment = CoverAssignment(ps, tuple(found[p] for p in ps), length)
     if not assignment.is_valid():
         raise JacobsthalError(

@@ -125,13 +125,13 @@ def test_h_search_coverable(capsys):
 
 
 def _reference_cover(search, length, primes):
-    # the wheel engine or the independent prime-order oracle, called
-    # directly rather than through the CLI
-    from jacobsthal.cover import _Search
+    # the engine's coverable, which the CLI wraps, or the independent
+    # prime-order oracle, called directly rather than through the CLI
+    from jacobsthal.cover import coverable
     from oracles import prime_order_cover
     if search == "prime-order":
         return prime_order_cover(length, primes)
-    return _Search(length, primes, None).search_wheel()
+    return coverable(length, primes)
 
 
 @pytest.mark.parametrize("search", ["wheel", "prime-order"])

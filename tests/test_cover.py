@@ -1,3 +1,4 @@
+import random
 import threading
 import time
 from pathlib import Path
@@ -9,13 +10,15 @@ from hypothesis import strategies as st
 from math import prod
 
 from jacobsthal import cover
-from jacobsthal.arith import first_primes, nth_prime, primorial
+from jacobsthal.arith import (factorize, first_primes, nth_prime,
+                              primes_upto, primorial)
 from jacobsthal.cover import (CoverAssignment, HSOURCE_COMPUTED, KnownHTable,
                               SearchBudget, ComputePolicy,
                               coverable, default_h_table,
                               elementary_lower_witness, h_of, least_witness,
                               load_h_table, max_cover_length,
                               verify_cover, witness_integer, _parse_h_table)
+from jacobsthal.gaps import g_of
 from jacobsthal.errors import (BudgetExceeded, JacobsthalError,
                                TableParseError, TableValidationError,
                                Unavailable)
@@ -87,10 +90,10 @@ PINNED_SEARCH = {
     6: (21, (0, 1, 0, 3, 9, 11)),
     7: (25, (0, 0, 2, 5, 1, 11, 13)),
     8: (33, (0, 1, 1, 2, 5, 3, 15, 17)),
-    9: (39, (0, 1, 0, 2, 0, 3, 0, 2, 4)),
+    9: (39, (0, 1, 3, 1, 5, 9, 11, 17, 21)),
     10: (45, (0, 1, 2, 1, 0, 9, 5, 3, 21, 23)),
     11: (57, (0, 1, 3, 0, 6, 2, 11, 9, 5, 27, 29)),
-    12: (65, (0, 0, 1, 0, 3, 3, 2, 5, 13, 17, 23, 0)),
+    12: (65, (0, 1, 3, 1, 6, 9, 11, 2, 5, 27, 10, 10)),
 }
 
 
@@ -104,9 +107,12 @@ def test_search_path_is_pinned():
 # max_cover_length(first_primes(k)); a wheel survivor is one node, the
 # positions-search root it starts, and so is each capacity check of a
 # partial wheel assignment.  A change that only makes a node cheaper must
-# leave every count as it is.
-PINNED_NODES = {1: 2, 2: 5, 3: 7, 4: 3, 5: 7, 6: 9, 7: 11, 8: 29, 9: 95,
-                10: 363, 11: 209, 12: 535}
+# leave every count as it is.  Prime 2 never enters the search, so each
+# count is that of the odd primes on half the length.
+PINNED_NODES = {1: 2, 2: 2, 3: 2, 4: 3, 5: 9, 6: 10, 7: 8, 8: 16, 9: 25,
+                10: 147, 11: 100, 12: 216}
+# The same count for the walks that decide h(13..17), about 0.4 s in all.
+PINNED_WALK_NODES = {13: 1594, 14: 1577, 15: 5575, 16: 18269, 17: 70447}
 
 
 def test_search_node_counts_are_pinned(monkeypatch):
@@ -119,7 +125,7 @@ def test_search_node_counts_are_pinned(monkeypatch):
         tick(self)
 
     monkeypatch.setattr(cover._Search, "_tick", counting_tick)
-    for k, expected in PINNED_NODES.items():
+    for k, expected in {**PINNED_NODES, **PINNED_WALK_NODES}.items():
         nodes = 0
         max_cover_length(first_primes(k))
         assert nodes == expected, k
@@ -127,8 +133,8 @@ def test_search_node_counts_are_pinned(monkeypatch):
 
 @pytest.mark.parametrize("k", [11, 12, 13, 14])
 def test_wheel_prunes_partial_assignments(k):
-    # Both searches that decide h(k) stay far below the roughly 15k offset
-    # combinations of the wheel primes 2..13, because the wheel bounds its
+    # Both searches that decide h(k) stay far below the thousands of offset
+    # combinations of the wheel primes, because the wheel bounds its
     # partial assignments.
     h = dict(COMPUTED_ROWS)[k]
     budget = SearchBudget(max_nodes=5000)
@@ -143,10 +149,10 @@ PRIMES_TO_37 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
        primes=st.lists(st.sampled_from(PRIMES_TO_37), min_size=1,
                        max_size=len(PRIMES_TO_37), unique=True))
 @example(length=30, primes=list(PRIMES_TO_37))  # p >= L and 2p >= L present
-@example(length=29, primes=list(PRIMES_TO_37))  # odd: the wheel's cut on 2
-@example(length=6, primes=[2, 3])  # even, no wheel: offset 0 for 2
-@example(length=7, primes=[2, 3, 5])  # odd, no wheel
-@example(length=12, primes=[3, 5, 7, 11, 13])  # no 2, so no reflection cut
+@example(length=29, primes=list(PRIMES_TO_37))  # odd: 2 takes one more
+@example(length=6, primes=[2, 3])  # even, no wheel on the half
+@example(length=7, primes=[2, 3, 5])  # odd, no wheel on the half
+@example(length=12, primes=[3, 5, 7, 11, 13])  # no 2: the whole length
 @example(length=10, primes=[5, 7, 31, 37])
 def test_engine_agrees_with_oracle_on_any_prime_set(length, primes):
     found = coverable(length, primes)
@@ -154,6 +160,45 @@ def test_engine_agrees_with_oracle_on_any_prime_set(length, primes):
     assert (found is not None) == (offsets is not None)
     if found is not None:
         assert found.is_valid()
+
+
+def _decides_like_the_oracle_on_the_half(length, primes):
+    """coverable against prime_order_cover on the set and, for the halving
+    lemma, on ``length // 2`` positions without 2."""
+    found = coverable(length, primes)
+    assert found is None or found.is_valid(), (length, primes)
+    odd = [p for p in primes if p != 2]
+    assert ((found is not None)
+            == (prime_order_cover(length, primes) is not None)
+            == (prime_order_cover(length // 2, odd) is not None)), (
+                length, primes)
+    return found is not None
+
+
+def test_halving_lemma_against_the_oracle():
+    rng = random.Random(20261018)
+    odd_primes = primes_upto(60)[1:]
+    verdicts = set()
+    for _ in range(1500):
+        primes = [2] + rng.sample(odd_primes, rng.randint(0, 8))
+        verdicts.add(_decides_like_the_oracle_on_the_half(rng.randrange(40),
+                                                          primes))
+    assert verdicts == {True, False}
+    # {2} alone covers only a single position
+    assert [_decides_like_the_oracle_on_the_half(length, [2])
+            for length in range(5)] == [True, True, False, False, False]
+    for primes in ([2, 3], [2, 59], [2, 3, 5, 7]):
+        for length in (0, 1, 2):
+            assert _decides_like_the_oracle_on_the_half(length, primes)
+
+
+def test_g_of_twice_an_odd_number_is_twice_g():
+    for m in range(1, 200, 2):
+        g = g_of(m).g
+        assert g_of(2 * m).g == 2 * g == g_exhaustive(2 * m), m
+        if m > 1:  # the engine, on the prime set of 2m
+            length, _ = max_cover_length((2,) + factorize(m).primes())
+            assert length + 1 == 2 * g, m
 
 
 def test_lower_bound_check_is_an_error_not_an_assert(monkeypatch):
