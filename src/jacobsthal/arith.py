@@ -24,6 +24,7 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 _TRIAL_LIMIT = 43 * 43
 
 _SIEVE_CAP = 80_000_000  # largest bound primes_upto will sieve
+RUN_SIEVE_LIMIT = 20_000_000  # largest range g_of and least_witness sieve
 _NTH_CAP = 4_000_000  # largest index nth_prime will serve
 _TRIAL_BOUND = 100_000  # factorize divides out the primes up to this
 _RHO_STEPS = 1_000_000  # Pollard rho steps factorize spends per split

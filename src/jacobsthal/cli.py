@@ -124,44 +124,29 @@ def cmd_g(args) -> _Result:
     return 0, payload, lines
 
 
-def _h_witness(table: KnownHTable, k: int, h: int) -> tuple[cover.CoverWitness | None, bool]:
-    """Best display witness for h(k): the least run when the period is small
-    enough to sieve, else whatever constructed witness the table holds."""
-    witness = cover.least_witness(h - 1, first_primes(k))
-    if witness is not None:
-        return witness, True
-    entry = table.get(k)
-    if entry is not None and entry.witness is not None:
-        return entry.witness, False
-    return None, False
-
-
 def cmd_h(args) -> _Result:
-    table = _table(args)
-    k = args.k
+    k, table, policy = args.k, _table(args), _policy(args)
+    loaded = table.get(k)
     if args.compute:
-        length, assignment = cover.max_cover_length(first_primes(k),
-                                                    budget=_budget(args))
-        h, source = length + 1, cover.HSOURCE_COMPUTED
-        entry = table.get(k)
-        if entry is not None and entry.h != h:
-            raise JacobsthalError(
-                f"engine found h({k}) = {h} but the table says {entry.h}; "
-                "refusing to report either")
-        table.set(k, h, source, witness=cover.witness_integer(assignment))
-    else:
-        policy = _policy(args)
-        if args.table_only:
-            policy.max_compute_k = 0
-        h, source = cover.h_of(k, table, policy)
-    witness, is_least = _h_witness(table, k, h)
+        # the engine answers on an empty table; the loaded row only checks it
+        table, policy.max_compute_k = KnownHTable(), k
+    h, source = cover.h_of(k, table, policy)
+    if args.compute and loaded is not None and loaded.h != h:
+        raise JacobsthalError(
+            f"engine found h({k}) = {h} but the table says {loaded.h}; "
+            "refusing to report either")
+    # the least run when the period is small enough to sieve, else the
+    # witness h_of stored with a row it computed (None for a file row)
+    least = cover.least_witness(h - 1, first_primes(k))
+    witness = least or table.get(k).witness
     payload = {"k": k, "h": h, "source": source, "witness": None}
     lines = [f"h({k}) = {h} ({source})"]
     if witness is not None:
         payload["witness"] = {"start": str(witness.start),
-                              "length": witness.length, "least": is_least}
+                              "length": witness.length,
+                              "least": least is not None}
         last = witness.start + witness.length - 1
-        kind = "least witness" if is_least else "witness"
+        kind = "least witness" if least else "witness"
         lines.append(f"{kind}: {witness.start}..{last} ({witness.length} "
                      f"consecutive integers, each divisible by one of the "
                      f"first {k} primes)")
@@ -324,9 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--max-nodes", type=_int_at_least(1), default=None,
-                        help="abort the exact search after this many nodes")
+                        help="abort once the searches for one value pass "
+                             "this many nodes")
     budget.add_argument("--max-seconds", type=_positive_float, default=None,
-                        help="abort the exact search after this many seconds")
+                        help="abort once the searches for one value pass "
+                             "this many seconds")
 
     tableopts = argparse.ArgumentParser(add_help=False)
     tableopts.add_argument("--table", default=None, metavar="PATH",
@@ -334,10 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
                                 f"${H_TABLE_ENV})")
 
     computeopt = argparse.ArgumentParser(add_help=False)
-    computeopt.add_argument("--max-compute-k", type=_int_at_least(1),
+    computeopt.add_argument("--max-compute-k", type=_int_at_least(0),
                             default=DEFAULT_MAX_COMPUTE_K, metavar="K",
                             help="largest k the engine may compute h(k) for "
-                                 "when the table lacks it")
+                                 "when the table lacks it (0: never compute)")
 
     modeopt = argparse.ArgumentParser(add_help=False)
     modeopt.add_argument("--mode", choices=MODES, default=MODE_UNCONDITIONAL,
@@ -354,12 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("h", parents=[common, budget, tableopts, computeopt],
                        help="primorial Jacobsthal function h(k)")
     p.add_argument("k", type=_int_at_least(1))
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--compute", action="store_true",
-                       help="run the exact search even if k is tabulated, "
-                            "and cross-check the result")
-    group.add_argument("--table-only", action="store_true",
-                       help="never compute; fail if k is not tabulated")
+    p.add_argument("--compute", action="store_true",
+                   help="run the exact search whatever the table and "
+                        "--max-compute-k say, and cross-check the table")
     p.set_defaults(func=cmd_h)
 
     p = sub.add_parser("h-search", parents=[common, budget],

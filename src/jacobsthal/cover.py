@@ -23,8 +23,8 @@ from importlib import resources
 from math import prod
 
 # is_prime stays bound here for the benchmark's tracer (perfbench/tracing.py)
-from .arith import (crt_solve, first_primes, is_prime,  # noqa: F401
-                    nth_prime, shared_factor_flags, validated_primes)
+from .arith import (RUN_SIEVE_LIMIT, crt_solve, first_primes,  # noqa: F401
+                    is_prime, nth_prime, shared_factor_flags, validated_primes)
 from .errors import (BudgetExceeded, JacobsthalError, TableParseError,
                      TableValidationError, Unavailable)
 
@@ -38,7 +38,6 @@ H_SOURCES = frozenset({HSOURCE_PAPER, HSOURCE_COMPUTED, HSOURCE_INGESTED})
 WHEEL_PRODUCT_CAP = 30030
 
 DEFAULT_MAX_COMPUTE_K = 12
-LEAST_RUN_SIEVE_LIMIT = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -74,10 +73,22 @@ class CoverWitness:
 @dataclass
 class SearchBudget:
     """Optional limits for the exact search; hitting one raises
-    :class:`BudgetExceeded` (never a fake negative)."""
+    :class:`BudgetExceeded` (never a fake negative).  One budget bounds one
+    :func:`coverable` call, or a whole :func:`max_cover_length` walk."""
 
     max_nodes: int | None = None
     max_seconds: float | None = None
+
+
+class _Allowance:
+    """A budget as the searches charged to it spend it: the nodes spent so
+    far and one deadline.  The budget itself is never changed."""
+
+    def __init__(self, budget: SearchBudget | None):
+        self.spent = 0
+        self.max_nodes = budget.max_nodes if budget else None
+        self.deadline = (time.monotonic() + budget.max_seconds
+                         if budget and budget.max_seconds is not None else None)
 
 
 @dataclass
@@ -101,7 +112,7 @@ class _Search:
     only :func:`coverable` builds one, and never with prime 2 in the set."""
 
     def __init__(self, length: int, primes: tuple[int, ...],
-                 budget: SearchBudget | None):
+                 allowance: _Allowance):
         self.length = length
         self.primes = primes
         self.full = (1 << length) - 1
@@ -127,10 +138,9 @@ class _Search:
         # Two positions share a residue class of p when they differ by one
         # of these multiples of p.
         self.strides = [tuple(range(p, length, p)) for p in primes]
-        self.nodes = 0
-        self.max_nodes = budget.max_nodes if budget else None
-        self.deadline = (time.monotonic() + budget.max_seconds
-                         if budget and budget.max_seconds is not None else None)
+        self.nodes = allowance.spent  # earlier searches' nodes count too
+        self.max_nodes = allowance.max_nodes
+        self.deadline = allowance.deadline
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -309,19 +319,24 @@ class _Search:
 
 
 def coverable(length: int, primes,
-              budget: SearchBudget | None = None) -> CoverAssignment | None:
+              budget: SearchBudget | _Allowance | None = None
+              ) -> CoverAssignment | None:
     """Exact decision: return a covering assignment for ``[0, length)`` or
     ``None`` when none exists.  Deterministic for fixed inputs.  A set with
     2 is decided on half the length without it (module docstring): an offset
-    c of an odd prime q there lifts to ``(2c + 1) mod q``."""
+    c of an odd prime q there lifts to ``(2c + 1) mod q``.  A walk of
+    :func:`max_cover_length` passes one allowance to all its searches."""
     ps = _validated_primes(primes)
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
     if length == 0:
         return CoverAssignment(ps, (0,) * len(ps), 0)
+    allowance = (budget if isinstance(budget, _Allowance)
+                 else _Allowance(budget))
     halve = ps[0] == 2
-    found = _Search(length // 2 if halve else length, ps[halve:],
-                    budget).search_wheel()
+    search = _Search(length // 2 if halve else length, ps[halve:], allowance)
+    found = search.search_wheel()
+    allowance.spent = search.nodes
     if found is None:
         return None
     if halve:
@@ -331,15 +346,6 @@ def coverable(length: int, primes,
         raise JacobsthalError(
             f"internal: search offsets do not cover length {length} for {ps}")
     return assignment
-
-
-def _extended(assignment: CoverAssignment) -> CoverAssignment | None:
-    """Reuse an assignment for length L as one for L+1 when it already
-    happens to cover position L."""
-    if assignment.covers(assignment.length):
-        return CoverAssignment(assignment.primes, assignment.offsets,
-                               assignment.length + 1)
-    return None
 
 
 def max_cover_length(primes, budget: SearchBudget | None = None
@@ -353,15 +359,17 @@ def max_cover_length(primes, budget: SearchBudget | None = None
     ps = _validated_primes(primes)
     k = len(ps)
     start = 2 * ps[-2] - 1 if k >= 2 and ps == first_primes(k) else 1
-    assignment = coverable(start, ps, budget=budget)
+    allowance = _Allowance(budget)
+    assignment = coverable(start, ps, budget=allowance)
     if assignment is None:  # cannot happen: start is a proven lower bound
         raise JacobsthalError(
             f"internal: lower bound {start} not coverable for {ps}")
     length = start
     while True:
-        longer = _extended(assignment)
-        if longer is None:
-            longer = coverable(length + 1, ps, budget=budget)
+        if assignment.covers(length):  # reuse it when it reaches further
+            longer = CoverAssignment(ps, assignment.offsets, length + 1)
+        else:
+            longer = coverable(length + 1, ps, budget=allowance)
         if longer is None:
             return length, assignment
         assignment = longer
@@ -397,7 +405,7 @@ def least_witness(length: int, primes) -> CoverWitness | None:
     if length == 0:
         return witness_integer(CoverAssignment(ps, (0,) * len(ps), 0))
     period = prod(ps)
-    if period + length > LEAST_RUN_SIEVE_LIMIT:
+    if period + length > RUN_SIEVE_LIMIT:
         return None
     start = shared_factor_flags(ps, period + length).find(b"\x01" * length)
     if not 0 <= start <= period:
@@ -522,8 +530,8 @@ def default_h_table() -> KnownHTable:
 
 def h_of(k: int, table: KnownHTable | None = None,
          policy: ComputePolicy | None = None) -> tuple[int, str]:
-    """Exact h(k): from the table when present, else computed by the engine
-    (and inserted into the table with a verified witness)."""
+    """Exact h(k): from the table, else computed within ``policy``'s cap and
+    budget (and inserted into the table with a verified witness)."""
     if k < 1:
         raise ValueError(f"h(k) is defined for k >= 1, got {k}")
     if table is None:

@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import cover
-from .arith import factorize, shared_factor_flags
+from .arith import RUN_SIEVE_LIMIT, factorize, shared_factor_flags
 from .errors import BudgetExceeded
 
-SCAN_LIMIT = 20_000_000
 MAX_SUPPORT = 25
 
 
@@ -60,9 +59,9 @@ def g_of(n: int, *,
     """Compute g(n) with a maximal witness run.
 
     Small radicals are scanned directly, which also yields the run with the
-    smallest positive start.  When rad(n) exceeds ``SCAN_LIMIT`` but n has
-    few distinct primes, the exact cover engine takes over; its witness is
-    deterministic and verified but not necessarily the least one.
+    smallest positive start.  When rad(n) exceeds ``RUN_SIEVE_LIMIT`` but n
+    has few distinct primes, the exact cover engine takes over; its witness
+    is deterministic and verified but not necessarily the least one.
     """
     if n < 1:
         raise ValueError(f"g(n) is defined for n >= 1, got {n}")
@@ -71,7 +70,7 @@ def g_of(n: int, *,
     if rad == 1:
         return GapScanResult(n, 1, 1, 0)
     primes = fac.primes()
-    if rad <= SCAN_LIMIT:
+    if rad <= RUN_SIEVE_LIMIT:
         # rad >= 2 always has the run ending at rad
         length, start = _first_longest_run(shared_factor_flags(primes, rad))
         return GapScanResult(n, length + 1, start, length)

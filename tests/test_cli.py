@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from jacobsthal import cover
 from jacobsthal.certify import int_to_decimal
 from jacobsthal.cli import H_TABLE_ENV, run
 
@@ -99,14 +100,47 @@ def test_h_computed_large_period_uses_search_witness(capsys):
     assert "witness:" in out
 
 
+# `h K --compute --json` for periods too big to sieve: each payload carries
+# the witness of the walk that h_of ran
+COMPUTED_H_PAYLOADS = {
+    9: {"h": 40, "k": 9, "source": "computed",
+        "witness": {"least": False, "length": 39, "start": "140722742"}},
+    10: {"h": 46, "k": 10, "source": "computed",
+         "witness": {"least": False, "length": 45, "start": "417086648"}},
+    11: {"h": 58, "k": 11, "source": "computed",
+         "witness": {"least": False, "length": 57, "start": "125601285782"}},
+    12: {"h": 66, "k": 12, "source": "computed",
+         "witness": {"least": False, "length": 65,
+                     "start": "5546972216582"}},
+}
+
+
+@pytest.mark.parametrize("k", sorted(COMPUTED_H_PAYLOADS))
+def test_h_compute_json_is_pinned(capsys, k):
+    code, out, _ = _run(capsys, "h", str(k), "--compute", "--json")
+    assert code == 0
+    assert out == json.dumps(COMPUTED_H_PAYLOADS[k], sort_keys=True,
+                             indent=2) + "\n"
+
+
 def test_h_not_tabulated_fails(capsys):
     code, _, err = _run(capsys, "h", "21")
     assert code == 1
     assert "error" in err
-    code, _, err = _run(capsys, "h", "5", "--table-only")
+    code, _, err = _run(capsys, "h", "5", "--max-compute-k", "0")
     assert code == 0
-    code, _, err = _run(capsys, "h", "21", "--table-only")
-    assert code == 1
+    code, out, err = _run(capsys, "h", "21", "--max-compute-k", "0")
+    assert (code, out) == (1, "")
+    assert err == ("error: h(21) is not tabulated and k exceeds the compute "
+                   "cap 0\n")
+
+
+def test_h_compute_budget_bounds_the_whole_walk(capsys):
+    # the k = 17 walk spends 70,447 nodes in all, its largest search 70,332
+    code, out, err = _run(capsys, "h", "17", "--compute",
+                          "--max-nodes", "70400")
+    assert (code, out) == (3, "")
+    assert err == "budget exhausted: cover search passed 70400 nodes\n"
 
 
 def test_h_compute_flags_table_mismatch(tmp_path, capsys):
@@ -356,6 +390,25 @@ def test_primes_json(capsys):
     assert [item["prime"] for item in payload] == ["3", "5", "17"]
 
 
+def test_find_prime_with_compute_cap_zero_never_runs_the_engine(
+        tmp_path, capsys, monkeypatch):
+    table = tmp_path / "table.txt"
+    table.write_text("1,2,computed\n2,4,computed\n")
+    with monkeypatch.context() as patched:
+        def no_engine(*args, **kwargs):
+            raise AssertionError("the exact search ran")
+
+        patched.setattr(cover, "max_cover_length", no_engine)
+        code, out, err = _run(capsys, "find-prime", "1", "7", "--table",
+                              str(table), "--max-compute-k", "0")
+    assert (code, out) == (1, "")
+    assert "no available bound reaches d = 7 (largest provable: 4)" in err
+    # the default cap lets the engine compute h(3) and h(4)
+    code, out, _ = _run(capsys, "find-prime", "1", "7", "--table", str(table))
+    assert code == 0
+    assert json.loads(out)["prime"] == "29"
+
+
 def test_primes_not_provable(capsys):
     code, _, err = _run(capsys, "primes", "1", "77", "--count", "1")
     assert code == 1
@@ -414,7 +467,7 @@ def test_env_table_and_flag_precedence(tmp_path, capsys, monkeypatch):
     ("g", "10", "--max-seconds", "0"),  # invalid time budget
     ("frobnicate",),                 # unknown subcommand
     ("bound-table", "--ks", "5,x"),  # malformed list
-    ("h", "5", "--compute", "--table-only"),  # mutually exclusive
+    ("h", "5", "--table-only"),      # removed: --max-compute-k 0 says it
     ("find-prime", "1", "3", "--mode", "hopeful"),  # unknown mode
     ("h-search", "13", "--primes", "5", "--max-nodes", "0"),  # node budget
     ("find-prime", "1", "3", "--json"),  # removed: stdout is always JSON

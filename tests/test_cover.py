@@ -250,6 +250,20 @@ def test_budget_is_an_error_not_a_verdict():
                   budget=SearchBudget(max_seconds=1e-9))
 
 
+def test_budget_bounds_the_whole_walk():
+    # one budget covers every search of a walk, not each search on its own:
+    # the k = 17 walk spends PINNED_WALK_NODES[17] nodes in all, 70,332 of
+    # them in its largest search
+    ps, spent = first_primes(17), PINNED_WALK_NODES[17]
+    for max_nodes in (70_400, spent - 1):
+        budget = SearchBudget(max_nodes=max_nodes)
+        with pytest.raises(BudgetExceeded,
+                           match=f"passed {max_nodes} nodes$"):
+            max_cover_length(ps, budget)
+        assert budget == SearchBudget(max_nodes=max_nodes)  # left as it was
+    assert max_cover_length(ps, SearchBudget(max_nodes=spent))[0] == 117
+
+
 def test_witness_integer_least_positive():
     # the canonical length-13 cover by the first five primes
     assignment = CoverAssignment((2, 3, 5, 7, 11), (0, 0, 1, 5, 7), 13)

@@ -67,3 +67,16 @@ def test_every_export_has_a_user_or_a_readme_entry():
               and not any(_references(tree, name) for tree in trees)
               and not re.search(rf"\b{name}\b", readme)]
     assert unused == []
+
+
+def test_only_h_of_and_g_of_run_the_walk():
+    # one way to turn an engine run into a value: the CLI resolves h(k)
+    # through cover.h_of and g(n) through gaps.g_of, never the walk itself
+    callers = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:  # each top-level function, class, statement
+            if _references(node, "max_cover_length"):
+                name = getattr(node, "name", node.lineno)
+                callers.add(f"{path.stem}.{name}")
+    assert callers == {"cover.h_of", "gaps.g_of"}
