@@ -24,7 +24,9 @@ from math import ceil, gcd, inf, log, prod
 
 from .arith import (_COPRIME_BLOCK, first_primes, is_prime, nth_prime,
                     primorial)
-from .cover import ComputePolicy, KnownHTable, default_h_table, h_of
+# default_h_table stays bound for the benchmark's tracer (perfbench/tracing.py)
+from .cover import (ComputePolicy, KnownHTable,  # noqa: F401
+                    default_h_table, h_of)
 from .errors import BudgetExceeded, JacobsthalError, NotProvable, OutOfRange
 from .progressions import EligibleAP, coprime_iso
 
@@ -124,7 +126,7 @@ def cw_upper(n: int) -> int:
     return ceil(CW_COEFFICIENT * n * n * log(n))
 
 
-def _h_at(k: int, table: KnownHTable | None, mode: str,
+def _h_at(k: int, table: KnownHTable, mode: str,
           policy: ComputePolicy | None) -> tuple[int, str]:
     """``(h, source)`` for index k under ``mode``: the exact h(k), or the
     conditional formula in cw mode.  find_prime's walk, ``bound`` and
@@ -136,7 +138,7 @@ def _h_at(k: int, table: KnownHTable | None, mode: str,
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def bound(k: int, table: KnownHTable | None = None, *,
+def bound(k: int, table: KnownHTable, *,
           mode: str = MODE_UNCONDITIONAL,
           policy: ComputePolicy | None = None) -> BoundRow:
     """The exact rational ``(p_{k+1}**2 - 2) / (h + 1)`` for index k, using
@@ -150,11 +152,9 @@ def bound(k: int, table: KnownHTable | None = None, *,
                     Fraction(p_next * p_next - 2, h_value + 1))
 
 
-def bound_table(ks, table: KnownHTable | None = None, *,
+def bound_table(ks, table: KnownHTable, *,
                 mode: str = MODE_UNCONDITIONAL,
                 policy: ComputePolicy | None = None) -> list[BoundRow]:
-    if table is None:
-        table = default_h_table()
     return [bound(k, table, mode=mode, policy=policy) for k in ks]
 
 
@@ -187,7 +187,7 @@ def _least_row(d: float, table: KnownHTable, mode: str,
     return rows[bisect_left(rows, (d,))][1:]
 
 
-def min_k_for(d: int, table: KnownHTable | None = None, *,
+def min_k_for(d: int, table: KnownHTable, *,
               mode: str = MODE_UNCONDITIONAL,
               policy: ComputePolicy | None = None) -> int:
     """Smallest k whose available bound certifies modulus d, scanning k
@@ -195,14 +195,12 @@ def min_k_for(d: int, table: KnownHTable | None = None, *,
     conditional validity range (cw)."""
     if d < 1:
         raise ValueError(f"modulus must be >= 1, got {d}")
-    if table is None:
-        table = default_h_table()
     if policy is None:
         policy = ComputePolicy()
     return _least_row(d, table, mode, policy)[0]
 
 
-def find_prime(ap: EligibleAP, table: KnownHTable | None = None, *,
+def find_prime(ap: EligibleAP, table: KnownHTable, *,
                mode: str = MODE_UNCONDITIONAL,
                policy: ComputePolicy | None = None) -> PrimeCertificate:
     """Produce a verified prime certificate for an eligible progression.
@@ -215,8 +213,6 @@ def find_prime(ap: EligibleAP, table: KnownHTable | None = None, *,
     none that divides d divides x: so the small x takes the primorial gcd,
     and the one test on m covers only the primes that divide d.
     """
-    if table is None:
-        table = default_h_table()
     if policy is None:
         policy = ComputePolicy()
     k, h_value, h_source = _least_row(ap.d, table, mode, policy)
@@ -239,8 +235,7 @@ def find_prime(ap: EligibleAP, table: KnownHTable | None = None, *,
         f"({h_source}) must be wrong")
 
 
-def verify_certificate(cert: PrimeCertificate,
-                       table: KnownHTable | None = None, *,
+def verify_certificate(cert: PrimeCertificate, table: KnownHTable, *,
                        policy: ComputePolicy | None = None) -> CertificateCheck:
     """Re-check every clause of a certificate from scratch.
 
@@ -248,8 +243,6 @@ def verify_certificate(cert: PrimeCertificate,
     certificates are reported, not crashed on.  The stored ``checks`` field
     is informational and deliberately ignored here.
     """
-    if table is None:
-        table = default_h_table()
     if policy is None:
         policy = ComputePolicy()
     failures: list[str] = []
@@ -384,8 +377,7 @@ def _refined(ap: EligibleAP, prime: int) -> EligibleAP:
         f"internal: no eligible refinement of {ap} avoiding {prime}")
 
 
-def prime_stream(ap: EligibleAP, count: int,
-                 table: KnownHTable | None = None, *,
+def prime_stream(ap: EligibleAP, count: int, table: KnownHTable, *,
                  mode: str = MODE_UNCONDITIONAL,
                  policy: ComputePolicy | None = None) -> list[PrimeCertificate]:
     """Certify ``count`` distinct primes in the progression by repeatedly
@@ -396,8 +388,6 @@ def prime_stream(ap: EligibleAP, count: int,
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    if table is None:
-        table = default_h_table()
     certificates: list[PrimeCertificate] = []
     current = ap
     while len(certificates) < count:
@@ -414,15 +404,13 @@ def prime_stream(ap: EligibleAP, count: int,
     return certificates
 
 
-def max_provable_d(table: KnownHTable | None = None, *,
+def max_provable_d(table: KnownHTable, *,
                    mode: str = MODE_UNCONDITIONAL) -> tuple[int, int | None]:
     """Largest modulus any available bound certifies, with the index used.
 
     Unconditional mode scans the table as-is; cw mode scans the whole
     conditional validity range.  Returns ``(0, None)`` for an empty table.
     """
-    if table is None:
-        table = default_h_table()
     policy = ComputePolicy(max_compute_k=0)
     try:  # no bound reaches inf: this walks to the end
         _least_row(inf, table, mode, policy)

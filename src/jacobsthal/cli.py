@@ -423,10 +423,7 @@ def run(argv=None) -> int:
     except OSError as exc:  # a path argument that cannot be read
         _diag(f"usage error: {exc}")
         return 2
-    except JacobsthalError as exc:
-        _diag(f"error: {exc}")
-        return 1
-    except ValueError as exc:
+    except (JacobsthalError, ValueError) as exc:
         _diag(f"error: {exc}")
         return 1
     if getattr(args, "json", False):

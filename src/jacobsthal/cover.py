@@ -67,7 +67,6 @@ class CoverWitness:
 
     start: int
     length: int
-    assignment: CoverAssignment
 
 
 @dataclass
@@ -394,7 +393,7 @@ def witness_integer(assignment: CoverAssignment) -> CoverWitness:
         start = modulus
     if not verify_cover(start, assignment.length, assignment.primes):
         raise JacobsthalError(f"internal: run from {start} is not covered")
-    return CoverWitness(start, assignment.length, assignment)
+    return CoverWitness(start, assignment.length)
 
 
 def least_witness(length: int, primes) -> CoverWitness | None:
@@ -410,9 +409,7 @@ def least_witness(length: int, primes) -> CoverWitness | None:
     start = shared_factor_flags(ps, period + length).find(b"\x01" * length)
     if not 0 <= start <= period:
         return None
-    offsets = tuple(-start % p for p in ps)
-    return CoverWitness(start, length,
-                        CoverAssignment(ps, offsets, length))
+    return CoverWitness(start, length)
 
 
 def elementary_lower_witness(n: int) -> CoverWitness:
@@ -435,7 +432,7 @@ def elementary_lower_witness(n: int) -> CoverWitness:
     assignment = CoverAssignment(ps, tuple(-start % p for p in ps), length)
     if not assignment.is_valid():
         raise JacobsthalError(f"internal: run from {start} is not covered")
-    return CoverWitness(start, length, assignment)
+    return CoverWitness(start, length)
 
 
 # --- known-value table -------------------------------------------------------
@@ -528,14 +525,12 @@ def default_h_table() -> KnownHTable:
     return _parse_h_table(text.splitlines())
 
 
-def h_of(k: int, table: KnownHTable | None = None,
+def h_of(k: int, table: KnownHTable,
          policy: ComputePolicy | None = None) -> tuple[int, str]:
     """Exact h(k): from the table, else computed within ``policy``'s cap and
     budget (and inserted into the table with a verified witness)."""
     if k < 1:
         raise ValueError(f"h(k) is defined for k >= 1, got {k}")
-    if table is None:
-        table = default_h_table()
     if policy is None:
         policy = ComputePolicy()
     entry = table.get(k)

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from jacobsthal.arith import first_primes, nth_prime, primorial
 from jacobsthal.certify import (CHECK_NAMES, MODE_CW, MODE_UNCONDITIONAL,
-                                MODES, PrimeCertificate, bound, bound_table,
+                                MODES, CertificateCheck, PrimeCertificate,
+                                bound, bound_table,
                                 certificate_from_json, certificate_to_json,
                                 cw_upper, find_prime, max_provable_d,
                                 min_k_for, prime_stream,
@@ -152,6 +153,11 @@ def test_min_k_cw(shipped_table):
     with pytest.raises(NotProvable) as err:
         min_k_for(43, shipped_table, mode=MODE_CW)
     assert err.value.max_provable_d == 42
+
+
+def test_min_k_for_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        min_k_for(5, KnownHTable(), mode="bogus")
 
 
 def _copy_rows(table, keep=lambda k: True):
@@ -458,6 +464,27 @@ def test_verify_rejects_wrong_preimage(good_cert, shipped_table):
 def test_verify_rejects_wrong_anchor(good_cert, shipped_table):
     text = _failures(replace(good_cert, c=good_cert.c + 3), shipped_table)
     assert "congruences" in text
+
+
+def test_verify_rejects_an_anchor_outside_the_progression(shipped_table):
+    # 60 is divisible by 2, 3 and 5 (and 7 divides d), so only the residue
+    # clause and the equation catch it
+    cert = find_prime(make_eligible(2, 7), shipped_table)
+    assert (cert.k, cert.c) == (4, 30)
+    check = verify_certificate(replace(cert, c=60), shipped_table)
+    assert check.failures == ("congruences: c does not lie in a + dZ",
+                              "equation: prime != c + d*m")
+
+
+def test_find_prime_never_emits_an_unverified_certificate(shipped_table,
+                                                          monkeypatch):
+    forged = CertificateCheck(("primality: forged",))
+    monkeypatch.setattr(certify, "verify_certificate",
+                        lambda cert, table, policy: forged)
+    with pytest.raises(JacobsthalError,
+                       match="internal: produced certificate failed "
+                             "verification"):
+        find_prime(make_eligible(1, 3), shipped_table)
 
 
 def test_verify_bound_clause_alone(good_cert, shipped_table):

@@ -449,6 +449,17 @@ def test_max_d_cw_json(capsys):
     assert payload == {"mode": "cw", "max_d": 42, "k": 8119}
 
 
+def test_max_d_of_an_empty_table(tmp_path, capsys):
+    table = tmp_path / "table.txt"
+    table.write_text("# no rows\n")
+    code, out, _ = _run(capsys, "max-d", "--table", str(table))
+    assert (code, out) == (0, "no bounds available (empty table)\n")
+    code, out, _ = _run(capsys, "max-d", "--table", str(table), "--json")
+    assert code == 0
+    assert json.loads(out) == {"k": None, "max_d": 0,
+                               "mode": "unconditional"}
+
+
 def test_env_table_and_flag_precedence(tmp_path, capsys, monkeypatch):
     env_table = tmp_path / "env_table.txt"
     env_table.write_text("50,762,paper\n")

@@ -395,6 +395,10 @@ def test_validation_rejects_impossible_h():
         table.set(1, 1, "paper")
     with pytest.raises(TableValidationError):
         table.set(5, 14, "folklore")
+    # h(3) = 6, so a witness run must have length 5
+    with pytest.raises(TableValidationError, match="witness length 4"):
+        table.set(3, 6, HSOURCE_COMPUTED,
+                  witness=least_witness(4, first_primes(3)))
 
 
 def test_load_h_table_reads_the_packaged_file(shipped_table):

@@ -69,14 +69,27 @@ def test_every_export_has_a_user_or_a_readme_entry():
     assert unused == []
 
 
+def _top_level_users(*names):
+    """``module.name`` of each top-level function, class or statement of
+    the package that references one of ``names``."""
+    users = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if any(_references(node, name) for name in names):
+                name = getattr(node, "name", node.lineno)
+                users.add(f"{path.stem}.{name}")
+    return users
+
+
 def test_only_h_of_and_g_of_run_the_walk():
     # one way to turn an engine run into a value: the CLI resolves h(k)
     # through cover.h_of and g(n) through gaps.g_of, never the walk itself
-    callers = set()
-    for path in SOURCES:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in tree.body:  # each top-level function, class, statement
-            if _references(node, "max_cover_length"):
-                name = getattr(node, "name", node.lineno)
-                callers.add(f"{path.stem}.{name}")
-    assert callers == {"cover.h_of", "gaps.g_of"}
+    assert _top_level_users("max_cover_length") == {"cover.h_of", "gaps.g_of"}
+
+
+def test_only_the_cli_resolves_the_h_table():
+    # one way to resolve the table: library calls take the table they are
+    # given, and only cli._table picks the packaged file or a --table path
+    assert _top_level_users("default_h_table", "load_h_table") == {
+        "cli._table"}
