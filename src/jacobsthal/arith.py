@@ -10,9 +10,9 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import mul
+from typing import NamedTuple
 
 from .errors import BudgetExceeded, JacobsthalError, NonCoprimeModuli
 
@@ -189,27 +189,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Prime factorization ``base = ∏ p**e`` with ascending distinct primes."""
 
     base: int
     factors: tuple[tuple[int, int], ...]
 
     def radical(self) -> int:
-        r = 1
-        for p, _ in self.factors:
-            r *= p
-        return r
+        return math.prod(self.primes())
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
     def product(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
+        return math.prod(p**e for p, e in self.factors)
 
 
 def _rho_brent(n: int, max_steps: int) -> int | None:
@@ -281,3 +274,34 @@ def factorize(n: int) -> Factorization:
         raise JacobsthalError(f"internal: factors of {n} multiply to "
                               f"{result.product()}")
     return result
+
+
+# --- decimal text -----------------------------------------------------------
+
+# Python refuses int <-> str conversions past 4300 digits by default, and a
+# cw certificate's c reaches about 45.3k digits at k = 10000, so longer
+# numbers are converted in pieces below that limit.
+_PIECE_DIGITS = 4000
+
+
+def int_to_decimal(n: int) -> str:
+    """``str(n)`` for an int of any size, whatever the interpreter's digit
+    limit."""
+    if n < 0:
+        return "-" + int_to_decimal(-n)
+    if n.bit_length() <= _PIECE_DIGITS * 3:  # under _PIECE_DIGITS digits
+        return str(n)
+    low_digits = n.bit_length() * 3 // 20  # about half of the digit count
+    high, low = divmod(n, 10 ** low_digits)
+    return int_to_decimal(high) + int_to_decimal(low).zfill(low_digits)
+
+
+def _decimal_to_int(text: str) -> int:
+    """``int(text)`` for a string of optional '-' and digits, of any length."""
+    if len(text) <= _PIECE_DIGITS:
+        return int(text)
+    if text[0] == "-":
+        return -_decimal_to_int(text[1:])
+    low_digits = len(text) // 2
+    return (_decimal_to_int(text[:-low_digits]) * 10 ** low_digits
+            + _decimal_to_int(text[-low_digits:]))

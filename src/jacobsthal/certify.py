@@ -19,20 +19,20 @@ import re as _re
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from math import ceil, gcd, inf, log, prod
+from typing import TYPE_CHECKING
 
-from .arith import (_COPRIME_BLOCK, first_primes, is_prime, nth_prime,
-                    primorial)
+from .arith import (_COPRIME_BLOCK, _decimal_to_int, first_primes,
+                    int_to_decimal, is_prime, nth_prime, primorial)
 # default_h_table stays bound for the benchmark's tracer (perfbench/tracing.py)
-from .cover import (ComputePolicy, KnownHTable,  # noqa: F401
-                    default_h_table, h_of)
+from .cover import (MODE_CW, MODE_UNCONDITIONAL, MODES,  # noqa: F401
+                    ComputePolicy, KnownHTable, default_h_table, h_of)
 from .errors import BudgetExceeded, JacobsthalError, NotProvable, OutOfRange
 from .progressions import EligibleAP, coprime_iso
 
-MODE_UNCONDITIONAL = "unconditional"
-MODE_CW = "cw"
-MODES = (MODE_UNCONDITIONAL, MODE_CW)
+if TYPE_CHECKING:  # bound imports it when it builds a row
+    from fractions import Fraction
+
 HSOURCE_CW = "cw"
 
 # Conditional quadratic bound on h(n), verified by computation for
@@ -144,6 +144,7 @@ def bound(k: int, table: KnownHTable, *,
     """The exact rational ``(p_{k+1}**2 - 2) / (h + 1)`` for index k, using
     the exact h(k) in unconditional mode or the conditional formula in cw
     mode."""
+    from fractions import Fraction
     if k < 1:
         raise ValueError(f"index must be >= 1, got {k}")
     h_value, h_source = _h_at(k, table, mode, policy)
@@ -424,36 +425,9 @@ def max_provable_d(table: KnownHTable, *,
 _INT_FIELDS = ("a", "d", "k", "c", "m", "prime", "h_value")
 _STR_FIELDS = ("h_source", "mode")
 
-# Python refuses int <-> str conversions past 4300 digits by default, and a
-# cw certificate's c reaches about 45.3k digits at k = CW_MAX_K, so longer
-# numbers are converted in pieces below that limit.  A certificate field
-# may have at most _FIELD_MAX_DIGITS digits, which keeps parsing a hostile
-# file cheap.
-_PIECE_DIGITS = 4000
+# A certificate field may have at most this many digits, which keeps
+# parsing a hostile file cheap.
 _FIELD_MAX_DIGITS = 60_000
-
-
-def int_to_decimal(n: int) -> str:
-    """``str(n)`` for an int of any size, whatever the interpreter's digit
-    limit."""
-    if n < 0:
-        return "-" + int_to_decimal(-n)
-    if n.bit_length() <= _PIECE_DIGITS * 3:  # under _PIECE_DIGITS digits
-        return str(n)
-    low_digits = n.bit_length() * 3 // 20  # about half of the digit count
-    high, low = divmod(n, 10 ** low_digits)
-    return int_to_decimal(high) + int_to_decimal(low).zfill(low_digits)
-
-
-def _decimal_to_int(text: str) -> int:
-    """``int(text)`` for a string of optional '-' and digits, of any length."""
-    if len(text) <= _PIECE_DIGITS:
-        return int(text)
-    if text[0] == "-":
-        return -_decimal_to_int(text[1:])
-    low_digits = len(text) // 2
-    return (_decimal_to_int(text[:-low_digits]) * 10 ** low_digits
-            + _decimal_to_int(text[-low_digits:]))
 
 
 def certificate_to_json(cert: PrimeCertificate) -> str:

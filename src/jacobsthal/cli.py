@@ -19,14 +19,27 @@ import os
 import sys
 from math import gcd, prod
 
-from . import certify, cover, gaps
-from .arith import first_primes
-from .certify import (MODE_UNCONDITIONAL, MODES, certificate_from_json,
-                      certificate_to_json, int_to_decimal)
-from .cover import (DEFAULT_MAX_COMPUTE_K, ComputePolicy, KnownHTable,
-                    SearchBudget, default_h_table, load_h_table)
+from . import cover
+from .arith import _decimal_to_int, first_primes, int_to_decimal
+from .cover import (DEFAULT_MAX_COMPUTE_K, MODE_UNCONDITIONAL, MODES,
+                    ComputePolicy, KnownHTable, SearchBudget,
+                    default_h_table, load_h_table)
 from .errors import BudgetExceeded, JacobsthalError
-from .progressions import coprime_iso, make_eligible
+
+# Commands call these as _cli.NAME: the first use binds one here from the
+# package, so a command that uses none loads neither certify nor
+# progressions, and a wrapper set on this module (perfbench/tracing.py) runs.
+_DEFERRED = ("certificate_from_json", "certificate_to_json", "coprime_iso",
+             "make_eligible")
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
+
 
 H_TABLE_ENV = "JACOBSTHAL_H_TABLE"
 DEFAULT_BOUND_KS = (5, 10, 15, 20, 25, 30, 35, 40, 45, 50)
@@ -76,7 +89,7 @@ def _int_at_least(minimum: int):
                 raise argparse.ArgumentTypeError(
                     f"not an integer: {_quoted(text)}") from None
             # a well-formed number past the interpreter's digit limit
-            value = certify._decimal_to_int(digits.removeprefix("+"))
+            value = _decimal_to_int(digits.removeprefix("+"))
         if value < minimum:
             shown = value if len(text) <= _ECHO_CHARS else _quoted(text)
             raise argparse.ArgumentTypeError(
@@ -111,6 +124,7 @@ def _k_list(text: str) -> tuple[int, ...]:
 # --- subcommands -------------------------------------------------------------
 
 def cmd_g(args) -> _Result:
+    from . import gaps
     result = gaps.g_of(args.n, budget=_budget(args))
     n, start = int_to_decimal(result.n), int_to_decimal(result.witness_start)
     payload = {"n": n, "g": result.g, "witness_start": start,
@@ -129,7 +143,7 @@ def cmd_h(args) -> _Result:
     loaded = table.get(k)
     if args.compute:
         # the engine answers on an empty table; the loaded row only checks it
-        table, policy.max_compute_k = KnownHTable(), k
+        table, policy = KnownHTable(), policy._replace(max_compute_k=k)
     h, source = cover.h_of(k, table, policy)
     if args.compute and loaded is not None and loaded.h != h:
         raise JacobsthalError(
@@ -186,9 +200,9 @@ def cmd_witness_lower(args) -> _Result:
 
 
 def cmd_iso(args) -> _Result:
-    ap = make_eligible(args.a, args.d)
+    ap = _cli.make_eligible(args.a, args.d)
     ps = first_primes(args.k)
-    iso = coprime_iso(ap, ps)
+    iso = _cli.coprime_iso(ap, ps)
     modulus = prod(ps)
     c = int_to_decimal(iso.c)
     images = [(n, iso(n)) for n in range(-args.window, args.window + 1)]
@@ -216,11 +230,12 @@ def cmd_iso(args) -> _Result:
 
 
 def cmd_find_prime(args) -> _Result:
-    ap = make_eligible(args.a, args.d)
+    from . import certify
+    ap = _cli.make_eligible(args.a, args.d)
     cert = certify.find_prime(ap, _table(args), mode=args.mode,
                               policy=_policy(args))
     # no --json: the text form already is the certificate JSON
-    lines = certificate_to_json(cert).splitlines()
+    lines = _cli.certificate_to_json(cert).splitlines()
     # the summary reads c's digits back from the JSON, cut when they are many
     c = next(line for line in lines
              if line.startswith('  "c": ')).split('"')[3]
@@ -232,6 +247,7 @@ def cmd_find_prime(args) -> _Result:
 
 
 def cmd_verify(args) -> _Result:
+    from . import certify
     with open(args.certificate, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -241,9 +257,10 @@ def cmd_verify(args) -> _Result:
     if data == []:
         raise JacobsthalError(f"{args.certificate} holds no certificates")
     if isinstance(data, list):
-        certs = [certificate_from_json(json.dumps(item)) for item in data]
+        certs = [_cli.certificate_from_json(json.dumps(item))
+                 for item in data]
     else:
-        certs = [certificate_from_json(text)]
+        certs = [_cli.certificate_from_json(text)]
     table = _table(args)
     policy = _policy(args)
     results = [(cert, certify.verify_certificate(cert, table, policy=policy))
@@ -263,17 +280,19 @@ def cmd_verify(args) -> _Result:
 
 
 def cmd_primes(args) -> _Result:
-    ap = make_eligible(args.a, args.d)
+    from . import certify
+    ap = _cli.make_eligible(args.a, args.d)
     certs = certify.prime_stream(ap, args.count, _table(args), mode=args.mode,
                                  policy=_policy(args))
     for cert in certs:
         _diag(f"certified prime {cert.prime} in {cert.a}+{cert.d}Z "
               f"(k = {cert.k})")
-    payload = [json.loads(certificate_to_json(cert)) for cert in certs]
+    payload = [json.loads(_cli.certificate_to_json(cert)) for cert in certs]
     return 0, payload, [str(cert.prime) for cert in certs]
 
 
 def cmd_bound_table(args) -> _Result:
+    from . import certify
     rows = certify.bound_table(args.ks, _table(args), mode=args.mode,
                                policy=_policy(args))
     payload = [{"k": row.k, "next_prime": row.next_prime, "h": row.h_value,
@@ -287,6 +306,7 @@ def cmd_bound_table(args) -> _Result:
 
 
 def cmd_max_d(args) -> _Result:
+    from . import certify
     best, k = certify.max_provable_d(_table(args), mode=args.mode)
     payload = {"mode": args.mode, "max_d": best, "k": k}
     if k is None:

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
 from importlib import resources
 from math import prod
+from typing import NamedTuple
 
 # is_prime stays bound here for the benchmark's tracer (perfbench/tracing.py)
 from .arith import (RUN_SIEVE_LIMIT, crt_solve, first_primes,  # noqa: F401
@@ -33,6 +33,11 @@ HSOURCE_COMPUTED = "computed"
 HSOURCE_INGESTED = "ingested"
 H_SOURCES = frozenset({HSOURCE_PAPER, HSOURCE_COMPUTED, HSOURCE_INGESTED})
 
+# certify's bounds on h(k), here so the CLI parser need not load certify
+MODE_UNCONDITIONAL = "unconditional"
+MODE_CW = "cw"
+MODES = (MODE_UNCONDITIONAL, MODE_CW)
+
 # Largest product of small primes whose offsets the wheel search
 # enumerates outright before falling back to the positions search.
 WHEEL_PRODUCT_CAP = 30030
@@ -40,8 +45,7 @@ WHEEL_PRODUCT_CAP = 30030
 DEFAULT_MAX_COMPUTE_K = 12
 
 
-@dataclass(frozen=True)
-class CoverAssignment:
+class CoverAssignment(NamedTuple):
     """Offsets ``offsets[i]`` for ``primes[i]`` covering ``[0, length)``."""
 
     primes: tuple[int, ...]
@@ -60,8 +64,7 @@ class CoverAssignment:
         return 0 not in marks
 
 
-@dataclass(frozen=True)
-class CoverWitness:
+class CoverWitness(NamedTuple):
     """``length`` consecutive integers from ``start``, each divisible by an
     assigned prime; equivalently a concrete non-coprime run."""
 
@@ -69,8 +72,7 @@ class CoverWitness:
     length: int
 
 
-@dataclass
-class SearchBudget:
+class SearchBudget(NamedTuple):
     """Optional limits for the exact search; hitting one raises
     :class:`BudgetExceeded` (never a fake negative).  One budget bounds one
     :func:`coverable` call, or a whole :func:`max_cover_length` walk."""
@@ -90,8 +92,7 @@ class _Allowance:
                          if budget and budget.max_seconds is not None else None)
 
 
-@dataclass
-class ComputePolicy:
+class ComputePolicy(NamedTuple):
     """Controls when missing h(k) values may be computed by the engine: only
     for ``k <= max_compute_k``, so a cap of 0 never computes."""
 
@@ -438,8 +439,7 @@ def elementary_lower_witness(n: int) -> CoverWitness:
 # --- known-value table -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HEntry:
+class HEntry(NamedTuple):
     h: int
     source: str
     witness: CoverWitness | None = None

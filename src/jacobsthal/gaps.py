@@ -7,7 +7,7 @@ radical of n, so the scan works over one period of rad(n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import cover
 from .arith import RUN_SIEVE_LIMIT, factorize, shared_factor_flags
@@ -16,8 +16,7 @@ from .errors import BudgetExceeded
 MAX_SUPPORT = 25
 
 
-@dataclass(frozen=True)
-class GapScanResult:
+class GapScanResult(NamedTuple):
     """Value of g(n) plus the witness run of ``g - 1`` non-coprime integers.
 
     Both neighbors of the run (``witness_start - 1`` and

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from jacobsthal import cover
+from jacobsthal import cli, cover
 from jacobsthal.certify import int_to_decimal
 from jacobsthal.cli import H_TABLE_ENV, run
 
@@ -141,6 +141,20 @@ def test_h_compute_budget_bounds_the_whole_walk(capsys):
                           "--max-nodes", "70400")
     assert (code, out) == (3, "")
     assert err == "budget exhausted: cover search passed 70400 nodes\n"
+
+
+def test_h_compute_leaves_the_callers_policy_unchanged(monkeypatch, capsys):
+    # --compute hands h_of a copy whose cap reaches k, not the policy itself
+    policy = cover.ComputePolicy(max_compute_k=0)
+    monkeypatch.setattr(cli, "_policy", lambda args: policy)
+    seen = []
+    h_of = cover.h_of
+    monkeypatch.setattr(cover, "h_of", lambda k, table, given:
+                        seen.append(given) or h_of(k, table, given))
+    code, out, _ = _run(capsys, "h", "12", "--compute")
+    assert (code, out.splitlines()[0]) == (0, "h(12) = 66 (computed)")
+    assert policy == cover.ComputePolicy(0, None)
+    assert seen == [cover.ComputePolicy(12, None)]
 
 
 def test_h_compute_flags_table_mismatch(tmp_path, capsys):

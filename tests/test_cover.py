@@ -12,7 +12,8 @@ from math import prod
 from jacobsthal import cover
 from jacobsthal.arith import (factorize, first_primes, nth_prime,
                               primes_upto, primorial)
-from jacobsthal.cover import (CoverAssignment, HSOURCE_COMPUTED, KnownHTable,
+from jacobsthal.cover import (CoverAssignment, CoverWitness, HEntry,
+                              HSOURCE_COMPUTED, KnownHTable,
                               SearchBudget, ComputePolicy,
                               coverable, default_h_table,
                               elementary_lower_witness, h_of, least_witness,
@@ -426,6 +427,29 @@ def test_h_of_tabulated_and_refusals(shipped_table):
         h_of(13, KnownHTable(), ComputePolicy(max_compute_k=12))
     with pytest.raises(ValueError):
         h_of(0, shipped_table)
+
+
+@pytest.mark.parametrize("record, field", [
+    (HEntry(6, HSOURCE_COMPUTED), "h"),
+    (CoverWitness(2, 5), "start"),
+    (SearchBudget(), "max_nodes"),
+    (ComputePolicy(), "max_compute_k"),
+])
+def test_records_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, 1)
+    # a changed copy comes from _replace and leaves the record as it was
+    assert getattr(record._replace(**{field: 1}), field) == 1
+    assert getattr(record, field) != 1
+
+
+def test_records_keep_their_defaults_and_repr():
+    assert SearchBudget(max_nodes=5) == SearchBudget(5, None)
+    assert ComputePolicy() == ComputePolicy(12, None)
+    assert HEntry(6, "paper").witness is None
+    assert repr(SearchBudget(max_nodes=5)) == (
+        "SearchBudget(max_nodes=5, max_seconds=None)")
+    assert repr(CoverWitness(2, 5)) == "CoverWitness(start=2, length=5)"
 
 
 def test_h_of_budget_propagates():
