@@ -102,7 +102,8 @@ def nth_prime(k: int) -> int:
     if k < 1:
         raise ValueError(f"prime index must be >= 1, got {k}")
     if k > _NTH_CAP:
-        raise BudgetExceeded(f"prime index {k} beyond supported cap {_NTH_CAP}")
+        raise BudgetExceeded(f"prime index {decimal_excerpt(k)} beyond "
+                             f"supported cap {_NTH_CAP}")
     if k <= len(_primes):
         return _primes[k - 1]
     # Rosser-style upper bound on p_k, padded for small k
@@ -172,7 +173,8 @@ def is_prime(n: int) -> bool:
     if n < _TRIAL_LIMIT:
         return True
     if n >= _MR_LIMIT:
-        raise BudgetExceeded(f"{n} exceeds the deterministic primality range")
+        raise BudgetExceeded(f"{decimal_excerpt(n)} exceeds the deterministic "
+                             "primality range")
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
@@ -250,7 +252,7 @@ def factorize(n: int) -> Factorization:
         return Factorization(1, ())
     counts: dict[int, int] = {}
     m = n
-    for p in primes_upto(_TRIAL_BOUND):
+    for p in primes_upto(min(_TRIAL_BOUND, math.isqrt(n))):
         if p * p > m:
             break
         while m % p == 0:
@@ -266,7 +268,8 @@ def factorize(n: int) -> Factorization:
             continue
         d = _rho_brent(v, _RHO_STEPS)
         if d is None or d == v:
-            raise BudgetExceeded(f"failed to split composite {v} within budget")
+            raise BudgetExceeded(f"failed to split composite "
+                                 f"{decimal_excerpt(v)} within budget")
         pending.extend((d, v // d))
     factors = tuple(sorted((p, e) for p, e in counts.items()))
     result = Factorization(n, factors)
@@ -282,6 +285,8 @@ def factorize(n: int) -> Factorization:
 # cw certificate's c reaches about 45.3k digits at k = 10000, so longer
 # numbers are converted in pieces below that limit.
 _PIECE_DIGITS = 4000
+# most digits a message shows of one number
+_EXCERPT_DIGITS = 40
 
 
 def int_to_decimal(n: int) -> str:
@@ -294,6 +299,21 @@ def int_to_decimal(n: int) -> str:
     low_digits = n.bit_length() * 3 // 20  # about half of the digit count
     high, low = divmod(n, 10 ** low_digits)
     return int_to_decimal(high) + int_to_decimal(low).zfill(low_digits)
+
+
+def decimal_excerpt(n: int) -> str:
+    """``str(n)`` when it has at most 40 digits, else its first 40 digits
+    and the digit count, so a message can name a number of any size.  One
+    division finds both: ``s <= log10(n)`` (0.30102999 < log10(2)), so
+    ``n // 10**(s - 39)`` keeps 40 or more leading digits of n."""
+    if n < 0:
+        return "-" + decimal_excerpt(-n)
+    if n < 10 ** _EXCERPT_DIGITS:
+        return str(n)
+    s = (n.bit_length() - 1) * 30102999 // 10**8
+    head = str(n // 10 ** (s - _EXCERPT_DIGITS + 1))
+    return (f"{head[:_EXCERPT_DIGITS]}... "
+            f"({len(head) + s - _EXCERPT_DIGITS + 1} digits)")
 
 
 def _decimal_to_int(text: str) -> int:

@@ -20,13 +20,15 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import ceil, gcd, inf, log, prod
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .arith import (_COPRIME_BLOCK, _decimal_to_int, first_primes,
-                    int_to_decimal, is_prime, nth_prime, primorial)
+from .arith import (_COPRIME_BLOCK, _decimal_to_int, decimal_excerpt,
+                    first_primes, int_to_decimal, is_prime, nth_prime,
+                    primorial)
 # default_h_table stays bound for the benchmark's tracer (perfbench/tracing.py)
-from .cover import (MODE_CW, MODE_UNCONDITIONAL, MODES,  # noqa: F401
-                    ComputePolicy, KnownHTable, default_h_table, h_of)
+from .cover import (DEFAULT_POLICY, MODE_CW,  # noqa: F401
+                    MODE_UNCONDITIONAL, MODES, ComputePolicy, KnownHTable,
+                    default_h_table, h_of)
 from .errors import BudgetExceeded, JacobsthalError, NotProvable, OutOfRange
 from .progressions import EligibleAP, coprime_iso
 
@@ -55,9 +57,11 @@ CHECK_NAMES = (
 
 _DECIMAL_INT = _re.compile(r"-?[0-9]+")
 
+# max_provable_d walks only the rows the table holds
+_NO_COMPUTE = ComputePolicy(max_compute_k=0)
 
-@dataclass(frozen=True)
-class BoundRow:
+
+class BoundRow(NamedTuple):
     """One row of the provability table: with ``h_value`` consecutive
     integers always containing one coprime to the first k primes, every
     eligible progression with ``d <= value`` gets a certified prime."""
@@ -96,8 +100,7 @@ class PrimeCertificate:
     checks: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class CertificateCheck:
+class CertificateCheck(NamedTuple):
     failures: tuple[str, ...] = ()
 
     @property
@@ -159,12 +162,13 @@ def bound_table(ks, table: KnownHTable, *,
     return [bound(k, table, mode=mode, policy=policy) for k in ks]
 
 
-def _least_row(d: float, table: KnownHTable, mode: str,
-               policy: ComputePolicy) -> tuple[int, int, str]:
-    """``(k, h, source)`` at the least k whose bound certifies d.  The table
-    keeps the walk up the k until its next ``set``: a sentinel, then one
+def _walk(d: float, table: KnownHTable, mode: str,
+          policy: ComputePolicy | None) -> list[tuple]:
+    """The walk up the k, extended until its reach passes d or the k run
+    out.  The table keeps it until its next ``set``: a sentinel, then one
     ``(reach, k, h, source)`` per k, reach the largest d certified so far."""
     derived = table._derived  # read once: a set() from here on orphans it
+    policy = policy or DEFAULT_POLICY
     key = policy.max_compute_k if mode == MODE_UNCONDITIONAL else mode
     walk = derived.get(key)
     if walk is None:
@@ -181,10 +185,17 @@ def _least_row(d: float, table: KnownHTable, mode: str,
             p_next = nth_prime(k + 1)  # largest d: (p_{k+1}^2 - 2) // (h + 1)
             rows.append((max(rows[-1][0], (p_next * p_next - 2)
                              // (h_value + 1)), k, h_value, h_source))
+    return rows
+
+
+def _least_row(d: int, table: KnownHTable, mode: str,
+               policy: ComputePolicy | None) -> tuple[int, int, str]:
+    """``(k, h, source)`` at the least k whose bound certifies d."""
+    rows = _walk(d, table, mode, policy)
     if rows[-1][0] < d:
-        raise NotProvable(f"no available bound reaches d = {d} (largest "
-                          f"provable: {rows[-1][0]})",
-                          max_provable_d=rows[-1][0])
+        raise NotProvable(f"no available bound reaches d = "
+                          f"{decimal_excerpt(d)} (largest provable: "
+                          f"{rows[-1][0]})", max_provable_d=rows[-1][0])
     return rows[bisect_left(rows, (d,))][1:]
 
 
@@ -196,8 +207,6 @@ def min_k_for(d: int, table: KnownHTable, *,
     conditional validity range (cw)."""
     if d < 1:
         raise ValueError(f"modulus must be >= 1, got {d}")
-    if policy is None:
-        policy = ComputePolicy()
     return _least_row(d, table, mode, policy)[0]
 
 
@@ -214,8 +223,6 @@ def find_prime(ap: EligibleAP, table: KnownHTable, *,
     none that divides d divides x: so the small x takes the primorial gcd,
     and the one test on m covers only the primes that divide d.
     """
-    if policy is None:
-        policy = ComputePolicy()
     k, h_value, h_source = _least_row(ap.d, table, mode, policy)
     c = coprime_iso(ap, first_primes(k)).c
     p_next = nth_prime(k + 1)
@@ -244,13 +251,12 @@ def verify_certificate(cert: PrimeCertificate, table: KnownHTable, *,
     certificates are reported, not crashed on.  The stored ``checks`` field
     is informational and deliberately ignored here.
     """
-    if policy is None:
-        policy = ComputePolicy()
     failures: list[str] = []
     if cert.mode not in MODES:
         return CertificateCheck((f"unknown mode {cert.mode!r}",))
     if cert.k < 1 or cert.k > 100_000:
-        return CertificateCheck((f"index k = {cert.k} out of range",))
+        return CertificateCheck(
+            (f"index k = {decimal_excerpt(cert.k)} out of range",))
     if cert.d < 1 or not 0 <= cert.a < cert.d or gcd(cert.a, cert.d) != 1:
         return CertificateCheck(
             ("eligible: a + dZ is not an eligible progression",))
@@ -329,9 +335,10 @@ def _shares_a_prime(n: int, qs: tuple[int, ...], products: list[int]) -> bool:
 
 
 def _h_consistency(cert: PrimeCertificate, table: KnownHTable,
-                   policy: ComputePolicy) -> list[str]:
+                   policy: ComputePolicy | None) -> list[str]:
     if cert.h_value < 1:
-        return [f"h-consistent: impossible h_value {cert.h_value}"]
+        return ["h-consistent: impossible h_value "
+                f"{decimal_excerpt(cert.h_value)}"]
     cw = cert.mode == MODE_CW
     if cw != (cert.h_source == HSOURCE_CW):
         return ["h-consistent: cw mode requires the cw source" if cw else
@@ -346,7 +353,7 @@ def _h_consistency(cert: PrimeCertificate, table: KnownHTable,
         named = (f"conditional bound for k = {cert.k} is" if cw
                  else f"h({cert.k}) =")
         return [f"h-consistent: {named} {expected}, certificate says "
-                f"{cert.h_value}"]
+                f"{decimal_excerpt(cert.h_value)}"]
     if source != cert.h_source:
         return [f"h-consistent: h({cert.k}) comes from {source}, "
                 f"certificate says {cert.h_source}"]
@@ -412,18 +419,16 @@ def max_provable_d(table: KnownHTable, *,
     Unconditional mode scans the table as-is; cw mode scans the whole
     conditional validity range.  Returns ``(0, None)`` for an empty table.
     """
-    policy = ComputePolicy(max_compute_k=0)
-    try:  # no bound reaches inf: this walks to the end
-        _least_row(inf, table, mode, policy)
-    except NotProvable as exc:
-        best = exc.max_provable_d
-    return best, (_least_row(best, table, mode, policy)[0] if best else None)
+    rows = _walk(inf, table, mode, _NO_COMPUTE)  # no reach passes inf
+    best = rows[-1][0]
+    return best, (rows[bisect_left(rows, (best,))][1] if best else None)
 
 
 # --- serialization -----------------------------------------------------------
 
 _INT_FIELDS = ("a", "d", "k", "c", "m", "prime", "h_value")
 _STR_FIELDS = ("h_source", "mode")
+_FIELDS = frozenset(_INT_FIELDS + _STR_FIELDS + ("checks",))
 
 # A certificate field may have at most this many digits, which keeps
 # parsing a hostile file cheap.
@@ -447,10 +452,9 @@ def certificate_from_json(text: str) -> PrimeCertificate:
         raise JacobsthalError(f"certificate is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise JacobsthalError("certificate must be a JSON object")
-    expected = set(_INT_FIELDS) | set(_STR_FIELDS) | {"checks"}
-    if set(data) != expected:
+    if data.keys() != _FIELDS:
         raise JacobsthalError(
-            f"certificate fields must be exactly {sorted(expected)}")
+            f"certificate fields must be exactly {sorted(_FIELDS)}")
     values: dict[str, object] = {}
     for name in _INT_FIELDS:
         raw = data[name]

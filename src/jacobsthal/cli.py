@@ -20,7 +20,8 @@ import sys
 from math import gcd, prod
 
 from . import cover
-from .arith import _decimal_to_int, first_primes, int_to_decimal
+from .arith import (_decimal_to_int, decimal_excerpt, first_primes,
+                    int_to_decimal)
 from .cover import (DEFAULT_MAX_COMPUTE_K, MODE_UNCONDITIONAL, MODES,
                     ComputePolicy, KnownHTable, SearchBudget,
                     default_h_table, load_h_table)
@@ -236,13 +237,8 @@ def cmd_find_prime(args) -> _Result:
                               policy=_policy(args))
     # no --json: the text form already is the certificate JSON
     lines = _cli.certificate_to_json(cert).splitlines()
-    # the summary reads c's digits back from the JSON, cut when they are many
-    c = next(line for line in lines
-             if line.startswith('  "c": ')).split('"')[3]
-    if len(c) > _ECHO_CHARS:
-        c = f"{c[:_ECHO_CHARS]}... ({len(c)} digits)"
     _diag(f"certified prime {cert.prime} in {ap} "
-          f"(k = {cert.k}, c = {c}, mode {cert.mode})")
+          f"(k = {cert.k}, c = {decimal_excerpt(cert.c)}, mode {cert.mode})")
     return 0, None, lines
 
 

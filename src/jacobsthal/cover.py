@@ -23,8 +23,9 @@ from math import prod
 from typing import NamedTuple
 
 # is_prime stays bound here for the benchmark's tracer (perfbench/tracing.py)
-from .arith import (RUN_SIEVE_LIMIT, crt_solve, first_primes,  # noqa: F401
-                    is_prime, nth_prime, shared_factor_flags, validated_primes)
+from .arith import (RUN_SIEVE_LIMIT, crt_solve,  # noqa: F401
+                    decimal_excerpt, first_primes, is_prime, nth_prime,
+                    shared_factor_flags, validated_primes)
 from .errors import (BudgetExceeded, JacobsthalError, TableParseError,
                      TableValidationError, Unavailable)
 
@@ -43,6 +44,11 @@ MODES = (MODE_UNCONDITIONAL, MODE_CW)
 WHEEL_PRODUCT_CAP = 30030
 
 DEFAULT_MAX_COMPUTE_K = 12
+
+# Largest search _Search will build: positions searched (after halving),
+# and bits held by the residue masks, sum over p of min(p, n) * n.
+_MAX_POSITIONS = 1 << 17
+_MAX_MASK_BITS = 1 << 32
 
 
 class CoverAssignment(NamedTuple):
@@ -98,6 +104,10 @@ class ComputePolicy(NamedTuple):
 
     max_compute_k: int = DEFAULT_MAX_COMPUTE_K
     budget: SearchBudget | None = None
+
+
+# What a policy of None means wherever a function takes one.
+DEFAULT_POLICY = ComputePolicy()
 
 
 def _validated_primes(primes) -> tuple[int, ...]:
@@ -334,7 +344,16 @@ def coverable(length: int, primes,
     allowance = (budget if isinstance(budget, _Allowance)
                  else _Allowance(budget))
     halve = ps[0] == 2
-    search = _Search(length // 2 if halve else length, ps[halve:], allowance)
+    n = length // 2 if halve else length
+    if n > _MAX_POSITIONS:
+        raise BudgetExceeded(
+            f"a cover search over {decimal_excerpt(n)} positions passes the "
+            f"limit of {_MAX_POSITIONS}")
+    bits = sum(min(p, n) for p in ps[halve:]) * n
+    if bits > _MAX_MASK_BITS:
+        raise BudgetExceeded(f"a cover search needing {bits} mask bits passes "
+                             f"the limit of {_MAX_MASK_BITS}")
+    search = _Search(n, ps[halve:], allowance)
     found = search.search_wheel()
     allowance.spent = search.nodes
     if found is None:
@@ -528,18 +547,18 @@ def default_h_table() -> KnownHTable:
 def h_of(k: int, table: KnownHTable,
          policy: ComputePolicy | None = None) -> tuple[int, str]:
     """Exact h(k): from the table, else computed within ``policy``'s cap and
-    budget (and inserted into the table with a verified witness)."""
+    budget, ``DEFAULT_POLICY`` when None (and inserted into the table with a
+    verified witness)."""
     if k < 1:
         raise ValueError(f"h(k) is defined for k >= 1, got {k}")
-    if policy is None:
-        policy = ComputePolicy()
     entry = table.get(k)
     if entry is not None:
         return entry.h, entry.source
+    policy = policy or DEFAULT_POLICY
     if k > policy.max_compute_k:
         raise Unavailable(
-            f"h({k}) is not tabulated and k exceeds the compute cap "
-            f"{policy.max_compute_k}")
+            f"h({decimal_excerpt(k)}) is not tabulated and k exceeds the "
+            f"compute cap {policy.max_compute_k}")
     with table._compute_lock:
         entry = table.get(k)  # another thread may have just computed it
         if entry is not None:

@@ -15,8 +15,8 @@ from math import gcd, prod
 
 # crt_solve and is_prime stay bound here for the benchmark's tracer
 # (perfbench/tracing.py)
-from .arith import (crt_solve, first_primes, is_prime,  # noqa: F401
-                    primorial, validated_primes)
+from .arith import (crt_solve, decimal_excerpt, first_primes,  # noqa: F401
+                    is_prime, primorial, validated_primes)
 from .errors import NotEligible, NotInProgression
 
 
@@ -39,8 +39,9 @@ class EligibleAP:
                 f"residue {self.a} not normalized for modulus {self.d}")
         if gcd(self.a, self.d) != 1:
             raise NotEligible(
-                f"gcd({self.a}, {self.d}) > 1: the progression contains at "
-                f"most one prime and is out of scope")
+                f"gcd({decimal_excerpt(self.a)}, {decimal_excerpt(self.d)}) "
+                "> 1: the progression contains at most one prime and is out "
+                "of scope")
 
     def __str__(self) -> str:
         return f"{self.a}+{self.d}Z"

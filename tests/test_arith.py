@@ -71,23 +71,28 @@ def test_nth_prime_specials():
 
 
 def test_a_fresh_process_sieves_only_what_it_reads():
-    # loading the table reads primes up to p_53 = 241, and factorize the
-    # primes up to 100000: one sieve each, with no larger floor behind them
+    # loading the table reads primes up to p_53 = 241, factorize(2**61 - 1)
+    # the primes up to 100000, and factorize(9699690) those up to
+    # isqrt(9699690) = 3114, where its trial division stops: one sieve
+    # each, with no larger floor behind them
     import jacobsthal
     src = os.path.dirname(os.path.dirname(jacobsthal.__file__))
-    script = ("from jacobsthal import arith, default_h_table\n"
-              "sieves = []\n"
-              "real = arith._sieve\n"
-              "arith._sieve = lambda n: sieves.append(n) or real(n)\n"
-              "default_h_table()\n"
-              "print(*sieves)\n"
-              "arith.factorize(2 ** 61 - 1)\n"
-              "print(*sieves)\n")
-    proc = subprocess.run([sys.executable, "-c", script],
-                          env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["1024", "1024 100000"]
+
+    def sieves(*calls):
+        script = ("from jacobsthal import arith, default_h_table\n"
+                  "sieves = []\n"
+                  "real = arith._sieve\n"
+                  "arith._sieve = lambda n: sieves.append(n) or real(n)\n"
+                  + "".join(f"{call}\nprint(*sieves)\n" for call in calls))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    assert sieves("default_h_table()", "arith.factorize(2 ** 61 - 1)") == [
+        "1024", "1024 100000"]
+    assert sieves("arith.factorize(9699690)") == ["3114"]
 
 
 def test_first_primes_and_primorial():

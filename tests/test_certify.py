@@ -327,6 +327,39 @@ def test_warm_find_prime_looks_up_h_once(monkeypatch):
         assert looked_up == [cert.k], (a, d)
 
 
+def test_calls_without_a_policy_read_the_shared_default(monkeypatch):
+    # None means cover.DEFAULT_POLICY and no call builds a ComputePolicy:
+    # the walk of find_prime and min_k_for hands the default itself to
+    # _h_at and h_of, and verify passes None on for h_of to resolve
+    def build(*args, **kwargs):
+        raise AssertionError("a ComputePolicy was built in a call")
+
+    monkeypatch.setattr(certify, "ComputePolicy", build)
+    monkeypatch.setattr(cover, "ComputePolicy", build)
+    seen = []
+
+    def note(name, policy):
+        seen.append((name, "default" if policy is cover.DEFAULT_POLICY
+                     else policy))
+
+    h_at, h_of = certify._h_at, certify.h_of
+    monkeypatch.setattr(certify, "_h_at", lambda k, table, mode, policy: (
+        note("_h_at", policy) or h_at(k, table, mode, policy)))
+    monkeypatch.setattr(certify, "h_of", lambda k, table, policy: (
+        note("h_of", policy) or h_of(k, table, policy)))
+    # empty tables, so h(1..3) are computed under the default's cap
+    walk = [("_h_at", "default"), ("h_of", "default")] * 3
+    verify = [("_h_at", None), ("h_of", None)]
+    assert min_k_for(5, KnownHTable()) == 3
+    assert seen == walk
+    seen.clear()
+    cert = find_prime(make_eligible(1, 5), KnownHTable())
+    assert seen == walk + verify
+    seen.clear()
+    assert verify_certificate(cert, KnownHTable()).ok
+    assert seen == verify
+
+
 def test_lemma_sweep_is_exact():
     for k in range(1, 7):
         p_k = nth_prime(k)
@@ -600,6 +633,27 @@ def test_verify_rejects_forged_k_quickly(good_cert, shipped_table):
         assert [f.split(":")[0] for f in check.failures] == [
             "congruences", "image-coprime", "h-consistent"]
     assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("field, value, clauses", [
+    ("k", 10**5000, ["index k"]),
+    ("h_value", 10**5000, ["h-consistent", "bound"]),
+    ("h_value", -10**5000, ["h-consistent", "bound"]),
+    ("prime", 3 * 10**5000 + 7, ["range", "primality"]),
+], ids=["k", "h_value", "negative-h_value", "prime"])
+def test_verify_reports_fields_past_the_digit_limit(good_cert, shipped_table,
+                                                    field, value, clauses):
+    # a hostile field of any length is reported, never raised on: each
+    # message shows at most 40 of its digits.  The prime has no factor up
+    # to 41, so it reaches the primality test's refusal
+    if field == "prime":
+        assert gcd(value, primorial(13)) == 1
+    check = verify_certificate(replace(good_cert, **{field: value}),
+                               shipped_table)
+    assert not check.ok
+    for clause in clauses:
+        assert any(f.startswith(clause) for f in check.failures), clause
+    assert all(len(f) < 200 for f in check.failures)
 
 
 def test_verify_forms_each_block_product_once(good_cert, shipped_table,

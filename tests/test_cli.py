@@ -347,17 +347,60 @@ def test_verify_rejects_corrupted(tmp_path, capsys):
 
 
 def test_verify_reports_a_prime_past_the_digit_limit(tmp_path, capsys):
+    # 10**5000 + 1 is divisible by 17; 3*10**5000 + 7 has no factor up to
+    # 41, so the primality test refuses it and its message must not raise
     code, out, _ = _run(capsys, "find-prime", "1", "3")
     payload = json.loads(out)
-    prime = payload["prime"] = int_to_decimal(10**5000 + 1)
-    cert_file = tmp_path / "cert.json"
-    cert_file.write_text(json.dumps(payload))
-    code, out, err = _run(capsys, "verify", str(cert_file))
-    assert (code, err) == (1, "")
-    assert out.startswith(f"FAIL: {prime} in 1+3Z")
-    code, out, err = _run(capsys, "verify", str(cert_file), "--json")
-    assert (code, err) == (1, "")
-    assert json.loads(out)["prime"] == prime
+    for value in (10**5000 + 1, 3 * 10**5000 + 7):
+        prime = payload["prime"] = int_to_decimal(value)
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(json.dumps(payload))
+        code, out, err = _run(capsys, "verify", str(cert_file))
+        assert (code, err) == (1, "")
+        assert out.startswith(f"FAIL: {prime} in 1+3Z")
+        assert "  - primality: " in out
+        code, out, err = _run(capsys, "verify", str(cert_file), "--json")
+        assert (code, err) == (1, "")
+        assert json.loads(out)["prime"] == prime
+
+
+_LONG = "1" * 5000
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["g", _LONG], 3),
+    (["h", _LONG, "--compute"], 3),
+    (["h-search", "3", "--primes", _LONG], 3),
+    (["witness-lower", _LONG], 3),
+    (["iso", "1", "7", "--k", _LONG], 3),
+    (["h", _LONG], 1),
+    (["find-prime", "1", _LONG], 1),
+    (["primes", "1", _LONG, "--count", "1"], 1),
+    (["find-prime", "3", "3" + "0" * 5000], 1),
+], ids=["g", "h-compute", "h-search-primes", "witness-lower", "iso-k", "h",
+        "find-prime", "primes", "find-prime-ineligible"])
+def test_arguments_past_the_digit_limit_get_their_exit_code(capsys, argv,
+                                                            code):
+    # every message names a number of any size by at most 40 digits
+    got, out, err = _run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert len(err) < 1000 and "Exceeds the limit" not in err
+
+
+@pytest.mark.parametrize("length", ["100000000000", _LONG],
+                         ids=["11-digit", "5000-digit"])
+def test_h_search_refuses_a_search_too_large_to_hold(monkeypatch, capsys,
+                                                     length):
+    # refused before the search is built: the stand-in fails if it is
+    class Unbuilt:
+        def __init__(self, *args):
+            raise AssertionError("built an oversized search")
+
+    monkeypatch.setattr(cover, "_Search", Unbuilt)
+    code, out, err = _run(capsys, "h-search", length, "--primes", "3")
+    assert (code, out) == (3, "")
+    assert err.startswith("budget exhausted: a cover search over ")
+    assert len(err) < 1000
 
 
 def test_verify_array_file(tmp_path, capsys):

@@ -452,6 +452,32 @@ def test_records_keep_their_defaults_and_repr():
     assert repr(CoverWitness(2, 5)) == "CoverWitness(start=2, length=5)"
 
 
+def test_coverable_refuses_a_search_too_large_to_hold(monkeypatch):
+    # past 2^17 positions (after halving) or 2^32 mask bits the search is
+    # refused before it is built; the stand-in records what gets built
+    class Built(Exception):
+        pass
+
+    def search(length, primes, allowance):
+        raise Built(length, sum(min(p, length) for p in primes) * length)
+
+    monkeypatch.setattr(cover, "_Search", search)
+    refused = [(10**11, first_primes(3)), (10**5000, first_primes(3)),
+               (2 * cover._MAX_POSITIONS + 2, first_primes(3)),
+               (cover._MAX_POSITIONS, (1000003,))]
+    for length, primes in refused:
+        with pytest.raises(BudgetExceeded):
+            coverable(length, primes)
+    # the largest probe of the k = 200 walk still runs: 9,807 positions
+    # and about 1.09e9 mask bits
+    with pytest.raises(Built) as built:
+        coverable(19615, first_primes(200))
+    positions, bits = built.value.args
+    assert positions == 9807 and 1.08e9 < bits < 1.10e9
+    with pytest.raises(Built):
+        coverable(2 * cover._MAX_POSITIONS + 1, first_primes(3))
+
+
 def test_h_of_budget_propagates():
     policy = ComputePolicy(budget=SearchBudget(max_nodes=2))
     with pytest.raises(BudgetExceeded):

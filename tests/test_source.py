@@ -93,3 +93,36 @@ def test_only_the_cli_resolves_the_h_table():
     # given, and only cli._table picks the packaged file or a --table path
     assert _top_level_users("default_h_table", "load_h_table") == {
         "cli._table"}
+
+
+def test_compute_policies_are_built_once():
+    # a call with no policy reads cover.DEFAULT_POLICY: cover and certify
+    # build a ComputePolicy only at module level, cli only from its flags,
+    # and no function turns a None policy into a fresh one
+    builders, none_checks = set(), []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            where = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "ComputePolicy"):
+                    builders.add(f"{path.stem}.{where}")
+                if (isinstance(node, ast.Compare)
+                        and isinstance(node.left, ast.Name)
+                        and node.left.id == "policy"
+                        and isinstance(node.ops[0], ast.Is)):
+                    none_checks.append(f"{path.name}:{node.lineno}")
+    assert builders == {"cover.<module>", "certify.<module>", "cli._policy"}
+    assert none_checks == []
+
+
+def test_only_records_that_need_it_are_dataclasses():
+    # a record is a NamedTuple unless callers copy it with
+    # dataclasses.replace (PrimeCertificate) or it validates on
+    # construction (EligibleAP, ApIso)
+    import dataclasses
+    found = {name for name in jacobsthal.__all__
+             if dataclasses.is_dataclass(getattr(jacobsthal, name))}
+    assert found == {"PrimeCertificate", "EligibleAP", "ApIso"}
