@@ -28,6 +28,9 @@ RUN_SIEVE_LIMIT = 20_000_000  # largest range g_of and least_witness sieve
 _NTH_CAP = 4_000_000  # largest index nth_prime will serve
 _TRIAL_BOUND = 100_000  # factorize divides out the primes up to this
 _RHO_STEPS = 1_000_000  # Pollard rho steps factorize spends per split
+# factorize tests and splits only smaller cofactors: one Miller-Rabin round
+# takes 0.3 ms at 100 digits, but 11 s at 4928
+_RHO_LIMIT = 10 ** 100
 # primorial keeps P_0 .. P_64, built on first use; verify_certificate tests
 # c, m and prime against the first k primes in blocks of this many primes.
 _COPRIME_BLOCK = 64
@@ -175,6 +178,12 @@ def is_prime(n: int) -> bool:
     if n >= _MR_LIMIT:
         raise BudgetExceeded(f"{decimal_excerpt(n)} exceeds the deterministic "
                              "primality range")
+    return _passes_every_round(n)
+
+
+def _passes_every_round(n: int) -> bool:
+    """Whether an odd ``n > 41`` passes the Miller-Rabin round of each
+    witness: a failed round proves n composite."""
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
@@ -243,8 +252,10 @@ def factorize(n: int) -> Factorization:
     """Factor ``n >= 1`` by trial division, then verified Pollard rho.
 
     Every reported prime is confirmed with the deterministic test and the
-    product is checked against ``n``.  Hard leftovers (e.g. wide semiprimes)
-    raise :class:`BudgetExceeded` rather than stall.
+    product is checked against ``n``.  Past the test's range, a cofactor
+    goes to rho once a Miller-Rabin round proves it composite.  Hard
+    leftovers (wide semiprimes, a cofactor that passes every round) raise
+    :class:`BudgetExceeded` rather than stall.
     """
     if n < 1:
         raise ValueError(f"can only factor positive integers, got {n}")
@@ -261,16 +272,20 @@ def factorize(n: int) -> Factorization:
     pending = [m] if m > 1 else []
     while pending:
         v = pending.pop()
-        if v == 1:
-            continue
-        if is_prime(v):
+        if v < _MR_LIMIT and is_prime(v):
             counts[v] = counts.get(v, 0) + 1
             continue
-        d = _rho_brent(v, _RHO_STEPS)
-        if d is None or d == v:
-            raise BudgetExceeded(f"failed to split composite "
-                                 f"{decimal_excerpt(v)} within budget")
-        pending.extend((d, v // d))
+        # past _MR_LIMIT, v has no factor up to _TRIAL_BOUND: the rounds apply
+        if v >= _MR_LIMIT and (v >= _RHO_LIMIT or _passes_every_round(v)):
+            failure = "is past the deterministic primality range"
+        elif (d := _rho_brent(v, _RHO_STEPS)) is None:
+            failure = "did not split within budget"
+        else:
+            pending.extend((d, v // d))
+            continue
+        raise BudgetExceeded(f"cannot factor {decimal_excerpt(n)}: a "
+                             f"{len(int_to_decimal(v))}-digit cofactor "
+                             f"{failure}")
     factors = tuple(sorted((p, e) for p, e in counts.items()))
     result = Factorization(n, factors)
     if result.product() != n:

@@ -130,7 +130,7 @@ def cw_upper(n: int) -> int:
 
 
 def _h_at(k: int, table: KnownHTable, mode: str,
-          policy: ComputePolicy | None) -> tuple[int, str]:
+          policy: ComputePolicy) -> tuple[int, str]:
     """``(h, source)`` for index k under ``mode``: the exact h(k), or the
     conditional formula in cw mode.  find_prime's walk, ``bound`` and
     verify's h-consistent clause all read the bound from here."""
@@ -142,33 +142,30 @@ def _h_at(k: int, table: KnownHTable, mode: str,
 
 
 def bound(k: int, table: KnownHTable, *,
-          mode: str = MODE_UNCONDITIONAL,
-          policy: ComputePolicy | None = None) -> BoundRow:
+          mode: str = MODE_UNCONDITIONAL) -> BoundRow:
     """The exact rational ``(p_{k+1}**2 - 2) / (h + 1)`` for index k, using
     the exact h(k) in unconditional mode or the conditional formula in cw
     mode."""
     from fractions import Fraction
     if k < 1:
         raise ValueError(f"index must be >= 1, got {k}")
-    h_value, h_source = _h_at(k, table, mode, policy)
+    h_value, h_source = _h_at(k, table, mode, DEFAULT_POLICY)
     p_next = nth_prime(k + 1)
     return BoundRow(k, p_next, h_value, h_source,
                     Fraction(p_next * p_next - 2, h_value + 1))
 
 
 def bound_table(ks, table: KnownHTable, *,
-                mode: str = MODE_UNCONDITIONAL,
-                policy: ComputePolicy | None = None) -> list[BoundRow]:
-    return [bound(k, table, mode=mode, policy=policy) for k in ks]
+                mode: str = MODE_UNCONDITIONAL) -> list[BoundRow]:
+    return [bound(k, table, mode=mode) for k in ks]
 
 
 def _walk(d: float, table: KnownHTable, mode: str,
-          policy: ComputePolicy | None) -> list[tuple]:
+          policy: ComputePolicy) -> list[tuple]:
     """The walk up the k, extended until its reach passes d or the k run
     out.  The table keeps it until its next ``set``: a sentinel, then one
     ``(reach, k, h, source)`` per k, reach the largest d certified so far."""
     derived = table._derived  # read once: a set() from here on orphans it
-    policy = policy or DEFAULT_POLICY
     key = policy.max_compute_k if mode == MODE_UNCONDITIONAL else mode
     walk = derived.get(key)
     if walk is None:
@@ -188,10 +185,9 @@ def _walk(d: float, table: KnownHTable, mode: str,
     return rows
 
 
-def _least_row(d: int, table: KnownHTable, mode: str,
-               policy: ComputePolicy | None) -> tuple[int, int, str]:
+def _least_row(d: int, table: KnownHTable, mode: str) -> tuple[int, int, str]:
     """``(k, h, source)`` at the least k whose bound certifies d."""
-    rows = _walk(d, table, mode, policy)
+    rows = _walk(d, table, mode, DEFAULT_POLICY)
     if rows[-1][0] < d:
         raise NotProvable(f"no available bound reaches d = "
                           f"{decimal_excerpt(d)} (largest provable: "
@@ -200,39 +196,36 @@ def _least_row(d: int, table: KnownHTable, mode: str,
 
 
 def min_k_for(d: int, table: KnownHTable, *,
-              mode: str = MODE_UNCONDITIONAL,
-              policy: ComputePolicy | None = None) -> int:
+              mode: str = MODE_UNCONDITIONAL) -> int:
     """Smallest k whose available bound certifies modulus d, scanning k
     ascending over tabulated/computable values (unconditional) or the
     conditional validity range (cw)."""
     if d < 1:
         raise ValueError(f"modulus must be >= 1, got {d}")
-    return _least_row(d, table, mode, policy)[0]
+    return _least_row(d, table, mode)[0]
 
 
 def find_prime(ap: EligibleAP, table: KnownHTable, *,
-               mode: str = MODE_UNCONDITIONAL,
-               policy: ComputePolicy | None = None) -> PrimeCertificate:
+               mode: str = MODE_UNCONDITIONAL) -> PrimeCertificate:
     """Produce a verified prime certificate for an eligible progression.
 
     Deterministic: picks the minimal usable k, builds the canonical
-    coprimality-preserving map ``m -> c + d*m``, and scans the elements x
-    of a + dZ in ``[2, p_{k+1}**2 - 1]`` upward for the first whose
-    preimage m is coprime to the k-primorial.  Each of its primes that does
-    not divide d divides c, so it divides m exactly when it divides x, and
-    none that divides d divides x: so the small x takes the primorial gcd,
-    and the one test on m covers only the primes that divide d.
+    coprimality-preserving map ``m -> c + d*m``, and takes the least
+    element x of a + dZ in ``[2, p_{k+1}**2 - 1]`` whose preimage m is
+    coprime to the k-primorial.  By the window criterion an x there is
+    coprime to the first k primes exactly when it is a prime above p_k.  A
+    prime that does not divide d divides c, so it divides m only when it
+    divides x; and d stays below p_{k+1}, so every prime of d is among the
+    first k.  So the scan runs from p_{k+1} and tests x, then ``gcd(m, d)``.
     """
-    k, h_value, h_source = _least_row(ap.d, table, mode, policy)
+    k, h_value, h_source = _least_row(ap.d, table, mode)
     c = coprime_iso(ap, first_primes(k)).c
     p_next = nth_prime(k + 1)
-    modulus = primorial(k)
-    shared = gcd(modulus, ap.d)
-    for x in range(2 + (ap.a - 2) % ap.d, p_next * p_next, ap.d):
-        if gcd(x, modulus) == 1 and gcd(m := (x - c) // ap.d, shared) == 1:
+    for x in range(p_next + (ap.a - p_next) % ap.d, p_next * p_next, ap.d):
+        if is_prime(x) and gcd(m := (x - c) // ap.d, ap.d) == 1:
             cert = PrimeCertificate(ap.a, ap.d, k, c, m, x,
                                     h_value, h_source, mode, CHECK_NAMES)
-            check = verify_certificate(cert, table, policy=policy)
+            check = verify_certificate(cert, table)
             if not check.ok:  # engine bug or poisoned table — never emit
                 raise JacobsthalError(
                     f"internal: produced certificate failed verification: "
@@ -243,8 +236,8 @@ def find_prime(ap: EligibleAP, table: KnownHTable, *,
         f"({h_source}) must be wrong")
 
 
-def verify_certificate(cert: PrimeCertificate, table: KnownHTable, *,
-                       policy: ComputePolicy | None = None) -> CertificateCheck:
+def verify_certificate(cert: PrimeCertificate,
+                       table: KnownHTable) -> CertificateCheck:
     """Re-check every clause of a certificate from scratch.
 
     Returns the failures instead of raising, so hostile or corrupted
@@ -277,7 +270,7 @@ def verify_certificate(cert: PrimeCertificate, table: KnownHTable, *,
         failures.append("preimage-coprime: gcd(m, k-primorial) > 1")
     if _shares_a_prime(cert.prime, qs, products):
         failures.append("image-coprime: gcd(prime, k-primorial) > 1")
-    failures.extend(_h_consistency(cert, table, policy))
+    failures.extend(_h_consistency(cert, table))
     # (p_{k+1}^2 - 2)/(h + 1) < d in integers; h + 1 <= 0 never certifies
     below = cert.h_value + 1
     if below <= 0 or p_next * p_next - 2 < cert.d * below:
@@ -334,8 +327,7 @@ def _shares_a_prime(n: int, qs: tuple[int, ...], products: list[int]) -> bool:
     return False
 
 
-def _h_consistency(cert: PrimeCertificate, table: KnownHTable,
-                   policy: ComputePolicy | None) -> list[str]:
+def _h_consistency(cert: PrimeCertificate, table: KnownHTable) -> list[str]:
     if cert.h_value < 1:
         return ["h-consistent: impossible h_value "
                 f"{decimal_excerpt(cert.h_value)}"]
@@ -344,7 +336,7 @@ def _h_consistency(cert: PrimeCertificate, table: KnownHTable,
         return ["h-consistent: cw mode requires the cw source" if cw else
                 "h-consistent: unconditional mode with conditional source"]
     try:
-        expected, source = _h_at(cert.k, table, cert.mode, policy)
+        expected, source = _h_at(cert.k, table, cert.mode, DEFAULT_POLICY)
     except OutOfRange:
         return [f"h-consistent: k = {cert.k} outside the conditional range"]
     except JacobsthalError as exc:
@@ -386,8 +378,7 @@ def _refined(ap: EligibleAP, prime: int) -> EligibleAP:
 
 
 def prime_stream(ap: EligibleAP, count: int, table: KnownHTable, *,
-                 mode: str = MODE_UNCONDITIONAL,
-                 policy: ComputePolicy | None = None) -> list[PrimeCertificate]:
+                 mode: str = MODE_UNCONDITIONAL) -> list[PrimeCertificate]:
     """Certify ``count`` distinct primes in the progression by repeatedly
     refining it away from the primes already emitted.
 
@@ -400,7 +391,7 @@ def prime_stream(ap: EligibleAP, count: int, table: KnownHTable, *,
     current = ap
     while len(certificates) < count:
         try:
-            cert = find_prime(current, table, mode=mode, policy=policy)
+            cert = find_prime(current, table, mode=mode)
         except NotProvable as exc:
             raise NotProvable(
                 f"stream stopped after {len(certificates)} of {count}: {exc}",

@@ -233,8 +233,7 @@ def cmd_iso(args) -> _Result:
 def cmd_find_prime(args) -> _Result:
     from . import certify
     ap = _cli.make_eligible(args.a, args.d)
-    cert = certify.find_prime(ap, _table(args), mode=args.mode,
-                              policy=_policy(args))
+    cert = certify.find_prime(ap, _table(args), mode=args.mode)
     # no --json: the text form already is the certificate JSON
     lines = _cli.certificate_to_json(cert).splitlines()
     _diag(f"certified prime {cert.prime} in {ap} "
@@ -258,8 +257,7 @@ def cmd_verify(args) -> _Result:
     else:
         certs = [_cli.certificate_from_json(text)]
     table = _table(args)
-    policy = _policy(args)
-    results = [(cert, certify.verify_certificate(cert, table, policy=policy))
+    results = [(cert, certify.verify_certificate(cert, table))
                for cert in certs]
     payload = []
     lines = []
@@ -278,8 +276,7 @@ def cmd_verify(args) -> _Result:
 def cmd_primes(args) -> _Result:
     from . import certify
     ap = _cli.make_eligible(args.a, args.d)
-    certs = certify.prime_stream(ap, args.count, _table(args), mode=args.mode,
-                                 policy=_policy(args))
+    certs = certify.prime_stream(ap, args.count, _table(args), mode=args.mode)
     for cert in certs:
         _diag(f"certified prime {cert.prime} in {cert.a}+{cert.d}Z "
               f"(k = {cert.k})")
@@ -289,8 +286,7 @@ def cmd_primes(args) -> _Result:
 
 def cmd_bound_table(args) -> _Result:
     from . import certify
-    rows = certify.bound_table(args.ks, _table(args), mode=args.mode,
-                               policy=_policy(args))
+    rows = certify.bound_table(args.ks, _table(args), mode=args.mode)
     payload = [{"k": row.k, "next_prime": row.next_prime, "h": row.h_value,
                 "h_source": row.h_source, "value": row.text} for row in rows]
     cells = [("k", "p_{k+1}", "h(k)", "(p_{k+1}^2-2)/(h(k)+1)")]
@@ -336,12 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="h-table file (default: packaged table, or "
                                 f"${H_TABLE_ENV})")
 
-    computeopt = argparse.ArgumentParser(add_help=False)
-    computeopt.add_argument("--max-compute-k", type=_int_at_least(0),
-                            default=DEFAULT_MAX_COMPUTE_K, metavar="K",
-                            help="largest k the engine may compute h(k) for "
-                                 "when the table lacks it (0: never compute)")
-
     modeopt = argparse.ArgumentParser(add_help=False)
     modeopt.add_argument("--mode", choices=MODES, default=MODE_UNCONDITIONAL,
                          help="use exact h values, or the conditional "
@@ -354,9 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=_int_at_least(1))
     p.set_defaults(func=cmd_g)
 
-    p = sub.add_parser("h", parents=[common, budget, tableopts, computeopt],
+    p = sub.add_parser("h", parents=[common, budget, tableopts],
                        help="primorial Jacobsthal function h(k)")
     p.add_argument("k", type=_int_at_least(1))
+    p.add_argument("--max-compute-k", type=_int_at_least(0),
+                   default=DEFAULT_MAX_COMPUTE_K, metavar="K",
+                   help="largest k the engine may compute h(k) for when the "
+                        "table lacks it (0: never compute)")
     p.add_argument("--compute", action="store_true",
                    help="run the exact search whatever the table and "
                         "--max-compute-k say, and cross-check the table")
@@ -387,22 +381,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tabulate n in [-window, window]")
     p.set_defaults(func=cmd_iso)
 
-    p = sub.add_parser("find-prime", parents=[budget, tableopts, computeopt,
-                                              modeopt],
+    p = sub.add_parser("find-prime", parents=[tableopts, modeopt],
                        help="certified prime in an eligible progression "
                             "(certificate JSON on stdout)")
     p.add_argument("a", type=_int_at_least(0))
     p.add_argument("d", type=_int_at_least(1))
     p.set_defaults(func=cmd_find_prime)
 
-    p = sub.add_parser("verify", parents=[common, budget, tableopts,
-                                          computeopt],
+    p = sub.add_parser("verify", parents=[common, tableopts],
                        help="re-check a certificate file (object or array)")
     p.add_argument("certificate", metavar="FILE")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("primes", parents=[common, budget, tableopts,
-                                          computeopt, modeopt],
+    p = sub.add_parser("primes", parents=[common, tableopts, modeopt],
                        help="stream of distinct certified primes in a "
                             "progression")
     p.add_argument("a", type=_int_at_least(0))
@@ -410,8 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=_int_at_least(0), required=True)
     p.set_defaults(func=cmd_primes)
 
-    p = sub.add_parser("bound-table", parents=[common, budget, tableopts,
-                                               computeopt, modeopt],
+    p = sub.add_parser("bound-table", parents=[common, tableopts, modeopt],
                        help="certifiable-modulus bound for chosen indices")
     p.add_argument("--ks", type=_k_list, default=DEFAULT_BOUND_KS,
                    metavar="K1,K2,...")

@@ -215,6 +215,40 @@ def test_factorize_semiprime_beyond_trial_division():
     assert fact.factors == ((p, 1), (q, 1))
 
 
+def test_factorize_splits_a_composite_past_the_primality_range():
+    # 10000019 * (10**18 + 3) is past the test's range, a Miller-Rabin round
+    # proves it composite, and rho splits it into primes the test decides
+    p, q = 10000019, 10**18 + 3
+    assert factorize(p * q).factors == ((p, 1), (q, 1))
+
+
+def test_factorize_refuses_a_cofactor_that_passes_every_round(monkeypatch):
+    # 2**89 - 1 is prime and past the test's range: factorize raises at
+    # once, naming the number asked about, and never starts rho
+    def no_rho(*args):
+        raise AssertionError("rho ran")
+
+    monkeypatch.setattr(arith, "_rho_brent", no_rho)
+    for n, message in [
+            (3 * (2**89 - 1), "cannot factor 1856910058928070412348686333: "
+             "a 27-digit cofactor"),
+            (2**521 - 1, "cannot factor 6864797660130609714981900799081393"
+             "217269... (157 digits): a 157-digit cofactor")]:
+        with pytest.raises(BudgetExceeded) as err:
+            factorize(n)
+        assert str(err.value) == (
+            f"{message} is past the deterministic primality range")
+
+
+def test_factorize_names_the_number_a_failed_split_came_from(monkeypatch):
+    monkeypatch.setattr(arith, "_rho_brent", lambda n, steps: None)
+    with pytest.raises(BudgetExceeded) as err:
+        factorize(7 * 10000019 * (10**18 + 3))
+    assert str(err.value) == (
+        "cannot factor 70000133000000000210000399: a 26-digit cofactor did "
+        "not split within budget")
+
+
 def test_factorization_helpers():
     fact = factorize(360)
     assert fact.factors == ((2, 3), (3, 2), (5, 1))

@@ -178,11 +178,11 @@ def _reference_walk(table, mode, cap):
     return ks, lambda k: cover.h_of(k, table, policy)[0]
 
 
-def _outcome(d, table, mode, policy=None):
+def _outcome(d, table, mode):
     """min_k_for as ``("k", k)``, or ``("max", best)`` from its NotProvable
     after checking the message."""
     try:
-        return "k", min_k_for(d, table, mode=mode, policy=policy)
+        return "k", min_k_for(d, table, mode=mode)
     except NotProvable as exc:
         best = exc.max_provable_d
         assert str(exc) == (f"no available bound reaches d = {d} "
@@ -219,19 +219,20 @@ def test_min_k_for_matches_the_reference_walk(shipped_table, variant, mode,
 
 
 def test_min_k_for_computes_what_the_reference_walk_computes():
-    # from an empty table with cap 3, the engine fills in h(1..3) only as
-    # the walk reaches them: after every d, the same rows as the reference
+    # from an empty table with the default cap of 12, the engine fills in
+    # h(1..12) only as the walk reaches them: after every d, the same rows
+    # as the reference
     engine, reference = KnownHTable(), KnownHTable()
-    policy = ComputePolicy(max_compute_k=3)
-    ks, h_at = _reference_walk(reference, MODE_UNCONDITIONAL, 3)
+    cap = cover.DEFAULT_MAX_COMPUTE_K
+    ks, h_at = _reference_walk(reference, MODE_UNCONDITIONAL, cap)
     ds = list(range(1, 81))
     random.Random(5).shuffle(ds)
     for d in ds:
-        assert _outcome(d, engine, MODE_UNCONDITIONAL, policy) == (
+        assert _outcome(d, engine, MODE_UNCONDITIONAL) == (
             least_k_walk(d, ks, h_at)), d
         assert engine.ks() == reference.ks(), d
-    assert engine.ks() == [1, 2, 3]
-    assert max_provable_d(engine) == (6, 3)
+    assert engine.ks() == list(range(1, cap + 1))
+    assert max_provable_d(engine) == (25, 12)
     assert max_provable_d(KnownHTable()) == (0, None)
 
 
@@ -327,37 +328,33 @@ def test_warm_find_prime_looks_up_h_once(monkeypatch):
         assert looked_up == [cert.k], (a, d)
 
 
-def test_calls_without_a_policy_read_the_shared_default(monkeypatch):
-    # None means cover.DEFAULT_POLICY and no call builds a ComputePolicy:
-    # the walk of find_prime and min_k_for hands the default itself to
-    # _h_at and h_of, and verify passes None on for h_of to resolve
+def test_certify_calls_hand_the_default_policy_itself_to_h_of(monkeypatch):
+    # no certify call takes or builds a ComputePolicy: the walk of
+    # find_prime and min_k_for, verify and bound each hand
+    # cover.DEFAULT_POLICY itself to h_of
     def build(*args, **kwargs):
         raise AssertionError("a ComputePolicy was built in a call")
 
     monkeypatch.setattr(certify, "ComputePolicy", build)
     monkeypatch.setattr(cover, "ComputePolicy", build)
     seen = []
-
-    def note(name, policy):
-        seen.append((name, "default" if policy is cover.DEFAULT_POLICY
-                     else policy))
-
-    h_at, h_of = certify._h_at, certify.h_of
-    monkeypatch.setattr(certify, "_h_at", lambda k, table, mode, policy: (
-        note("_h_at", policy) or h_at(k, table, mode, policy)))
+    h_of = certify.h_of
     monkeypatch.setattr(certify, "h_of", lambda k, table, policy: (
-        note("h_of", policy) or h_of(k, table, policy)))
+        seen.append(k if policy is cover.DEFAULT_POLICY else (k, policy))
+        or h_of(k, table, policy)))
     # empty tables, so h(1..3) are computed under the default's cap
-    walk = [("_h_at", "default"), ("h_of", "default")] * 3
-    verify = [("_h_at", None), ("h_of", None)]
     assert min_k_for(5, KnownHTable()) == 3
-    assert seen == walk
+    assert seen == [1, 2, 3]
     seen.clear()
     cert = find_prime(make_eligible(1, 5), KnownHTable())
-    assert seen == walk + verify
+    assert seen == [1, 2, 3, 3]
     seen.clear()
     assert verify_certificate(cert, KnownHTable()).ok
-    assert seen == verify
+    assert seen == [3]
+    seen.clear()
+    rows = bound_table((2, 3), KnownHTable())
+    assert [row.h_value for row in rows] == [4, 6]
+    assert seen == [2, 3]
 
 
 def test_lemma_sweep_is_exact():
@@ -385,20 +382,36 @@ def test_find_prime_pinned_traces(shipped_table, a, d, prime, k, c, m):
     assert verify_certificate(cert, shipped_table).ok
 
 
-@given(st.integers(1, 400), st.integers(0, 399), st.integers(1, 70))
+@given(st.integers(0, 400), st.integers(0, 399), st.integers(1, 70))
 def test_the_image_and_the_primes_of_d_decide_the_preimage(d, a, k):
-    # find_prime tests each x = c + d*m of the window against P_k, and m
-    # only against the primes P_k shares with d: together exactly the test
-    # of m against P_k
-    assume(gcd(a, d) == 1 and a < d)
-    modulus = primorial(k)
-    shared = gcd(modulus, d)
-    c = coprime_iso(make_eligible(a, d), first_primes(k)).c
+    # for d < p_{k+1}, the test of each x = c + d*m of the window against
+    # P_k (by the window lemma, whether x is a prime above p_k) and of m
+    # against d is exactly the test of m against P_k
     p_next = nth_prime(k + 1)
+    d = d % (p_next - 1) + 1
+    a %= d
+    assume(gcd(a, d) == 1)
+    modulus = primorial(k)
+    c = coprime_iso(make_eligible(a, d), first_primes(k)).c
     for x in range(2 + (a - 2) % d, p_next * p_next, d):
         m = (x - c) // d
         assert (gcd(m, modulus) == 1) == (
-            gcd(x, modulus) == 1 and gcd(m, shared) == 1), (x, m)
+            gcd(x, modulus) == 1 and gcd(m, d) == 1), (x, m)
+
+
+def test_every_bound_stays_below_the_next_prime():
+    # so every prime of a d that k certifies is among the first k primes,
+    # and find_prime's scan tests m against d alone: the bound
+    # (p_{k+1}^2 - 2) // (h + 1) is below p_{k+1} for the least h a table
+    # row may hold (2 at k = 1, else 2 p_{k-1}) and for every cw bound
+    ps = first_primes(10001)
+    for k in range(1, 10001):
+        p_next = ps[k]
+        hs = [2 if k == 1 else 2 * ps[k - 2]]
+        if k >= certify.CW_MIN_K:
+            hs.append(cw_upper(k))
+        for h in hs:
+            assert (p_next * p_next - 2) // (h + 1) < p_next, (k, h)
 
 
 def test_find_prime_picks_the_preimage_scan_m(shipped_table):
@@ -419,7 +432,6 @@ def test_scan_tests_m_only_for_an_x_coprime_to_the_primorial(
         ap = make_eligible(a, d)
         cert = find_prime(ap, shipped_table)
         modulus = primorial(cert.k)
-        shared = gcd(modulus, d)
         calls = []
         with monkeypatch.context() as patched:
             patched.setattr(certify, "gcd",
@@ -428,14 +440,15 @@ def test_scan_tests_m_only_for_an_x_coprime_to_the_primorial(
         scanned = range(2 + (a - 2) % d, cert.prime + 1, d)
         preimage = {(x - cert.c) // d: x for x in scanned}
         tested = [preimage[u] for u, v in calls
-                  if v == shared and u in preimage]
+                  if v == d and u in preimage]
         assert tested == [x for x in scanned if gcd(x, modulus) == 1], (a, d)
 
 
 def test_warm_unconditional_find_multiplies_out_no_primes(shipped_table,
                                                           monkeypatch):
-    # P_0 .. P_64 are kept: at k <= 64 the map, the scan and verify read
-    # them, so neither a find nor its verify forms a product of primes
+    # P_0 .. P_64 are kept: at k <= 64 the map and verify read them, and
+    # the scan needs none, so neither a find nor its verify forms a product
+    # of primes
     aps = [make_eligible(a, d) for a, d in ((1, 76), (5, 38), (0, 1))]
     for ap in aps:
         find_prime(ap, shipped_table)
@@ -453,6 +466,20 @@ def test_warm_unconditional_find_multiplies_out_no_primes(shipped_table,
         assert cert.k <= 64
         assert verify_certificate(cert, shipped_table).ok
     assert formed == []
+
+
+def test_warm_cw_find_multiplies_out_the_first_k_primes_once(shipped_table,
+                                                             monkeypatch):
+    # the scan tests x for primality, not against P_k: of a cw find, only
+    # coprime_iso asks for a product of more than the 64 kept primes
+    ap = make_eligible(1, 42)
+    cert = find_prime(ap, shipped_table, mode=MODE_CW)
+    asked = []
+    for module in (certify, progressions):
+        monkeypatch.setattr(module, "primorial",
+                            lambda k: asked.append(k) or primorial(k))
+    assert find_prime(ap, shipped_table, mode=MODE_CW) == cert
+    assert [k for k in asked if k > 64] == [cert.k] == [8119]
 
 
 def test_find_prime_uses_tabulated_h(shipped_table):
@@ -513,7 +540,7 @@ def test_find_prime_never_emits_an_unverified_certificate(shipped_table,
                                                           monkeypatch):
     forged = CertificateCheck(("primality: forged",))
     monkeypatch.setattr(certify, "verify_certificate",
-                        lambda cert, table, policy: forged)
+                        lambda cert, table: forged)
     with pytest.raises(JacobsthalError,
                        match="internal: produced certificate failed "
                              "verification"):

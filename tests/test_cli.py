@@ -387,6 +387,21 @@ def test_arguments_past_the_digit_limit_get_their_exit_code(capsys, argv,
     assert len(err) < 1000 and "Exceeds the limit" not in err
 
 
+def test_g_names_the_number_it_cannot_factor(capsys):
+    code, out, err = _run(capsys, "g", _LONG)
+    assert (code, out) == (3, "")
+    assert err == ("budget exhausted: cannot factor " + "1" * 40
+                   + "... (5000 digits): a 4928-digit cofactor is past the "
+                   "deterministic primality range\n")
+
+
+def test_g_of_a_composite_past_the_primality_range(capsys):
+    # 10000019 * (10**18 + 3): rho splits what the primality test cannot
+    code, out, _ = _run(capsys, "g", "10000019000000000030000057")
+    assert code == 0
+    assert out.splitlines()[0] == "g(10000019000000000030000057) = 3"
+
+
 @pytest.mark.parametrize("length", ["100000000000", _LONG],
                          ids=["11-digit", "5000-digit"])
 def test_h_search_refuses_a_search_too_large_to_hold(monkeypatch, capsys,
@@ -447,19 +462,9 @@ def test_primes_json(capsys):
     assert [item["prime"] for item in payload] == ["3", "5", "17"]
 
 
-def test_find_prime_with_compute_cap_zero_never_runs_the_engine(
-        tmp_path, capsys, monkeypatch):
+def test_find_prime_computes_the_rows_a_table_lacks(tmp_path, capsys):
     table = tmp_path / "table.txt"
     table.write_text("1,2,computed\n2,4,computed\n")
-    with monkeypatch.context() as patched:
-        def no_engine(*args, **kwargs):
-            raise AssertionError("the exact search ran")
-
-        patched.setattr(cover, "max_cover_length", no_engine)
-        code, out, err = _run(capsys, "find-prime", "1", "7", "--table",
-                              str(table), "--max-compute-k", "0")
-    assert (code, out) == (1, "")
-    assert "no available bound reaches d = 7 (largest provable: 4)" in err
     # the default cap lets the engine compute h(3) and h(4)
     code, out, _ = _run(capsys, "find-prime", "1", "7", "--table", str(table))
     assert code == 0
@@ -540,10 +545,28 @@ def test_env_table_and_flag_precedence(tmp_path, capsys, monkeypatch):
     ("h-search", "13", "--primes", "5", "--max-nodes", "0"),  # node budget
     ("find-prime", "1", "3", "--json"),  # removed: stdout is always JSON
     ("max-d", "--max-compute-k", "8"),   # removed: max-d never computes
+    # removed: certify commands compute under the default cap, no budget
+    ("find-prime", "1", "3", "--max-compute-k", "0"),
+    ("verify", os.devnull, "--max-nodes", "5"),  # not read: exit 2, not 1
+    ("primes", "1", "3", "--count", "1", "--max-seconds", "1"),
+    ("bound-table", "--max-compute-k", "0"),
 ])
 def test_usage_errors(capsys, argv):
     code, _, _ = _run(capsys, *argv)
     assert code == 2
+
+
+def test_only_h_takes_the_engine_flags(capsys):
+    # the cap and budget of a computed h(k) are h's to set; find-prime,
+    # verify, primes and bound-table neither accept nor list them
+    flags = ("--max-compute-k", "--max-nodes", "--max-seconds")
+    listed = {}
+    for command in ("h", "find-prime", "verify", "primes", "bound-table"):
+        code, out, _ = _run(capsys, command, "--help")
+        assert code == 0
+        listed[command] = [flag for flag in flags if flag in out]
+    assert listed == {"h": list(flags), "find-prime": [], "verify": [],
+                      "primes": [], "bound-table": []}
 
 
 def test_verify_missing_file(capsys):

@@ -118,6 +118,19 @@ def test_compute_policies_are_built_once():
     assert none_checks == []
 
 
+def test_no_public_certify_function_takes_a_policy():
+    # certify computes a missing h(k) as cover.DEFAULT_POLICY allows: its
+    # callers pick a table, not a compute cap or a budget
+    path = Path(jacobsthal.__file__).parent / "certify.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [node.name for node in tree.body
+             if isinstance(node, ast.FunctionDef)
+             and not node.name.startswith("_")
+             and any(arg.arg == "policy" for arg in ast.walk(node.args)
+                     if isinstance(arg, ast.arg))]
+    assert found == []
+
+
 def test_only_records_that_need_it_are_dataclasses():
     # a record is a NamedTuple unless callers copy it with
     # dataclasses.replace (PrimeCertificate) or it validates on
