@@ -19,10 +19,10 @@ _EXPORTS = {
                "certificate_from_json certificate_to_json cw_upper find_prime "
                "max_provable_d min_k_for prime_stream render_thousandths "
                "verify_certificate",
-    "cover": "MODE_CW MODE_UNCONDITIONAL ComputePolicy CoverAssignment "
-             "CoverWitness HEntry KnownHTable SearchBudget coverable "
-             "default_h_table elementary_lower_witness h_of least_witness "
-             "load_h_table max_cover_length verify_cover witness_integer",
+    "cover": "MODE_CW MODE_UNCONDITIONAL CoverAssignment CoverWitness "
+             "HEntry KnownHTable SearchBudget coverable default_h_table "
+             "elementary_lower_witness h_of least_witness load_h_table "
+             "max_cover_length verify_cover witness_integer",
     "errors": "BudgetExceeded JacobsthalError NonCoprimeModuli NotEligible "
               "NotInProgression NotProvable OutOfRange TableParseError "
               "TableValidationError Unavailable",

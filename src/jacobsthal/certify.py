@@ -26,9 +26,9 @@ from .arith import (_COPRIME_BLOCK, _decimal_to_int, decimal_excerpt,
                     first_primes, int_to_decimal, is_prime, nth_prime,
                     primorial)
 # default_h_table stays bound for the benchmark's tracer (perfbench/tracing.py)
-from .cover import (DEFAULT_POLICY, MODE_CW,  # noqa: F401
-                    MODE_UNCONDITIONAL, MODES, ComputePolicy, KnownHTable,
-                    default_h_table, h_of)
+from .cover import (DEFAULT_MAX_COMPUTE_K, MODE_CW,  # noqa: F401
+                    MODE_UNCONDITIONAL, MODES, KnownHTable, default_h_table,
+                    h_of)
 from .errors import BudgetExceeded, JacobsthalError, NotProvable, OutOfRange
 from .progressions import EligibleAP, coprime_iso
 
@@ -56,9 +56,6 @@ CHECK_NAMES = (
 )
 
 _DECIMAL_INT = _re.compile(r"-?[0-9]+")
-
-# max_provable_d walks only the rows the table holds
-_NO_COMPUTE = ComputePolicy(max_compute_k=0)
 
 
 class BoundRow(NamedTuple):
@@ -122,20 +119,19 @@ def cw_upper(n: int) -> int:
     if not CW_MIN_K <= n <= CW_MAX_K:
         raise OutOfRange(
             f"the conditional bound holds for {CW_MIN_K} <= n <= {CW_MAX_K}, "
-            f"got {n}")
+            f"got {decimal_excerpt(n)}")
     # Exact in double precision: on 50..10000 the real value stays 4.8e-5 or
     # more from an integer (closest at n = 7361), over 300 times the float
     # error (6.4e-8 measured, about 1.5e-7 bounded for five roundings).
     return ceil(CW_COEFFICIENT * n * n * log(n))
 
 
-def _h_at(k: int, table: KnownHTable, mode: str,
-          policy: ComputePolicy) -> tuple[int, str]:
+def _h_at(k: int, table: KnownHTable, mode: str) -> tuple[int, str]:
     """``(h, source)`` for index k under ``mode``: the exact h(k), or the
     conditional formula in cw mode.  find_prime's walk, ``bound`` and
     verify's h-consistent clause all read the bound from here."""
     if mode == MODE_UNCONDITIONAL:
-        return h_of(k, table, policy)
+        return h_of(k, table)
     if mode == MODE_CW:
         return cw_upper(k), HSOURCE_CW
     raise ValueError(f"unknown mode {mode!r}")
@@ -149,7 +145,7 @@ def bound(k: int, table: KnownHTable, *,
     from fractions import Fraction
     if k < 1:
         raise ValueError(f"index must be >= 1, got {k}")
-    h_value, h_source = _h_at(k, table, mode, DEFAULT_POLICY)
+    h_value, h_source = _h_at(k, table, mode)
     p_next = nth_prime(k + 1)
     return BoundRow(k, p_next, h_value, h_source,
                     Fraction(p_next * p_next - 2, h_value + 1))
@@ -161,24 +157,25 @@ def bound_table(ks, table: KnownHTable, *,
 
 
 def _walk(d: float, table: KnownHTable, mode: str,
-          policy: ComputePolicy) -> list[tuple]:
-    """The walk up the k, extended until its reach passes d or the k run
-    out.  The table keeps it until its next ``set``: a sentinel, then one
+          max_compute_k: int) -> list[tuple]:
+    """The walk up the table's k and every k up to ``max_compute_k`` (cw
+    mode: its validity range), extended until its reach passes d or the k
+    run out.  The table keeps it until its next ``set``: a sentinel, then one
     ``(reach, k, h, source)`` per k, reach the largest d certified so far."""
     derived = table._derived  # read once: a set() from here on orphans it
-    key = policy.max_compute_k if mode == MODE_UNCONDITIONAL else mode
+    key = max_compute_k if mode == MODE_UNCONDITIONAL else mode
     walk = derived.get(key)
     if walk is None:
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         ks = range(CW_MIN_K, CW_MAX_K + 1) if mode == MODE_CW else sorted(
-            set(table.ks()).union(range(1, policy.max_compute_k + 1)))
+            set(table.ks()).union(range(1, max_compute_k + 1)))
         walk = derived.setdefault(key, (ks, [(0,)], threading.Lock()))
     ks, rows, lock = walk
     with lock:
         while rows[-1][0] < d and len(rows) <= len(ks):
             k = ks[len(rows) - 1]
-            h_value, h_source = _h_at(k, table, mode, policy)
+            h_value, h_source = _h_at(k, table, mode)
             p_next = nth_prime(k + 1)  # largest d: (p_{k+1}^2 - 2) // (h + 1)
             rows.append((max(rows[-1][0], (p_next * p_next - 2)
                              // (h_value + 1)), k, h_value, h_source))
@@ -187,7 +184,7 @@ def _walk(d: float, table: KnownHTable, mode: str,
 
 def _least_row(d: int, table: KnownHTable, mode: str) -> tuple[int, int, str]:
     """``(k, h, source)`` at the least k whose bound certifies d."""
-    rows = _walk(d, table, mode, DEFAULT_POLICY)
+    rows = _walk(d, table, mode, DEFAULT_MAX_COMPUTE_K)
     if rows[-1][0] < d:
         raise NotProvable(f"no available bound reaches d = "
                           f"{decimal_excerpt(d)} (largest provable: "
@@ -336,7 +333,7 @@ def _h_consistency(cert: PrimeCertificate, table: KnownHTable) -> list[str]:
         return ["h-consistent: cw mode requires the cw source" if cw else
                 "h-consistent: unconditional mode with conditional source"]
     try:
-        expected, source = _h_at(cert.k, table, cert.mode, DEFAULT_POLICY)
+        expected, source = _h_at(cert.k, table, cert.mode)
     except OutOfRange:
         return [f"h-consistent: k = {cert.k} outside the conditional range"]
     except JacobsthalError as exc:
@@ -410,7 +407,8 @@ def max_provable_d(table: KnownHTable, *,
     Unconditional mode scans the table as-is; cw mode scans the whole
     conditional validity range.  Returns ``(0, None)`` for an empty table.
     """
-    rows = _walk(inf, table, mode, _NO_COMPUTE)  # no reach passes inf
+    # the rows the table holds, computing none; no reach passes inf
+    rows = _walk(inf, table, mode, 0)
     best = rows[-1][0]
     return best, (rows[bisect_left(rows, (best,))][1] if best else None)
 

@@ -23,8 +23,7 @@ from . import cover
 from .arith import (_decimal_to_int, decimal_excerpt, first_primes,
                     int_to_decimal)
 from .cover import (DEFAULT_MAX_COMPUTE_K, MODE_UNCONDITIONAL, MODES,
-                    ComputePolicy, KnownHTable, SearchBudget,
-                    default_h_table, load_h_table)
+                    KnownHTable, SearchBudget, default_h_table, load_h_table)
 from .errors import BudgetExceeded, JacobsthalError
 
 # Commands call these as _cli.NAME: the first use binds one here from the
@@ -55,11 +54,6 @@ def _budget(args) -> SearchBudget | None:
     if args.max_nodes is None and args.max_seconds is None:
         return None
     return SearchBudget(args.max_nodes, args.max_seconds)
-
-
-def _policy(args) -> ComputePolicy:
-    return ComputePolicy(max_compute_k=args.max_compute_k,
-                         budget=_budget(args))
 
 
 def _table(args) -> KnownHTable:
@@ -111,15 +105,7 @@ def _positive_float(text: str) -> float:
 
 
 def _k_list(text: str) -> tuple[int, ...]:
-    try:
-        ks = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "expected comma-separated integers, got "
-            f"{_quoted(text)}") from None
-    if not ks or any(k < 1 for k in ks):
-        raise argparse.ArgumentTypeError("indices must all be >= 1")
-    return ks
+    return tuple(map(_int_at_least(1), text.split(",")))
 
 
 # --- subcommands -------------------------------------------------------------
@@ -140,12 +126,12 @@ def cmd_g(args) -> _Result:
 
 
 def cmd_h(args) -> _Result:
-    k, table, policy = args.k, _table(args), _policy(args)
-    loaded = table.get(k)
+    k, table = args.k, _table(args)
+    loaded, cap = table.get(k), DEFAULT_MAX_COMPUTE_K
     if args.compute:
         # the engine answers on an empty table; the loaded row only checks it
-        table, policy = KnownHTable(), policy._replace(max_compute_k=k)
-    h, source = cover.h_of(k, table, policy)
+        table, cap = KnownHTable(), k
+    h, source = cover.h_of(k, table, budget=_budget(args), max_compute_k=cap)
     if args.compute and loaded is not None and loaded.h != h:
         raise JacobsthalError(
             f"engine found h({k}) = {h} but the table says {loaded.h}; "
@@ -347,13 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("h", parents=[common, budget, tableopts],
                        help="primorial Jacobsthal function h(k)")
     p.add_argument("k", type=_int_at_least(1))
-    p.add_argument("--max-compute-k", type=_int_at_least(0),
-                   default=DEFAULT_MAX_COMPUTE_K, metavar="K",
-                   help="largest k the engine may compute h(k) for when the "
-                        "table lacks it (0: never compute)")
     p.add_argument("--compute", action="store_true",
-                   help="run the exact search whatever the table and "
-                        "--max-compute-k say, and cross-check the table")
+                   help="run the exact search whatever the table says, and "
+                        "cross-check the table")
     p.set_defaults(func=cmd_h)
 
     p = sub.add_parser("h-search", parents=[common, budget],

@@ -98,18 +98,6 @@ class _Allowance:
                          if budget and budget.max_seconds is not None else None)
 
 
-class ComputePolicy(NamedTuple):
-    """Controls when missing h(k) values may be computed by the engine: only
-    for ``k <= max_compute_k``, so a cap of 0 never computes."""
-
-    max_compute_k: int = DEFAULT_MAX_COMPUTE_K
-    budget: SearchBudget | None = None
-
-
-# What a policy of None means wherever a function takes one.
-DEFAULT_POLICY = ComputePolicy()
-
-
 def _validated_primes(primes) -> tuple[int, ...]:
     ps = validated_primes(primes)
     if not ps:
@@ -544,27 +532,25 @@ def default_h_table() -> KnownHTable:
     return _parse_h_table(text.splitlines())
 
 
-def h_of(k: int, table: KnownHTable,
-         policy: ComputePolicy | None = None) -> tuple[int, str]:
-    """Exact h(k): from the table, else computed within ``policy``'s cap and
-    budget, ``DEFAULT_POLICY`` when None (and inserted into the table with a
-    verified witness)."""
+def h_of(k: int, table: KnownHTable, *, budget: SearchBudget | None = None,
+         max_compute_k: int = DEFAULT_MAX_COMPUTE_K) -> tuple[int, str]:
+    """Exact h(k): from the table, else computed within ``budget`` for
+    ``k <= max_compute_k`` (a cap of 0 never computes) and inserted into the
+    table with a verified witness."""
     if k < 1:
         raise ValueError(f"h(k) is defined for k >= 1, got {k}")
     entry = table.get(k)
     if entry is not None:
         return entry.h, entry.source
-    policy = policy or DEFAULT_POLICY
-    if k > policy.max_compute_k:
+    if k > max_compute_k:
         raise Unavailable(
             f"h({decimal_excerpt(k)}) is not tabulated and k exceeds the "
-            f"compute cap {policy.max_compute_k}")
+            f"compute cap {max_compute_k}")
     with table._compute_lock:
         entry = table.get(k)  # another thread may have just computed it
         if entry is not None:
             return entry.h, entry.source
-        length, assignment = max_cover_length(first_primes(k),
-                                              budget=policy.budget)
+        length, assignment = max_cover_length(first_primes(k), budget=budget)
         witness = witness_integer(assignment)
         table.set(k, length + 1, HSOURCE_COMPUTED, witness=witness)
     return length + 1, HSOURCE_COMPUTED

@@ -26,7 +26,8 @@ class BudgetExceeded(JacobsthalError):
 
 
 class Unavailable(JacobsthalError):
-    """A requested value is neither tabulated nor computable under the policy."""
+    """A requested value is neither tabulated nor computable under the
+    compute cap."""
 
 
 class OutOfRange(JacobsthalError):

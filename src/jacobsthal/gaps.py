@@ -10,7 +10,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import cover
-from .arith import RUN_SIEVE_LIMIT, factorize, shared_factor_flags
+from .arith import (RUN_SIEVE_LIMIT, decimal_excerpt, factorize,
+                    shared_factor_flags)
 from .errors import BudgetExceeded
 
 MAX_SUPPORT = 25
@@ -75,8 +76,9 @@ def g_of(n: int, *,
         return GapScanResult(n, length + 1, start, length)
     if len(primes) > MAX_SUPPORT:
         raise BudgetExceeded(
-            f"rad(n) = {rad} exceeds the scan limit and n has {len(primes)} "
-            f"distinct primes (engine handles at most {MAX_SUPPORT})")
+            f"rad(n) = {decimal_excerpt(rad)} exceeds the scan limit and n "
+            f"has {len(primes)} distinct primes (engine handles at most "
+            f"{MAX_SUPPORT})")
     length, assignment = cover.max_cover_length(primes, budget=budget)
     witness = cover.witness_integer(assignment)
     return GapScanResult(n, length + 1, witness.start, length)

@@ -25,7 +25,7 @@ from jacobsthal.certify import (CHECK_NAMES, MODE_CW, MODE_UNCONDITIONAL,
                                 int_to_decimal, render_thousandths,
                                 verify_certificate)
 from jacobsthal import arith, certify, cover, progressions
-from jacobsthal.cover import ComputePolicy, KnownHTable, default_h_table
+from jacobsthal.cover import KnownHTable, default_h_table
 from jacobsthal.errors import (JacobsthalError, NotProvable, OutOfRange)
 from jacobsthal.progressions import coprime_iso, make_eligible
 from oracles import least_k_walk, max_d_walk, preimage_scan
@@ -132,13 +132,12 @@ def test_min_k_for_pinned(shipped_table, d, k):
 
 
 def test_min_k_is_minimal(shipped_table):
-    policy = ComputePolicy()
     for d in (5, 17, 40, 62, 76):
         k = min_k_for(d, shipped_table)
         assert bound(k, shipped_table).value >= d
         smaller = [j for j in range(1, k)
                    if shipped_table.get(j) is not None
-                   or j <= policy.max_compute_k]
+                   or j <= cover.DEFAULT_MAX_COMPUTE_K]
         assert all(bound(j, shipped_table).value < d for j in smaller)
 
 
@@ -173,9 +172,8 @@ def _reference_walk(table, mode, cap):
     """The k that min_k_for walks, with their h, for the reference walk."""
     if mode == MODE_CW:
         return range(certify.CW_MIN_K, certify.CW_MAX_K + 1), cw_upper
-    policy = ComputePolicy(max_compute_k=cap)
     ks = sorted(set(table.ks()) | set(range(1, cap + 1)))
-    return ks, lambda k: cover.h_of(k, table, policy)[0]
+    return ks, lambda k: cover.h_of(k, table, max_compute_k=cap)[0]
 
 
 def _outcome(d, table, mode):
@@ -204,7 +202,7 @@ def test_min_k_for_matches_the_reference_walk(shipped_table, variant, mode,
     # one table, every d in 1..80 in shuffled order: the kept walk answers
     # each as a walk from the first k would, and walks each k once, in order
     table = TABLE_VARIANTS[variant](shipped_table)
-    ks, h_at = _reference_walk(table, mode, ComputePolicy().max_compute_k)
+    ks, h_at = _reference_walk(table, mode, cover.DEFAULT_MAX_COMPUTE_K)
     looked_up = []
     real = certify._h_at
     monkeypatch.setattr(certify, "_h_at",
@@ -284,7 +282,7 @@ def test_min_k_for_agrees_across_threads(shipped_table, computed):
     keep = (lambda k: k > 12) if computed else (lambda k: True)
     ks, h_at = _reference_walk(_copy_rows(shipped_table, keep),
                                MODE_UNCONDITIONAL,
-                               ComputePolicy().max_compute_k)
+                               cover.DEFAULT_MAX_COMPUTE_K)
     expected = {d: least_k_walk(d, ks, h_at) for d in range(1, 77)}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch often, so the walks interleave
@@ -328,21 +326,16 @@ def test_warm_find_prime_looks_up_h_once(monkeypatch):
         assert looked_up == [cert.k], (a, d)
 
 
-def test_certify_calls_hand_the_default_policy_itself_to_h_of(monkeypatch):
-    # no certify call takes or builds a ComputePolicy: the walk of
-    # find_prime and min_k_for, verify and bound each hand
-    # cover.DEFAULT_POLICY itself to h_of
-    def build(*args, **kwargs):
-        raise AssertionError("a ComputePolicy was built in a call")
-
-    monkeypatch.setattr(certify, "ComputePolicy", build)
-    monkeypatch.setattr(cover, "ComputePolicy", build)
+def test_certify_calls_hand_h_of_only_k_and_the_table(monkeypatch):
+    # no certify call sets a cap or a budget: the walk of find_prime and
+    # min_k_for, verify and bound each call h_of(k, table)
     seen = []
     h_of = certify.h_of
-    monkeypatch.setattr(certify, "h_of", lambda k, table, policy: (
-        seen.append(k if policy is cover.DEFAULT_POLICY else (k, policy))
-        or h_of(k, table, policy)))
-    # empty tables, so h(1..3) are computed under the default's cap
+    monkeypatch.setattr(certify, "h_of", lambda *args, **kwargs: (
+        seen.append(args[0] if len(args) == 2 and not kwargs
+                    else (args, kwargs))
+        or h_of(*args, **kwargs)))
+    # empty tables, so h(1..3) are computed under the default cap
     assert min_k_for(5, KnownHTable()) == 3
     assert seen == [1, 2, 3]
     seen.clear()
@@ -597,8 +590,8 @@ def test_find_and_verify_read_one_h_lookup(monkeypatch):
     real = certify._h_at
     monkeypatch.setattr(
         certify, "_h_at",
-        lambda k, table, mode, policy: (cw_upper(k) + 1, "cw")
-        if mode == MODE_CW else real(k, table, mode, policy))
+        lambda k, table, mode: (cw_upper(k) + 1, "cw")
+        if mode == MODE_CW else real(k, table, mode))
     table = default_h_table()
     cert = find_prime(make_eligible(1, 3), table, mode=MODE_CW)
     assert (cert.k, cert.h_value, cert.h_source) == (50, 2715, "cw")

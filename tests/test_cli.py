@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from jacobsthal import cli, cover
+from jacobsthal.arith import primorial
 from jacobsthal.certify import int_to_decimal
 from jacobsthal.cli import H_TABLE_ENV, run
 
@@ -124,15 +125,10 @@ def test_h_compute_json_is_pinned(capsys, k):
 
 
 def test_h_not_tabulated_fails(capsys):
-    code, _, err = _run(capsys, "h", "21")
-    assert code == 1
-    assert "error" in err
-    code, _, err = _run(capsys, "h", "5", "--max-compute-k", "0")
-    assert code == 0
-    code, out, err = _run(capsys, "h", "21", "--max-compute-k", "0")
+    code, out, err = _run(capsys, "h", "21")
     assert (code, out) == (1, "")
     assert err == ("error: h(21) is not tabulated and k exceeds the compute "
-                   "cap 0\n")
+                   "cap 12\n")
 
 
 def test_h_compute_budget_bounds_the_whole_walk(capsys):
@@ -143,18 +139,28 @@ def test_h_compute_budget_bounds_the_whole_walk(capsys):
     assert err == "budget exhausted: cover search passed 70400 nodes\n"
 
 
-def test_h_compute_leaves_the_callers_policy_unchanged(monkeypatch, capsys):
-    # --compute hands h_of a copy whose cap reaches k, not the policy itself
-    policy = cover.ComputePolicy(max_compute_k=0)
-    monkeypatch.setattr(cli, "_policy", lambda args: policy)
+def test_h_hands_h_of_its_table_cap_and_budget(monkeypatch, capsys):
+    # plain h reads the loaded table under the default cap; --compute
+    # starts from an empty table with a cap that reaches k
+    loaded = cover.default_h_table()
+    monkeypatch.setattr(cli, "default_h_table", lambda: loaded)
     seen = []
     h_of = cover.h_of
-    monkeypatch.setattr(cover, "h_of", lambda k, table, given:
-                        seen.append(given) or h_of(k, table, given))
-    code, out, _ = _run(capsys, "h", "12", "--compute")
-    assert (code, out.splitlines()[0]) == (0, "h(12) = 66 (computed)")
-    assert policy == cover.ComputePolicy(0, None)
-    assert seen == [cover.ComputePolicy(12, None)]
+
+    def spy(k, table, *, budget=None, max_compute_k=12):
+        seen.append((k, table, len(table.ks()), budget, max_compute_k))
+        return h_of(k, table, budget=budget, max_compute_k=max_compute_k)
+
+    monkeypatch.setattr(cover, "h_of", spy)
+    code, out, _ = _run(capsys, "h", "5")
+    assert (code, out.splitlines()[0]) == (0, "h(5) = 14 (paper)")
+    code, out, _ = _run(capsys, "h", "9", "--compute", "--max-nodes",
+                        "1000000")
+    assert (code, out.splitlines()[0]) == (0, "h(9) = 40 (computed)")
+    assert [(k, table is loaded, size, budget, cap)
+            for k, table, size, budget, cap in seen] == [
+        (5, True, len(loaded.ks()), None, 12),
+        (9, False, 0, cover.SearchBudget(1000000, None), 9)]
 
 
 def test_h_compute_flags_table_mismatch(tmp_path, capsys):
@@ -257,7 +263,7 @@ def _both_formats(capsys, *argv):
 
 
 def test_iso_past_the_digit_limit(capsys):
-    from jacobsthal.arith import first_primes, primorial
+    from jacobsthal.arith import first_primes
     from jacobsthal.progressions import coprime_iso, make_eligible
     iso = coprime_iso(make_eligible(1, 7), first_primes(2000))
     c, below, above, modulus = (int_to_decimal(n) for n in (
@@ -365,6 +371,8 @@ def test_verify_reports_a_prime_past_the_digit_limit(tmp_path, capsys):
 
 
 _LONG = "1" * 5000
+# the product of the first 2000 primes: 7483 digits
+_P_2000 = int_to_decimal(primorial(2000))
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -377,8 +385,13 @@ _LONG = "1" * 5000
     (["find-prime", "1", _LONG], 1),
     (["primes", "1", _LONG, "--count", "1"], 1),
     (["find-prime", "3", "3" + "0" * 5000], 1),
+    (["g", _P_2000], 3),
+    (["bound-table", "--mode", "cw", "--ks", "1" * 4000], 1),
+    (["bound-table", "--ks", _LONG], 1),
+    (["bound-table", "--mode", "cw", "--ks", _LONG], 1),
 ], ids=["g", "h-compute", "h-search-primes", "witness-lower", "iso-k", "h",
-        "find-prime", "primes", "find-prime-ineligible"])
+        "find-prime", "primes", "find-prime-ineligible", "g-primorial",
+        "bound-table-cw-4000", "bound-table", "bound-table-cw"])
 def test_arguments_past_the_digit_limit_get_their_exit_code(capsys, argv,
                                                             code):
     # every message names a number of any size by at most 40 digits
@@ -540,7 +553,7 @@ def test_env_table_and_flag_precedence(tmp_path, capsys, monkeypatch):
     ("g", "10", "--max-seconds", "0"),  # invalid time budget
     ("frobnicate",),                 # unknown subcommand
     ("bound-table", "--ks", "5,x"),  # malformed list
-    ("h", "5", "--table-only"),      # removed: --max-compute-k 0 says it
+    ("h", "5", "--table-only"),      # removed: a miss at k <= 12 is computed
     ("find-prime", "1", "3", "--mode", "hopeful"),  # unknown mode
     ("h-search", "13", "--primes", "5", "--max-nodes", "0"),  # node budget
     ("find-prime", "1", "3", "--json"),  # removed: stdout is always JSON
@@ -550,6 +563,9 @@ def test_env_table_and_flag_precedence(tmp_path, capsys, monkeypatch):
     ("verify", os.devnull, "--max-nodes", "5"),  # not read: exit 2, not 1
     ("primes", "1", "3", "--count", "1", "--max-seconds", "1"),
     ("bound-table", "--max-compute-k", "0"),
+    ("h", "5", "--max-compute-k", "0"),  # removed: h K --compute says it
+    ("bound-table", "--ks", "5,0"),  # index below 1
+    ("bound-table", "--ks", ""),     # empty list
 ])
 def test_usage_errors(capsys, argv):
     code, _, _ = _run(capsys, *argv)
@@ -557,16 +573,17 @@ def test_usage_errors(capsys, argv):
 
 
 def test_only_h_takes_the_engine_flags(capsys):
-    # the cap and budget of a computed h(k) are h's to set; find-prime,
-    # verify, primes and bound-table neither accept nor list them
+    # the budget of a computed h(k) is h's to set; find-prime, verify,
+    # primes and bound-table neither accept nor list it, and no command
+    # takes a compute cap
     flags = ("--max-compute-k", "--max-nodes", "--max-seconds")
     listed = {}
     for command in ("h", "find-prime", "verify", "primes", "bound-table"):
         code, out, _ = _run(capsys, command, "--help")
         assert code == 0
         listed[command] = [flag for flag in flags if flag in out]
-    assert listed == {"h": list(flags), "find-prime": [], "verify": [],
-                      "primes": [], "bound-table": []}
+    assert listed == {"h": ["--max-nodes", "--max-seconds"], "find-prime": [],
+                      "verify": [], "primes": [], "bound-table": []}
 
 
 def test_verify_missing_file(capsys):

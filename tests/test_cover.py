@@ -14,7 +14,7 @@ from jacobsthal.arith import (factorize, first_primes, nth_prime,
                               primes_upto, primorial)
 from jacobsthal.cover import (CoverAssignment, CoverWitness, HEntry,
                               HSOURCE_COMPUTED, KnownHTable,
-                              SearchBudget, ComputePolicy,
+                              SearchBudget,
                               coverable, default_h_table,
                               elementary_lower_witness, h_of, least_witness,
                               load_h_table, max_cover_length,
@@ -422,9 +422,9 @@ def test_h_of_sources_and_caching():
 def test_h_of_tabulated_and_refusals(shipped_table):
     assert h_of(5, shipped_table) == (14, "paper")
     with pytest.raises(Unavailable):
-        h_of(4, KnownHTable(), ComputePolicy(max_compute_k=0))
+        h_of(4, KnownHTable(), max_compute_k=0)
     with pytest.raises(Unavailable):
-        h_of(13, KnownHTable(), ComputePolicy(max_compute_k=12))
+        h_of(13, KnownHTable(), max_compute_k=12)
     with pytest.raises(ValueError):
         h_of(0, shipped_table)
 
@@ -433,7 +433,6 @@ def test_h_of_tabulated_and_refusals(shipped_table):
     (HEntry(6, HSOURCE_COMPUTED), "h"),
     (CoverWitness(2, 5), "start"),
     (SearchBudget(), "max_nodes"),
-    (ComputePolicy(), "max_compute_k"),
 ])
 def test_records_are_immutable(record, field):
     with pytest.raises(AttributeError):
@@ -445,7 +444,6 @@ def test_records_are_immutable(record, field):
 
 def test_records_keep_their_defaults_and_repr():
     assert SearchBudget(max_nodes=5) == SearchBudget(5, None)
-    assert ComputePolicy() == ComputePolicy(12, None)
     assert HEntry(6, "paper").witness is None
     assert repr(SearchBudget(max_nodes=5)) == (
         "SearchBudget(max_nodes=5, max_seconds=None)")
@@ -479,9 +477,8 @@ def test_coverable_refuses_a_search_too_large_to_hold(monkeypatch):
 
 
 def test_h_of_budget_propagates():
-    policy = ComputePolicy(budget=SearchBudget(max_nodes=2))
     with pytest.raises(BudgetExceeded):
-        h_of(10, KnownHTable(), policy)
+        h_of(10, KnownHTable(), budget=SearchBudget(max_nodes=2))
 
 
 def test_h_of_computes_a_shared_miss_once(monkeypatch):

@@ -95,40 +95,29 @@ def test_only_the_cli_resolves_the_h_table():
         "cli._table"}
 
 
-def test_compute_policies_are_built_once():
-    # a call with no policy reads cover.DEFAULT_POLICY: cover and certify
-    # build a ComputePolicy only at module level, cli only from its flags,
-    # and no function turns a None policy into a fresh one
-    builders, none_checks = set(), []
+def test_h_of_alone_takes_the_compute_cap():
+    # no compute policy record or module default is left; the cap and the
+    # budget are keywords of h_of, and only the h command sets the cap
+    retired = {"ComputePolicy", "DEFAULT_POLICY", "_NO_COMPUTE", "_policy",
+               "policy"}
+    # the fields that hold a name read, bound, passed or imported
+    fields = ("id", "attr", "arg", "name", "asname")
+    found = [f"{name}:{node.lineno}" for name, node in _nodes()
+             if any(getattr(node, field, None) in retired
+                    for field in fields)]
+    assert found == []
+    setters = set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for top in tree.body:
-            where = getattr(top, "name", "<module>")
             for node in ast.walk(top):
                 if (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Name)
-                        and node.func.id == "ComputePolicy"):
-                    builders.add(f"{path.stem}.{where}")
-                if (isinstance(node, ast.Compare)
-                        and isinstance(node.left, ast.Name)
-                        and node.left.id == "policy"
-                        and isinstance(node.ops[0], ast.Is)):
-                    none_checks.append(f"{path.name}:{node.lineno}")
-    assert builders == {"cover.<module>", "certify.<module>", "cli._policy"}
-    assert none_checks == []
-
-
-def test_no_public_certify_function_takes_a_policy():
-    # certify computes a missing h(k) as cover.DEFAULT_POLICY allows: its
-    # callers pick a table, not a compute cap or a budget
-    path = Path(jacobsthal.__file__).parent / "certify.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    found = [node.name for node in tree.body
-             if isinstance(node, ast.FunctionDef)
-             and not node.name.startswith("_")
-             and any(arg.arg == "policy" for arg in ast.walk(node.args)
-                     if isinstance(arg, ast.arg))]
-    assert found == []
+                        and "h_of" in (getattr(node.func, "id", None),
+                                       getattr(node.func, "attr", None))
+                        and any(kw.arg == "max_compute_k"
+                                for kw in node.keywords)):
+                    setters.add(f"{path.stem}.{top.name}")
+    assert setters == {"cli.cmd_h"}
 
 
 def test_only_records_that_need_it_are_dataclasses():
