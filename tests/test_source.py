@@ -95,9 +95,10 @@ def test_only_the_cli_resolves_the_h_table():
         "cli._table"}
 
 
-def test_h_of_alone_takes_the_compute_cap():
-    # no compute policy record or module default is left; the cap and the
-    # budget are keywords of h_of, and only the h command sets the cap
+def test_compute_policies_are_built_once():
+    # no compute policy record or module default is left: the cap and the
+    # budget are keywords of h_of, and only the h command sets the cap,
+    # from its flags
     retired = {"ComputePolicy", "DEFAULT_POLICY", "_NO_COMPUTE", "_policy",
                "policy"}
     # the fields that hold a name read, bound, passed or imported
@@ -118,6 +119,20 @@ def test_h_of_alone_takes_the_compute_cap():
                                 for kw in node.keywords)):
                     setters.add(f"{path.stem}.{top.name}")
     assert setters == {"cli.cmd_h"}
+
+
+def test_no_public_certify_function_takes_a_policy():
+    # certify computes a missing h(k) with h_of's default cap and no
+    # budget: its callers pick a table, not a compute cap or a budget
+    path = Path(jacobsthal.__file__).parent / "certify.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [node.name for node in tree.body
+             if isinstance(node, ast.FunctionDef)
+             and not node.name.startswith("_")
+             and any(arg.arg in ("policy", "max_compute_k", "budget")
+                     for arg in ast.walk(node.args)
+                     if isinstance(arg, ast.arg))]
+    assert found == []
 
 
 def test_only_records_that_need_it_are_dataclasses():
