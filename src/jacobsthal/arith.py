@@ -24,7 +24,10 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 _TRIAL_LIMIT = 43 * 43
 
 _SIEVE_CAP = 80_000_000  # largest bound primes_upto will sieve
-RUN_SIEVE_LIMIT = 20_000_000  # largest range g_of and least_witness sieve
+# largest range g_of and least_witness scan: it bounds their time, since a
+# scan holds one window of flags at a time, not the range
+RUN_SIEVE_LIMIT = 20_000_000
+_RUN_WINDOW = 1 << 16  # flag bytes a scan window holds at most
 _NTH_CAP = 4_000_000  # largest index nth_prime will serve
 _TRIAL_BOUND = 100_000  # factorize divides out the primes up to this
 _RHO_STEPS = 1_000_000  # Pollard rho steps factorize spends per split
@@ -143,12 +146,34 @@ def validated_primes(primes) -> tuple[int, ...]:
     return ps
 
 
-def shared_factor_flags(primes, limit: int) -> bytearray:
-    """flags[i] == 1 iff some p in primes divides i, for 0 <= i <= limit."""
-    flags = bytearray(limit + 1)
-    for p in primes:
-        flags[p::p] = b"\x01" * (limit // p)
-    return flags
+def shared_factor_windows(primes, limit: int):
+    """Yield ``(offset, flags)`` windows that tile ``0..limit`` in order:
+    ``flags[i] == 1`` iff some p in primes divides ``offset + i``, except
+    at position 0, which stays 0.  Every window but the last ends on a
+    position coprime to the primes, so no run of 1s crosses from one window
+    into the next; a window of ``_RUN_WINDOW`` bytes holding no such
+    position raises :class:`JacobsthalError`.
+    """
+    offset = 0
+    while offset <= limit:
+        end = min(offset + _RUN_WINDOW, limit + 1)
+        size = end - offset
+        flags = bytearray(size)
+        for p in primes:
+            first = -offset % p
+            if first < size:
+                flags[first::p] = b"\x01" * ((size - 1 - first) // p + 1)
+        if offset == 0:
+            flags[0] = 0
+        if end <= limit:
+            last = flags.rfind(0)
+            if last < 0:
+                raise JacobsthalError(
+                    f"internal: no integer in {offset}..{end - 1} is coprime "
+                    f"to the primes, so a run is longer than a scan window")
+            del flags[last + 1:]
+        yield offset, flags
+        offset += len(flags)
 
 
 def primorial(k: int) -> int:

@@ -227,6 +227,15 @@ def cmd_find_prime(args) -> _Result:
     return 0, None, lines
 
 
+def _json_number(decimal: str) -> int | str:
+    """A decimal string as a JSON number, or as itself past the
+    interpreter's digit limit, where json can write no such number."""
+    try:
+        return int(decimal)
+    except ValueError:
+        return decimal
+
+
 def cmd_verify(args) -> _Result:
     from . import certify
     with open(args.certificate, "r", encoding="utf-8") as fh:
@@ -248,11 +257,11 @@ def cmd_verify(args) -> _Result:
     payload = []
     lines = []
     for cert, check in results:
-        prime = int_to_decimal(cert.prime)
-        payload.append({"prime": prime, "a": cert.a, "d": cert.d,
-                        "mode": cert.mode, "ok": check.ok,
-                        "failures": list(check.failures)})
-        place = f"{prime} in {cert.a}+{cert.d}Z (mode {cert.mode})"
+        prime, a, d = map(int_to_decimal, (cert.prime, cert.a, cert.d))
+        payload.append({"prime": prime, "a": _json_number(a),
+                        "d": _json_number(d), "mode": cert.mode,
+                        "ok": check.ok, "failures": list(check.failures)})
+        place = f"{prime} in {a}+{d}Z (mode {cert.mode})"
         lines.append(f"ok: {place}" if check.ok else f"FAIL: {place}")
         lines += [f"  - {failure}" for failure in check.failures]
     code = 0 if all(check.ok for _, check in results) else 1

@@ -25,7 +25,7 @@ from typing import NamedTuple
 # is_prime stays bound here for the benchmark's tracer (perfbench/tracing.py)
 from .arith import (RUN_SIEVE_LIMIT, crt_solve,  # noqa: F401
                     decimal_excerpt, first_primes, is_prime, nth_prime,
-                    shared_factor_flags, validated_primes)
+                    shared_factor_windows, validated_primes)
 from .errors import (BudgetExceeded, JacobsthalError, TableParseError,
                      TableValidationError, Unavailable)
 
@@ -406,18 +406,21 @@ def witness_integer(assignment: CoverAssignment) -> CoverWitness:
 
 def least_witness(length: int, primes) -> CoverWitness | None:
     """The earliest positive run of ``length`` integers each divisible by one
-    of ``primes``, found by direct sieve.  ``None`` when the period is too
-    large to sieve or no such run exists in one period."""
+    of ``primes``, found by a windowed scan.  ``None`` when the period is
+    too large to scan or no such run exists in one period."""
     ps = _validated_primes(primes)
     if length == 0:
         return witness_integer(CoverAssignment(ps, (0,) * len(ps), 0))
     period = prod(ps)
     if period + length > RUN_SIEVE_LIMIT:
         return None
-    start = shared_factor_flags(ps, period + length).find(b"\x01" * length)
-    if not 0 <= start <= period:
-        return None
-    return CoverWitness(start, length)
+    run = b"\x01" * length
+    for offset, flags in shared_factor_windows(ps, period + length):
+        at = flags.find(run)
+        if at >= 0:  # runs never cross windows: this is the first one
+            start = offset + at
+            return CoverWitness(start, length) if start <= period else None
+    return None
 
 
 def elementary_lower_witness(n: int) -> CoverWitness:

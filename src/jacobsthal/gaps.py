@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 from . import cover
 from .arith import (RUN_SIEVE_LIMIT, decimal_excerpt, factorize,
-                    shared_factor_flags)
+                    shared_factor_windows)
 from .errors import BudgetExceeded
 
 MAX_SUPPORT = 25
@@ -32,8 +32,8 @@ class GapScanResult(NamedTuple):
 
 
 def _first_longest_run(flags: bytearray) -> tuple[int, int]:
-    """``(length, start)`` of the first longest run of 1 bytes in ``flags``,
-    which must hold at least one.
+    """``(length, start)`` of the first longest run of 1 bytes in ``flags``;
+    ``(0, -1)`` when it holds none.
 
     ``find`` gives the first run at least a given length long, and a run
     that long starts no earlier than one of any shorter length: so double
@@ -41,6 +41,8 @@ def _first_longest_run(flags: bytearray) -> tuple[int, int]:
     longest length, the first one found is the first maximal run.
     """
     length, start = 1, flags.find(1)
+    if start < 0:
+        return 0, -1
     while (at := flags.find(b"\x01" * (2 * length), start)) >= 0:
         length, start = 2 * length, at
     absent = 2 * length  # no run is this long
@@ -58,10 +60,12 @@ def g_of(n: int, *,
          budget: "cover.SearchBudget | None" = None) -> GapScanResult:
     """Compute g(n) with a maximal witness run.
 
-    Small radicals are scanned directly, which also yields the run with the
-    smallest positive start.  When rad(n) exceeds ``RUN_SIEVE_LIMIT`` but n
-    has few distinct primes, the exact cover engine takes over; its witness
-    is deterministic and verified but not necessarily the least one.
+    Small radicals are scanned directly, one window of flags at a time,
+    which also yields the run with the smallest positive start;
+    ``RUN_SIEVE_LIMIT`` bounds the scan's time, not its memory.  When
+    rad(n) exceeds ``RUN_SIEVE_LIMIT`` but n has few distinct primes, the
+    exact cover engine takes over; its witness is deterministic and
+    verified but not necessarily the least one.
     """
     if n < 1:
         raise ValueError(f"g(n) is defined for n >= 1, got {n}")
@@ -71,8 +75,12 @@ def g_of(n: int, *,
         return GapScanResult(n, 1, 1, 0)
     primes = fac.primes()
     if rad <= RUN_SIEVE_LIMIT:
-        # rad >= 2 always has the run ending at rad
-        length, start = _first_longest_run(shared_factor_flags(primes, rad))
+        # rad >= 2 always has the run ending at rad; no run crosses windows
+        length = start = 0
+        for offset, flags in shared_factor_windows(primes, rad):
+            run, at = _first_longest_run(flags)
+            if run > length:
+                length, start = run, offset + at
         return GapScanResult(n, length + 1, start, length)
     if len(primes) > MAX_SUPPORT:
         raise BudgetExceeded(

@@ -10,6 +10,10 @@ hide in the oracle as well:
   sharing a factor with n;
 - ``first_longest_run`` scans one period the same way for where the first
   longest such run starts;
+- ``shared_factor_flags`` sieves one whole period plus slack into a
+  single bytearray, the reference for ``arith.shared_factor_windows``,
+  and ``least_run_start`` finds a run in it, the reference for
+  ``cover.least_witness``;
 - ``shares_factor_throughout`` checks a run of integers one gcd at a
   time for each sharing a factor with a prime set, the reference for
   ``verify_cover``;
@@ -115,6 +119,25 @@ def first_longest_run(n: int) -> tuple[int, int]:
         else:
             run = 0
     return best
+
+
+def shared_factor_flags(primes, limit: int) -> bytearray:
+    """``flags[i] == 1`` iff some p in primes divides i, for
+    ``0 < i <= limit``; ``flags[0] == 0``."""
+    flags = bytearray(limit + 1)
+    for p in primes:
+        flags[p::p] = b"\x01" * (limit // p)
+    return flags
+
+
+def least_run_start(length: int, primes) -> int | None:
+    """The least positive start of ``length`` consecutive integers each
+    divisible by one of ``primes``, or ``None`` when no such run starts
+    within one period; ``length`` must be at least 1."""
+    period = prod(primes)
+    start = shared_factor_flags(primes, period + length).find(
+        b"\x01" * length)
+    return start if 0 <= start <= period else None
 
 
 def shares_factor_throughout(start: int, length: int, primes) -> bool:

@@ -13,8 +13,8 @@ from jacobsthal import arith
 from jacobsthal.arith import (Factorization, crt_solve, factorize, first_primes,
                               is_prime, nth_prime, primes_upto, primorial,
                               validated_primes, _MR_LIMIT)
-from jacobsthal.errors import BudgetExceeded, NonCoprimeModuli
-from oracles import prime_flags
+from jacobsthal.errors import BudgetExceeded, JacobsthalError, NonCoprimeModuli
+from oracles import prime_flags, shared_factor_flags
 
 from math import prod
 
@@ -260,3 +260,33 @@ def test_factorization_helpers():
 def test_radical_matches_sympy(n):
     expected = prod(sympy.primefactors(n)) if n > 1 else 1
     assert factorize(n).radical() == expected
+
+
+@pytest.mark.parametrize("window", [26, 27, 40, 1 << 16])
+def test_shared_factor_windows_tile_the_whole_period_flags(monkeypatch,
+                                                          window):
+    # joined, the windows are the whole-range flags; each window but the
+    # last ends on a coprime position, so no run crosses into the next
+    monkeypatch.setattr(arith, "_RUN_WINDOW", window)
+    cases = [((2,), 0), ((2,), 1), ((2, 3), 7), ((7,), 100),
+             ((2, 3, 5), 1000), ((1999,), 5000),
+             (first_primes(7), primorial(7) + 25)]
+    for primes, limit in cases:
+        windows = list(arith.shared_factor_windows(primes, limit))
+        offsets = [0]
+        for _, flags in windows[:-1]:
+            offsets.append(offsets[-1] + len(flags))
+        assert [offset for offset, _ in windows] == offsets
+        joined = b"".join(flags for _, flags in windows)
+        assert joined == shared_factor_flags(primes, limit), (primes, limit)
+        assert all(0 < len(flags) <= window for _, flags in windows)
+        assert all(flags[-1] == 0 for _, flags in windows[:-1])
+
+
+def test_a_run_longer_than_a_window_is_an_internal_error(monkeypatch):
+    # the first 7 primes cover 25 integers in a row (217128..217152), so a
+    # 25-byte window that starts on that run holds no coprime position
+    monkeypatch.setattr(arith, "_RUN_WINDOW", 25)
+    with pytest.raises(JacobsthalError, match="^internal: no integer in "
+                       "217128..217152 is coprime"):
+        list(arith.shared_factor_windows(first_primes(7), primorial(7)))

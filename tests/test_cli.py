@@ -124,6 +124,54 @@ def test_h_compute_json_is_pinned(capsys, k):
                              indent=2) + "\n"
 
 
+# `h K --compute --json` for periods small enough to scan: (h, start) of
+# the least run of h - 1 integers, each divisible by one of the first K
+# primes
+LEAST_H_RUNS = {
+    1: (2, "2"),
+    2: (4, "2"),
+    3: (6, "2"),
+    4: (10, "2"),
+    5: (14, "114"),
+    6: (22, "9440"),
+    7: (26, "217128"),
+    8: (34, "60044"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(LEAST_H_RUNS))
+def test_h_compute_json_least_witness_is_pinned(capsys, k):
+    h, start = LEAST_H_RUNS[k]
+    code, out, _ = _run(capsys, "h", str(k), "--compute", "--json")
+    assert code == 0
+    expected = {"h": h, "k": k, "source": "computed",
+                "witness": {"least": True, "length": h - 1, "start": start}}
+    assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+# `g P_K --json`: (P_K, g, start of the first longest run)
+PRIMORIAL_G_RUNS = {
+    1: ("2", 2, "2"),
+    2: ("6", 4, "2"),
+    3: ("30", 6, "2"),
+    4: ("210", 10, "2"),
+    5: ("2310", 14, "114"),
+    6: ("30030", 22, "9440"),
+    7: ("510510", 26, "217128"),
+    8: ("9699690", 34, "60044"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(PRIMORIAL_G_RUNS))
+def test_g_of_a_primorial_json_is_pinned(capsys, k):
+    n, g, start = PRIMORIAL_G_RUNS[k]
+    code, out, _ = _run(capsys, "g", n, "--json")
+    assert code == 0
+    expected = {"g": g, "n": n, "witness_length": g - 1,
+                "witness_start": start}
+    assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
 def test_h_not_tabulated_fails(capsys):
     code, out, err = _run(capsys, "h", "21")
     assert (code, out) == (1, "")
@@ -368,6 +416,29 @@ def test_verify_reports_a_prime_past_the_digit_limit(tmp_path, capsys):
         code, out, err = _run(capsys, "verify", str(cert_file), "--json")
         assert (code, err) == (1, "")
         assert json.loads(out)["prime"] == prime
+
+
+def test_verify_reports_a_and_d_past_the_digit_limit(tmp_path, capsys):
+    # a and d print in full; --json writes each as a number up to the
+    # digit limit and as a decimal string past it, where json.loads could
+    # not read it back as a number
+    code, out, _ = _run(capsys, "find-prime", "1", "76")
+    base = json.loads(out)
+    cert_file = tmp_path / "cert.json"
+    for field, value in (("a", "1" * 5000), ("d", "7" * 4301),
+                         ("a", "1" * 4300)):
+        payload = dict(base, **{field: value})
+        cert_file.write_text(json.dumps(payload))
+        code, out, err = _run(capsys, "verify", str(cert_file))
+        assert (code, err) == (1, "")
+        assert out.startswith(f"FAIL: 1597 in {payload['a']}+{payload['d']}Z "
+                              "(mode unconditional)\n  - ")
+        code, out, err = _run(capsys, "verify", str(cert_file), "--json")
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        assert report["ok"] is False and report["failures"]
+        expected = value if len(value) > 4300 else int(value)
+        assert (report[field], report["prime"]) == (expected, "1597")
 
 
 _LONG = "1" * 5000

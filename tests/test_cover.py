@@ -1,6 +1,8 @@
+import functools
 import random
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from math import prod
 
-from jacobsthal import cover
+from jacobsthal import arith, cover
 from jacobsthal.arith import (factorize, first_primes, nth_prime,
                               primes_upto, primorial)
 from jacobsthal.cover import (CoverAssignment, CoverWitness, HEntry,
@@ -23,7 +25,8 @@ from jacobsthal.gaps import g_of
 from jacobsthal.errors import (BudgetExceeded, JacobsthalError,
                                TableParseError, TableValidationError,
                                Unavailable)
-from oracles import g_exhaustive, prime_order_cover, shares_factor_throughout
+from oracles import (g_exhaustive, least_run_start, prime_order_cover,
+                     shares_factor_throughout)
 
 REMARK_ROWS = [(5, 14), (10, 46), (15, 100), (20, 174), (25, 258), (30, 330),
                (35, 432), (40, 538), (45, 642), (50, 762), (54, 858)]
@@ -283,6 +286,38 @@ def test_least_witness_pinned_and_bounds():
     assert least_witness(3, (2, 3)).start == 2
     assert least_witness(14, first_primes(5)) is None  # no such run exists
     assert least_witness(45, first_primes(10)) is None  # period too large
+
+
+@functools.cache
+def _least_run_starts():
+    """``{(k, length): start}`` from the whole-period reference, for k <= 7
+    and every length 1..h(k); the start is None at h(k)."""
+    h = dict(COMPUTED_ROWS + REMARK_ROWS)
+    return {(k, length): least_run_start(length, first_primes(k))
+            for k in range(1, 8) for length in range(1, h[k] + 1)}
+
+
+@pytest.mark.parametrize("window", [26, 27, 40, 1 << 16])
+def test_least_witness_matches_the_whole_period_scan(monkeypatch, window):
+    monkeypatch.setattr(arith, "_RUN_WINDOW", window)
+    for (k, length), start in _least_run_starts().items():
+        witness = least_witness(length, first_primes(k))
+        got = None if witness is None else witness.start
+        assert got == start, (k, length)
+
+
+def test_least_witness_holds_a_window_not_the_period():
+    # a gate that does not depend on the machine: the flags of the whole
+    # period of P_8 took 19.4 MB
+    primes = first_primes(8)
+    tracemalloc.start()
+    try:
+        witness = least_witness(33, primes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert witness == CoverWitness(60044, 33)
+    assert peak < 1_000_000
 
 
 def _agrees_with_reference(start, length, ps):

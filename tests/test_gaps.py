@@ -1,6 +1,8 @@
+import functools
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 import sympy
@@ -9,9 +11,10 @@ from hypothesis import strategies as st
 
 from math import gcd, prod
 
+from jacobsthal import arith
 from jacobsthal.arith import factorize, primorial
 from jacobsthal.cover import SearchBudget, verify_cover
-from jacobsthal.errors import BudgetExceeded
+from jacobsthal.errors import BudgetExceeded, JacobsthalError
 from jacobsthal.gaps import g_of
 from oracles import first_longest_run, g_exhaustive
 
@@ -52,6 +55,42 @@ def test_witness_is_the_first_longest_run():
         assert run == first_longest_run(n), n
     res = g_of(primorial(8))
     assert (res.g, res.witness_start, res.witness_length) == (34, 60044, 33)
+
+
+@functools.cache
+def _first_longest_runs():
+    return {n: first_longest_run(n)
+            for n in [*range(1, 2001), *(primorial(k) for k in range(1, 8))]}
+
+
+@pytest.mark.parametrize("window", [26, 27, 40])
+def test_small_windows_find_the_same_first_longest_run(monkeypatch, window):
+    # the longest run for these n is 25 long (P_7), so a 26-byte window
+    # is the smallest that holds it and the coprime position before it
+    monkeypatch.setattr(arith, "_RUN_WINDOW", window)
+    for n, run in _first_longest_runs().items():
+        res = g_of(n)
+        assert (res.witness_start, res.witness_length) == run, n
+
+
+def test_a_window_shorter_than_a_run_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(arith, "_RUN_WINDOW", 25)
+    with pytest.raises(JacobsthalError, match="^internal: "):
+        g_of(primorial(7))
+
+
+def test_the_scan_holds_a_window_not_the_period():
+    # a gate that does not depend on the machine: the flags of the whole
+    # period of P_8 took 19.4 MB
+    g_of(primorial(8))  # first use sieves the trial-division primes
+    tracemalloc.start()
+    try:
+        res = g_of(primorial(8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.g, res.witness_start) == (34, 60044)
+    assert peak < 1_000_000
 
 
 def test_g_depends_only_on_radical():
