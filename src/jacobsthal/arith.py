@@ -72,12 +72,22 @@ _sieved_to = 1
 
 
 def _sieve(bound: int) -> tuple[int, ...]:
-    flags = bytearray([1]) * (bound + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(bound) + 1):
-        if flags[p]:
-            flags[p * p :: p] = b"\x00" * ((bound - p * p) // p + 1)
-    return tuple(compress(range(bound + 1), flags))
+    """The sieved primes extended to ``bound``.  Only the new segment
+    ``(_sieved_to, bound]`` is sieved: the primes already held strike out
+    their multiples there, and a prime of the segment up to ``isqrt(bound)``
+    (found only when the store is short of that root) strikes out its
+    own, as a sieve from 0 would.  Called under ``_prime_lock``."""
+    lo = _sieved_to + 1
+    root = math.isqrt(bound)
+    flags = bytearray([1]) * (bound - lo + 1)
+    for p in _primes[:bisect_right(_primes, root)]:
+        first = max(p * p, -(-lo // p) * p) - lo
+        flags[first::p] = b"\x00" * ((bound - lo - first) // p + 1)
+    for p in range(lo, root + 1):
+        if flags[p - lo]:
+            first = p * p - lo
+            flags[first::p] = b"\x00" * ((bound - lo - first) // p + 1)
+    return _primes + tuple(compress(range(lo, bound + 1), flags))
 
 
 def _ensure_sieved(bound: int) -> None:

@@ -19,6 +19,7 @@ import re as _re
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_string
 from math import ceil, gcd, inf, log, prod
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -426,12 +427,20 @@ _FIELD_MAX_DIGITS = 60_000
 
 def certificate_to_json(cert: PrimeCertificate) -> str:
     """Canonical JSON form: integers as decimal strings (c routinely
-    exceeds machine width), keys sorted, newline-terminated."""
-    payload = {name: int_to_decimal(getattr(cert, name))
-               for name in _INT_FIELDS}
-    payload.update({name: getattr(cert, name) for name in _STR_FIELDS})
-    payload["checks"] = list(cert.checks)
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    exceeds machine width), keys sorted, two-space indent,
+    newline-terminated.  The text is byte for byte what
+    ``json.dumps(payload, sort_keys=True, indent=2)`` writes, formatted in
+    one pass: with an indent, json runs its pure-Python encoder, several
+    times slower.  Strings are escaped by json's own ASCII escaper."""
+    a, c, d, h_value, k, m, prime = map(int_to_decimal, (
+        cert.a, cert.c, cert.d, cert.h_value, cert.k, cert.m, cert.prime))
+    checks = ("[\n    " + ",\n    ".join(map(_json_string, cert.checks))
+              + "\n  ]" if cert.checks else "[]")
+    return (f'{{\n  "a": "{a}",\n  "c": "{c}",\n  "checks": {checks},\n'
+            f'  "d": "{d}",\n  "h_source": {_json_string(cert.h_source)},\n'
+            f'  "h_value": "{h_value}",\n  "k": "{k}",\n  "m": "{m}",\n'
+            f'  "mode": {_json_string(cert.mode)},\n'
+            f'  "prime": "{prime}"\n}}\n')
 
 
 def certificate_from_json(text: str) -> PrimeCertificate:
@@ -439,6 +448,13 @@ def certificate_from_json(text: str) -> PrimeCertificate:
         data = json.loads(text)
     except ValueError as exc:  # also a bare number past the digit limit
         raise JacobsthalError(f"certificate is not valid JSON: {exc}") from exc
+    return _certificate_from_data(data)
+
+
+def _certificate_from_data(data: object) -> PrimeCertificate:
+    """The certificate a decoded JSON value holds, with every field checked:
+    ``certificate_from_json`` after ``json.loads``, and ``verify``'s reader
+    for each item of a file it decoded once."""
     if not isinstance(data, dict):
         raise JacobsthalError("certificate must be a JSON object")
     if data.keys() != _FIELDS:

@@ -29,6 +29,8 @@ from .errors import BudgetExceeded, JacobsthalError
 # Commands call these as _cli.NAME: the first use binds one here from the
 # package, so a command that uses none loads neither certify nor
 # progressions, and a wrapper set on this module (perfbench/tracing.py) runs.
+# certificate_from_json is bound for that tracer alone: verify decodes its
+# file once and checks each item with certify._certificate_from_data.
 _DEFERRED = ("certificate_from_json", "certificate_to_json", "coprime_iso",
              "make_eligible")
 _cli = sys.modules[__name__]
@@ -246,11 +248,8 @@ def cmd_verify(args) -> _Result:
         raise JacobsthalError(f"certificate is not valid JSON: {exc}") from exc
     if data == []:
         raise JacobsthalError(f"{args.certificate} holds no certificates")
-    if isinstance(data, list):
-        certs = [_cli.certificate_from_json(json.dumps(item))
-                 for item in data]
-    else:
-        certs = [_cli.certificate_from_json(text)]
+    certs = [certify._certificate_from_data(item)
+             for item in (data if isinstance(data, list) else [data])]
     table = _table(args)
     results = [(cert, certify.verify_certificate(cert, table))
                for cert in certs]

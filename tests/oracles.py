@@ -29,9 +29,14 @@ hide in the oracle as well:
   ``certify.find_prime``'s scan of the small images;
 - ``least_k_walk`` and ``max_d_walk`` walk the bound table from its first
   k on every call, the reference for ``certify.min_k_for`` and
-  ``certify.max_provable_d``, which keep one walk per table.
+  ``certify.max_provable_d``, which keep one walk per table;
+- ``certificate_json`` renders a certificate through ``json.dumps`` with
+  sorted keys and a two-space indent, the reference for
+  ``certify.certificate_to_json``, which formats the same text itself.
 """
 
+import json
+from decimal import Decimal
 from math import gcd, prod
 
 import sympy
@@ -227,3 +232,15 @@ def max_d_walk(ks, h_at) -> tuple[int, int | None]:
         if largest > best:
             best, best_k = largest, k
     return best, best_k
+
+
+def certificate_json(cert) -> str:
+    """The canonical certificate text as ``json.dumps`` writes it: every
+    integer field as a decimal string (``Decimal`` converts ints of any size,
+    past the interpreter's 4300-digit limit too), the text fields as they
+    are, ``checks`` as a list, then a newline."""
+    payload = {name: str(Decimal(getattr(cert, name)))
+               for name in ("a", "d", "k", "c", "m", "prime", "h_value")}
+    payload.update(h_source=cert.h_source, mode=cert.mode,
+                   checks=list(cert.checks))
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -95,6 +95,58 @@ def test_a_fresh_process_sieves_only_what_it_reads():
     assert sieves("arith.factorize(9699690)") == ["3114"]
 
 
+def test_a_growing_sieve_sieves_each_number_once(monkeypatch):
+    # each growth sieves only (old bound, new bound], so stepwise growth
+    # ends with the primes a sieve from 0 finds; a store short of the new
+    # bound's root (10 < isqrt(1000)) takes the rest of them from the segment
+    expected = tuple(sympy.primerange(2, 200_001))
+    for start in (1, 2, 10, 30, 1000):
+        monkeypatch.setattr(arith, "_primes",
+                            tuple(p for p in expected if p <= start))
+        monkeypatch.setattr(arith, "_sieved_to", start)
+        assert arith._sieve(1000) == expected[:168]
+    monkeypatch.setattr(arith, "_primes", ())
+    monkeypatch.setattr(arith, "_sieved_to", 1)
+    real, segments = arith._sieve, []
+
+    def sieve(bound):
+        segments.append((arith._sieved_to, bound))
+        return real(bound)
+
+    monkeypatch.setattr(arith, "_sieve", sieve)
+    for bound in (5, 1000, 1500, 3000, 200_000):
+        arith._ensure_sieved(bound)
+    assert segments == [(1, 1024), (1024, 2048), (2048, 4096),
+                        (4096, 200_000)]
+    assert arith._primes == expected
+    grown = arith._primes
+    monkeypatch.setattr(arith, "_primes", ())
+    monkeypatch.setattr(arith, "_sieved_to", 1)
+    assert real(200_000) == grown
+
+
+def test_the_cw_find_sieves_no_number_twice(monkeypatch):
+    # the cw walk asks for p_{k+1} one k at a time up to k = 8119, which
+    # grows the sieve by doubling from 1024 to 131072: eight sieves, which
+    # between them read each number once (a sieve hands compress the range
+    # of numbers it flagged)
+    from jacobsthal.certify import MODE_CW, find_prime
+    from jacobsthal.cover import KnownHTable
+    from jacobsthal.progressions import make_eligible
+    monkeypatch.setattr(arith, "_primes", ())
+    monkeypatch.setattr(arith, "_sieved_to", 1)
+    real, flagged = arith.compress, []
+
+    def compress(numbers, flags):
+        flagged.append(len(numbers))
+        return real(numbers, flags)
+
+    monkeypatch.setattr(arith, "compress", compress)
+    find_prime(make_eligible(1, 42), KnownHTable(), mode=MODE_CW)
+    assert len(flagged) == 8
+    assert sum(flagged) <= arith._sieved_to == 131072
+
+
 def test_first_primes_and_primorial():
     assert first_primes(5) == (2, 3, 5, 7, 11)
     assert first_primes(0) == ()

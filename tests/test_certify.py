@@ -28,7 +28,8 @@ from jacobsthal import arith, certify, cover, progressions
 from jacobsthal.cover import KnownHTable, default_h_table
 from jacobsthal.errors import (JacobsthalError, NotProvable, OutOfRange)
 from jacobsthal.progressions import coprime_iso, make_eligible
-from oracles import least_k_walk, max_d_walk, preimage_scan
+from oracles import (certificate_json, least_k_walk, max_d_walk,
+                     preimage_scan)
 
 REMARK_TABLE = [
     (5, 13, 14, "11.133"),
@@ -857,6 +858,53 @@ def test_certificate_huge_ints_survive(n):
     cert = PrimeCertificate(1, 3, 2, n, n, n, 4, "computed",
                             MODE_UNCONDITIONAL, CHECK_NAMES)
     assert certificate_from_json(certificate_to_json(cert)) == cert
+
+
+# text fields: any characters, json's escapes (quotes, backslashes, control
+# characters) and non-ASCII ones, astral characters included
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'
+                                          '\u00e9\u2028\U0001f600'),
+                          st.characters()))
+# integers of every sign and size: a 5000-digit one repeats a drawn block of
+# 40 digits 125 times, far cheaper to draw than 5000 digits
+_BIG = st.integers(10**39, 10**40 - 1).map(
+    lambda n: n * ((10**5000 - 1) // (10**40 - 1)))
+_INTS = st.one_of(st.integers(), _BIG, _BIG.map(lambda n: -n))
+
+
+@given(st.builds(PrimeCertificate, _INTS, _INTS, _INTS, _INTS, _INTS, _INTS,
+                 _INTS, _TEXT, _TEXT, st.lists(_TEXT).map(tuple)))
+def test_certificate_text_is_what_json_dumps_writes(cert):
+    assert certificate_to_json(cert) == certificate_json(cert)
+
+
+def test_empty_checks_and_escaped_fields_render_as_json_dumps(good_cert):
+    odd = replace(good_cert, h_source='say "\\"\n', mode="\u00e9\U0001f600",
+                  checks=())
+    text = certificate_to_json(odd)
+    assert text == certificate_json(odd)
+    assert '  "checks": [],\n' in text
+    assert '"h_source": "say \\"\\\\\\"\\n"' in text
+    assert '"mode": "\\u00e9\\ud83d\\ude00"' in text
+    assert certificate_from_json(text) == odd
+
+
+def test_certificate_text_never_runs_the_json_encoder(shipped_table,
+                                                      monkeypatch):
+    # json.dumps with an indent runs JSONEncoder's pure-Python iterencode;
+    # the certificate text is formatted without it
+    certs = [find_prime(make_eligible(1, 76), shipped_table),
+             find_prime(make_eligible(1, 42), shipped_table, mode=MODE_CW)]
+    expected = [certificate_json(cert) for cert in certs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.JSONEncoder ran")
+
+    monkeypatch.setattr(json.encoder.JSONEncoder, "encode", refuse)
+    monkeypatch.setattr(json.encoder.JSONEncoder, "iterencode", refuse)
+    texts = [certificate_to_json(cert) for cert in certs]
+    monkeypatch.undo()
+    assert texts == expected
 
 
 @pytest.mark.parametrize("mutate", [
