@@ -24,8 +24,8 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 _TRIAL_LIMIT = 43 * 43
 
 _SIEVE_CAP = 80_000_000  # largest bound primes_upto will sieve
-# largest range g_of and least_witness scan: it bounds their time, since a
-# scan holds one window of flags at a time, not the range
+# largest period first_longest_run scans: it bounds the scan's time, since
+# the scan holds one window of flags at a time, not the period
 RUN_SIEVE_LIMIT = 20_000_000
 _RUN_WINDOW = 1 << 16  # flag bytes a scan window holds at most
 _NTH_CAP = 4_000_000  # largest index nth_prime will serve
@@ -184,6 +184,30 @@ def shared_factor_windows(primes, limit: int):
             del flags[last + 1:]
         yield offset, flags
         offset += len(flags)
+
+
+def first_longest_run(primes) -> tuple[int, int] | None:
+    """``(length, start)`` of the first longest run in ``1..prod(primes)``
+    of integers each divisible by one of ``primes``; ``(0, 1)`` when there
+    is none, and ``None`` when the period exceeds ``RUN_SIEVE_LIMIT``.
+
+    In each window, ``find`` the first run one longer than the best so far
+    (it starts a maximal run, as the search starts after a 0), measure it
+    up to the next 0 and look again past it.
+    """
+    period = math.prod(primes)
+    if period > RUN_SIEVE_LIMIT:
+        return None
+    length, start = 0, 1
+    for offset, flags in shared_factor_windows(primes, period):
+        at = flags.find(b"\x01" * (length + 1))
+        while at >= 0:
+            end = flags.find(0, at)
+            if end < 0:
+                end = len(flags)
+            length, start = end - at, offset + at
+            at = flags.find(b"\x01" * (length + 1), end)
+    return length, start
 
 
 def primorial(k: int) -> int:

@@ -138,9 +138,13 @@ def cmd_h(args) -> _Result:
         raise JacobsthalError(
             f"engine found h({k}) = {h} but the table says {loaded.h}; "
             "refusing to report either")
-    # the least run when the period is small enough to sieve, else the
+    # the least run when the period is small enough to scan, else the
     # witness h_of stored with a row it computed (None for a file row)
-    least = cover.least_witness(h - 1, first_primes(k))
+    least = cover.least_witness(first_primes(k))
+    if least is not None and least.length != h - 1:
+        raise JacobsthalError(
+            f"a scan of one period finds h({k}) = {least.length + 1} but "
+            f"the {source} value is {h}; refusing to report either")
     witness = least or table.get(k).witness
     payload = {"k": k, "h": h, "source": source, "witness": None}
     lines = [f"h({k}) = {h} ({source})"]

@@ -23,9 +23,9 @@ from math import prod
 from typing import NamedTuple
 
 # is_prime stays bound here for the benchmark's tracer (perfbench/tracing.py)
-from .arith import (RUN_SIEVE_LIMIT, crt_solve,  # noqa: F401
-                    decimal_excerpt, first_primes, is_prime, nth_prime,
-                    shared_factor_windows, validated_primes)
+from .arith import (crt_solve, decimal_excerpt,  # noqa: F401
+                    first_longest_run, first_primes, is_prime, nth_prime,
+                    validated_primes)
 from .errors import (BudgetExceeded, JacobsthalError, TableParseError,
                      TableValidationError, Unavailable)
 
@@ -404,23 +404,13 @@ def witness_integer(assignment: CoverAssignment) -> CoverWitness:
     return CoverWitness(start, assignment.length)
 
 
-def least_witness(length: int, primes) -> CoverWitness | None:
-    """The earliest positive run of ``length`` integers each divisible by one
-    of ``primes``, found by a windowed scan.  ``None`` when the period is
-    too large to scan or no such run exists in one period."""
-    ps = _validated_primes(primes)
-    if length == 0:
-        return witness_integer(CoverAssignment(ps, (0,) * len(ps), 0))
-    period = prod(ps)
-    if period + length > RUN_SIEVE_LIMIT:
-        return None
-    run = b"\x01" * length
-    for offset, flags in shared_factor_windows(ps, period + length):
-        at = flags.find(run)
-        if at >= 0:  # runs never cross windows: this is the first one
-            start = offset + at
-            return CoverWitness(start, length) if start <= period else None
-    return None
+def least_witness(primes) -> CoverWitness | None:
+    """The first longest positive run of integers each divisible by one of
+    ``primes``, from ``arith.first_longest_run``: for the first k primes
+    its length is h(k) - 1 and no run of that length starts earlier.
+    ``None`` when the period is too large to scan."""
+    run = first_longest_run(_validated_primes(primes))
+    return None if run is None else CoverWitness(run[1], run[0])
 
 
 def elementary_lower_witness(n: int) -> CoverWitness:

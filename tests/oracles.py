@@ -9,11 +9,10 @@ hide in the oracle as well:
 - ``g_exhaustive`` scans integers one gcd at a time for the longest run
   sharing a factor with n;
 - ``first_longest_run`` scans one period the same way for where the first
-  longest such run starts;
+  longest such run starts, the reference for ``arith.first_longest_run``
+  and so for ``gaps.g_of`` and ``cover.least_witness``;
 - ``shared_factor_flags`` sieves one whole period plus slack into a
-  single bytearray, the reference for ``arith.shared_factor_windows``,
-  and ``least_run_start`` finds a run in it, the reference for
-  ``cover.least_witness``;
+  single bytearray, the reference for ``arith.shared_factor_windows``;
 - ``shares_factor_throughout`` checks a run of integers one gcd at a
   time for each sharing a factor with a prime set, the reference for
   ``verify_cover``;
@@ -133,16 +132,6 @@ def shared_factor_flags(primes, limit: int) -> bytearray:
     for p in primes:
         flags[p::p] = b"\x01" * (limit // p)
     return flags
-
-
-def least_run_start(length: int, primes) -> int | None:
-    """The least positive start of ``length`` consecutive integers each
-    divisible by one of ``primes``, or ``None`` when no such run starts
-    within one period; ``length`` must be at least 1."""
-    period = prod(primes)
-    start = shared_factor_flags(primes, period + length).find(
-        b"\x01" * length)
-    return start if 0 <= start <= period else None
 
 
 def shares_factor_throughout(start: int, length: int, primes) -> bool:

@@ -22,8 +22,9 @@ from jacobsthal.arith import first_primes, nth_prime, primorial
 from jacobsthal.certify import (MODE_CW, certificate_from_json, bound_table,
                                 cw_upper, find_prime, max_provable_d,
                                 verify_certificate)
-from jacobsthal.cover import (elementary_lower_witness, least_witness,
-                              max_cover_length, verify_cover, witness_integer)
+from jacobsthal.cover import (CoverWitness, elementary_lower_witness,
+                              least_witness, max_cover_length, verify_cover,
+                              witness_integer)
 from jacobsthal.cover import h_of
 from jacobsthal.gaps import g_of
 from jacobsthal.progressions import coprime_iso, make_eligible
@@ -50,8 +51,8 @@ def test_criterion_01_headline_values(acceptance, shipped_table):
         assert (result.witness_start, result.witness_length) == (4, 3)
         assert h_of(5, shipped_table) == (14, "paper")
         primes = first_primes(5)
-        witness = least_witness(13, primes)
-        assert witness is not None and witness.start == 114
+        witness = least_witness(primes)
+        assert witness == CoverWitness(114, 13)
         assert verify_cover(114, 13, primes)
         modulus = primorial(5)
         assert gcd(113, modulus) == 1 and gcd(127, modulus) == 1

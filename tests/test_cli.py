@@ -219,6 +219,20 @@ def test_h_compute_flags_table_mismatch(tmp_path, capsys):
     assert "refusing" in err
 
 
+@pytest.mark.parametrize("row, argv, found", [
+    ("8,40,paper", ("h", "8"), 34),             # no run of 39 in the period
+    ("5,16,paper", ("h", "5", "--json"), 14)])
+def test_h_refuses_a_row_the_period_scan_contradicts(tmp_path, capsys, row,
+                                                     argv, found):
+    lying = tmp_path / "table.txt"
+    lying.write_text(row + "\n")
+    code, out, err = _run(capsys, *argv, "--table", str(lying))
+    k, h = row.split(",")[:2]
+    assert (code, out) == (1, "")
+    assert err == (f"error: a scan of one period finds h({k}) = {found} but "
+                   f"the paper value is {h}; refusing to report either\n")
+
+
 def test_h_search_coverable(capsys):
     code, out, _ = _run(capsys, "h-search", "13", "--primes", "5")
     assert code == 0

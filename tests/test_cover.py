@@ -25,7 +25,7 @@ from jacobsthal.gaps import g_of
 from jacobsthal.errors import (BudgetExceeded, JacobsthalError,
                                TableParseError, TableValidationError,
                                Unavailable)
-from oracles import (g_exhaustive, least_run_start, prime_order_cover,
+from oracles import (first_longest_run, g_exhaustive, prime_order_cover,
                      shares_factor_throughout)
 
 REMARK_ROWS = [(5, 14), (10, 46), (15, 100), (20, 174), (25, 258), (30, 330),
@@ -281,29 +281,35 @@ def test_witness_integer_least_positive():
 
 
 def test_least_witness_pinned_and_bounds():
-    witness = least_witness(13, first_primes(5))
-    assert (witness.start, witness.length) == (114, 13)
-    assert least_witness(3, (2, 3)).start == 2
-    assert least_witness(14, first_primes(5)) is None  # no such run exists
-    assert least_witness(45, first_primes(10)) is None  # period too large
+    assert least_witness(first_primes(5)) == CoverWitness(114, 13)
+    assert least_witness((2, 3)) == CoverWitness(2, 3)
+    assert least_witness(first_primes(9)) is None  # period too large
 
 
 @functools.cache
-def _least_run_starts():
-    """``{(k, length): start}`` from the whole-period reference, for k <= 7
-    and every length 1..h(k); the start is None at h(k)."""
-    h = dict(COMPUTED_ROWS + REMARK_ROWS)
-    return {(k, length): least_run_start(length, first_primes(k))
-            for k in range(1, 8) for length in range(1, h[k] + 1)}
+def _first_longest_runs():
+    """``{k: (start, length)}`` from the whole-period reference, k <= 7."""
+    return {k: first_longest_run(primorial(k)) for k in range(1, 8)}
 
 
 @pytest.mark.parametrize("window", [26, 27, 40, 1 << 16])
 def test_least_witness_matches_the_whole_period_scan(monkeypatch, window):
+    # the longest run for k <= 7 is 25 long, so a 26-byte window is the
+    # smallest that holds it and the coprime position before it
     monkeypatch.setattr(arith, "_RUN_WINDOW", window)
-    for (k, length), start in _least_run_starts().items():
-        witness = least_witness(length, first_primes(k))
-        got = None if witness is None else witness.start
-        assert got == start, (k, length)
+    h = dict(COMPUTED_ROWS + REMARK_ROWS)
+    for k, (start, length) in _first_longest_runs().items():
+        assert length == h[k] - 1, k
+        assert least_witness(first_primes(k)) == CoverWitness(start,
+                                                              length), k
+
+
+def test_least_witness_is_the_run_g_of_finds():
+    # g(P_k) = h(k): the h and g commands report the run of one scan
+    for k in range(1, 9):
+        res = g_of(primorial(k))
+        assert least_witness(first_primes(k)) == CoverWitness(
+            res.witness_start, res.witness_length), k
 
 
 def test_least_witness_holds_a_window_not_the_period():
@@ -312,7 +318,7 @@ def test_least_witness_holds_a_window_not_the_period():
     primes = first_primes(8)
     tracemalloc.start()
     try:
-        witness = least_witness(33, primes)
+        witness = least_witness(primes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -434,7 +440,7 @@ def test_validation_rejects_impossible_h():
     # h(3) = 6, so a witness run must have length 5
     with pytest.raises(TableValidationError, match="witness length 4"):
         table.set(3, 6, HSOURCE_COMPUTED,
-                  witness=least_witness(4, first_primes(3)))
+                  witness=CoverWitness(2, 4))
 
 
 def test_load_h_table_reads_the_packaged_file(shipped_table):

@@ -88,6 +88,17 @@ def test_only_h_of_and_g_of_run_the_walk():
     assert _top_level_users("max_cover_length") == {"cover.h_of", "gaps.g_of"}
 
 
+def test_only_arith_owns_the_run_scan():
+    # one scan of one period serves g(n) and h's least witness: only
+    # arith.first_longest_run reads the windows and their size limit, and
+    # no module imports them
+    names = ("RUN_SIEVE_LIMIT", "shared_factor_windows")
+    assert _top_level_users(*names) == {"arith.first_longest_run"}
+    imported = [f"{name}:{node.lineno}" for name, node in _nodes()
+                if isinstance(node, ast.alias) and node.name in names]
+    assert imported == []
+
+
 def test_only_the_cli_resolves_the_h_table():
     # one way to resolve the table: library calls take the table they are
     # given, and only cli._table picks the packaged file or a --table path
