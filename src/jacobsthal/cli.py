@@ -24,7 +24,7 @@ from .arith import (_decimal_to_int, decimal_excerpt, first_primes,
                     int_to_decimal)
 from .cover import (DEFAULT_MAX_COMPUTE_K, MODE_UNCONDITIONAL, MODES,
                     KnownHTable, SearchBudget, default_h_table, load_h_table)
-from .errors import BudgetExceeded, JacobsthalError
+from .errors import BudgetExceeded, JacobsthalError, NotProvable
 
 # Commands call these as _cli.NAME: the first use binds one here from the
 # package, so a command that uses none loads neither certify nor
@@ -274,12 +274,20 @@ def cmd_verify(args) -> _Result:
 def cmd_primes(args) -> _Result:
     from . import certify
     ap = _cli.make_eligible(args.a, args.d)
-    certs = certify.prime_stream(ap, args.count, _table(args), mode=args.mode)
+    try:
+        certs, stopped = certify.prime_stream(
+            ap, args.count, _table(args), mode=args.mode), None
+    except NotProvable as exc:
+        if not exc.certificates:
+            raise
+        certs, stopped = exc.certificates, exc  # print them, then fail
     for cert in certs:
         _diag(f"certified prime {cert.prime} in {cert.a}+{cert.d}Z "
               f"(k = {cert.k})")
+    if stopped:
+        _diag(f"error: {stopped}")
     payload = [json.loads(_cli.certificate_to_json(cert)) for cert in certs]
-    return 0, payload, [str(cert.prime) for cert in certs]
+    return (1 if stopped else 0), payload, [str(c.prime) for c in certs]
 
 
 def cmd_bound_table(args) -> _Result:

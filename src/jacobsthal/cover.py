@@ -132,33 +132,34 @@ class _Search:
         # are settled from the uncovered set itself (see _capacity_prune).
         self.counts = [[m.bit_count() for m in ms] if 2 * p < length
                        else None for p, ms in zip(primes, masks)]
-        self.residues = [tuple(u % p for p in primes) for u in range(length)]
         # Two positions share a residue class of p when they differ by one
         # of these multiples of p.
         self.strides = [tuple(range(p, length, p)) for p in primes]
-        self.nodes = allowance.spent  # earlier searches' nodes count too
-        self.max_nodes = allowance.max_nodes
-        self.deadline = allowance.deadline
+        self.allowance = allowance  # spent per node, so a stop keeps it
 
     def _tick(self) -> None:
-        self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise BudgetExceeded(f"cover search passed {self.max_nodes} nodes")
-        if (self.deadline is not None and self.nodes % 1024 == 1
-                and time.monotonic() > self.deadline):
+        allowance = self.allowance
+        allowance.spent += 1
+        spent, limit = allowance.spent, allowance.max_nodes
+        if limit is not None and spent > limit:
+            raise BudgetExceeded(f"cover search passed {limit} nodes")
+        if (allowance.deadline is not None and spent % 1024 == 1
+                and time.monotonic() > allowance.deadline):
             raise BudgetExceeded("cover search passed its time budget")
 
     def _shift(self, hit: int, live, step: int) -> None:
         """Add ``step`` to the counts of every position in ``hit``, for the
         primes listed in ``live``: -1 as a branch covers them, +1 as it
         gives them back."""
-        counts, residues = self.counts, self.residues
+        positions = []
         while hit:
             low = hit & -hit
             hit ^= low
-            res = residues[low.bit_length() - 1]
-            for j in live:
-                counts[j][res[j]] += step
+            positions.append(low.bit_length() - 1)
+        for j in live:
+            row, p = self.counts[j], self.primes[j]
+            for u in positions:
+                row[u % p] += step
 
     def _capacity_prune(self, uncov: int, rem, caps: list[int], need: int) -> bool:
         """True when remaining primes provably cannot cover ``need`` positions.
@@ -191,7 +192,6 @@ class _Search:
         # Any prime can take any single position, so |uncovered| <= |rem|
         # is immediately feasible: hand out one position per prime.
         offsets: dict[int, int] = {}
-        rem = list(rem)
         j = 0
         while uncov:
             pos = (uncov & -uncov).bit_length() - 1
@@ -217,20 +217,16 @@ class _Search:
         if self._capacity_prune(uncov, rem, caps, need):
             return None
         u0 = (uncov & -uncov).bit_length() - 1
-        primes, masks, counts = self.primes, self.masks, self.counts
+        primes, masks = self.primes, self.masks
         live = [j for j in rem if caps[j] > 2]  # whose counts children read
         branches = []
         for at, i in enumerate(rem):
             p = primes[i]
-            mask = masks[i][u0 % p]
-            if caps[i] > 2:
-                bite = counts[i][u0 % p]
-            else:
-                bite = (mask & uncov).bit_count()
-            branches.append((bite, -p, at, i, mask))
+            hit = masks[i][u0 % p] & uncov
+            branches.append((hit.bit_count(), -p, at, i, hit))
         branches.sort(reverse=True)  # biggest bite first, small prime on ties
         spare = sum([caps[j] for j in rem])
-        for bite, _, at, i, mask in branches:
+        for bite, _, at, i, hit in branches:
             child_need = need - bite
             if child_need >= len(rem) and spare - caps[i] < child_need:
                 # The child keeps more uncovered positions than primes, and
@@ -238,7 +234,6 @@ class _Search:
                 # capacity check fails: count the node and skip it.
                 self._tick()
                 continue
-            hit = mask & uncov
             shifted = [j for j in live if j != i]
             if shifted:
                 self._shift(hit, shifted, -1)
@@ -246,8 +241,7 @@ class _Search:
             if shifted:
                 self._shift(hit, shifted, 1)
             if sub is not None:
-                p = primes[i]
-                sub[p] = u0 % p
+                sub[primes[i]] = u0 % primes[i]
                 return sub
         return None
 
@@ -343,7 +337,6 @@ def coverable(length: int, primes,
                              f"the limit of {_MAX_MASK_BITS}")
     search = _Search(n, ps[halve:], allowance)
     found = search.search_wheel()
-    allowance.spent = search.nodes
     if found is None:
         return None
     if halve:
@@ -430,8 +423,7 @@ def elementary_lower_witness(n: int) -> CoverWitness:
     t, _ = crt_solve([(0, small_modulus), (1, p_second), (-1 % ps[-1], ps[-1])])
     length = 2 * p_second - 1
     start = t - (p_second - 1)
-    assignment = CoverAssignment(ps, tuple(-start % p for p in ps), length)
-    if not assignment.is_valid():
+    if not verify_cover(start, length, ps):
         raise JacobsthalError(f"internal: run from {start} is not covered")
     return CoverWitness(start, length)
 

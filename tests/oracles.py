@@ -28,7 +28,11 @@ hide in the oracle as well:
   ``certify.find_prime``'s scan of the small images;
 - ``least_k_walk`` and ``max_d_walk`` walk the bound table from its first
   k on every call, the reference for ``certify.min_k_for`` and
-  ``certify.max_provable_d``, which keep one walk per table;
+  ``certify.max_provable_d``, which keep their walks on the table: one
+  per table in cw mode, and in unconditional mode one that computes rows
+  up to the compute cap for ``min_k_for`` and ``find_prime``, and a
+  second over the table's rows only, which never computes, for
+  ``max_provable_d``;
 - ``certificate_json`` renders a certificate through ``json.dumps`` with
   sorted keys and a two-space indent, the reference for
   ``certify.certificate_to_json``, which formats the same text itself.

@@ -7,7 +7,7 @@ import pytest
 
 from jacobsthal import cli, cover
 from jacobsthal.arith import primorial
-from jacobsthal.certify import int_to_decimal
+from jacobsthal.certify import certificate_from_json, int_to_decimal
 from jacobsthal.cli import H_TABLE_ENV, run
 
 
@@ -558,6 +558,38 @@ def test_primes_json(capsys):
     code, out, _ = _run(capsys, "primes", "0", "1", "--count", "3", "--json")
     payload = json.loads(out)
     assert [item["prime"] for item in payload] == ["3", "5", "17"]
+
+
+def test_primes_prints_what_it_certified_before_it_stopped(capsys):
+    # d = 96 passes every bound after four primes: the four are printed,
+    # their stderr lines come before the error, and the exit code is 1
+    code, out, err = _run(capsys, "primes", "1", "3", "--count", "50")
+    assert (code, out) == (1, "7\n97\n61\n229\n")
+    notes = err.splitlines()
+    assert [line.split()[2] for line in notes[:4]] == ["7", "97", "61", "229"]
+    assert all(line.startswith("certified prime ") for line in notes[:4])
+    assert notes[4].startswith("error: stream stopped after 4 of 50: ")
+    assert len(notes) == 5
+    # with nothing certified, stdout stays empty
+    code, out, err = _run(capsys, "primes", "1", "77", "--count", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: stream stopped after 0 of 1: ")
+
+
+def test_primes_json_prints_what_it_certified_before_it_stopped(capsys):
+    code, out, err = _run(capsys, "primes", "1", "3", "--count", "50",
+                          "--json")
+    assert code == 1
+    assert err.splitlines()[-1].startswith(
+        "error: stream stopped after 4 of 50: ")
+    # the same certificates a stream of four prints
+    assert out == _run(capsys, "primes", "1", "3", "--count", "4",
+                       "--json")[1]
+    certs = [certificate_from_json(json.dumps(item))
+             for item in json.loads(out)]
+    assert [cert.prime for cert in certs] == [7, 97, 61, 229]
+    code, out, _ = _run(capsys, "primes", "1", "77", "--count", "1", "--json")
+    assert (code, out) == (1, "")
 
 
 def test_find_prime_computes_the_rows_a_table_lacks(tmp_path, capsys):

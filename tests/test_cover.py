@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import random
 import threading
@@ -266,6 +267,75 @@ def test_budget_bounds_the_whole_walk():
             max_cover_length(ps, budget)
         assert budget == SearchBudget(max_nodes=max_nodes)  # left as it was
     assert max_cover_length(ps, SearchBudget(max_nodes=spent))[0] == 117
+
+
+def test_a_stopped_search_keeps_its_node_count():
+    # the walk's allowance counts every node, the one that stops it too
+    allowance = cover._Allowance(SearchBudget(max_nodes=5))
+    with pytest.raises(BudgetExceeded, match="passed 5 nodes$"):
+        coverable(45, first_primes(10), budget=allowance)
+    assert allowance.spent == 6
+    allowance = cover._Allowance(SearchBudget(max_seconds=1e-9))
+    with pytest.raises(BudgetExceeded, match="time budget$"):
+        coverable(45, first_primes(10), budget=allowance)
+    assert allowance.spent >= 1
+
+
+@contextlib.contextmanager
+def _checking_count_tables():
+    """While open, each _Search._capacity_prune call first checks that
+    every count table it may read, that of a prime in ``rem`` whose
+    incoming cap is above 2, equals the popcounts it caches.  Yields the
+    list of primes checked."""
+    checked = []
+    prune = cover._Search._capacity_prune
+
+    def checking_prune(self, uncov, rem, caps, need):
+        for i in rem:
+            if caps[i] > 2:
+                assert self.counts[i] == [(m & uncov).bit_count()
+                                          for m in self.masks[i]], i
+                checked.append(self.primes[i])
+        return prune(self, uncov, rem, caps, need)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cover._Search, "_capacity_prune", checking_prune)
+        yield checked
+
+
+def _at_the_h_searches(test):
+    """Both searches that decide h(k) for k <= 12, as explicit examples."""
+    for k, h in sorted(COMPUTED_ROWS + REMARK_ROWS):
+        if k <= 12:
+            for length in (h - 1, h):
+                test = example(length=length,
+                               primes=list(first_primes(k)))(test)
+    return test
+
+
+@given(length=st.integers(min_value=1, max_value=40),
+       primes=st.lists(st.sampled_from(PRIMES_TO_37), min_size=1,
+                       max_size=len(PRIMES_TO_37), unique=True))
+@_at_the_h_searches
+def test_count_tables_equal_what_they_cache(length, primes):
+    # _shift keeps counts[i][c] = |masks[i][c] & uncov| while branches
+    # cover positions and give them back; the pinned node counts only
+    # catch an upkeep error that changes the search path
+    with _checking_count_tables():
+        coverable(length, primes)
+
+
+def test_count_table_check_reads_tables():
+    # the check above is not vacuous: the searches that decide h(k) for
+    # k <= 12 read the tables of every prime that has one
+    checked = set()
+    for k, h in sorted(COMPUTED_ROWS + REMARK_ROWS):
+        if k <= 12:
+            for length in (h - 1, h):
+                with _checking_count_tables() as primes:
+                    coverable(length, first_primes(k))
+                checked.update(primes)
+    assert checked == {3, 5, 7, 11, 13}
 
 
 def test_witness_integer_least_positive():

@@ -99,6 +99,25 @@ def test_only_arith_owns_the_run_scan():
     assert imported == []
 
 
+def test_the_cover_search_keeps_one_copy_of_its_state():
+    # the count table has one writer (_shift) and one reader
+    # (_capacity_prune) after __init__ builds it; nodes and limits live on
+    # the walk's allowance alone, and no residue table is kept
+    path = Path(jacobsthal.__file__).parent / "cover.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    search = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "_Search")
+    users = {node.name for node in search.body
+             if isinstance(node, ast.FunctionDef)
+             and _references(node, "counts")}
+    assert users == {"__init__", "_shift", "_capacity_prune"}
+    copies = [f"{node.attr}:{node.lineno}" for node in ast.walk(search)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Store)
+              and node.attr in ("nodes", "max_nodes", "deadline", "residues")]
+    assert copies == []
+
+
 def test_only_the_cli_resolves_the_h_table():
     # one way to resolve the table: library calls take the table they are
     # given, and only cli._table picks the packaged file or a --table path
