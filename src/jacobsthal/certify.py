@@ -15,7 +15,6 @@ scan.  Everything a certificate claims is independently re-checkable.
 from __future__ import annotations
 
 import json
-import re as _re
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -55,9 +54,6 @@ CHECK_NAMES = (
     "bound",
     "primality",
 )
-
-_DECIMAL_INT = _re.compile(r"-?[0-9]+")
-
 
 class BoundRow(NamedTuple):
     """One row of the provability table: with ``h_value`` consecutive
@@ -251,22 +247,19 @@ def verify_certificate(cert: PrimeCertificate,
     if cert.d < 1 or not 0 <= cert.a < cert.d or gcd(cert.a, cert.d) != 1:
         return CertificateCheck(
             ("eligible: a + dZ is not an eligible progression",))
-    qs = first_primes(cert.k)
-    # block products, shared by the three clauses; the first one is kept
-    products = [primorial(min(cert.k, _COPRIME_BLOCK))]
+    missing, m_shares, prime_shares = _prime_clauses(cert)
     if cert.c % cert.d != cert.a:
         failures.append("congruences: c does not lie in a + dZ")
-    q = _first_missing_factor(cert.c, cert.d, qs, products)
-    if q is not None:
-        failures.append(f"congruences: c not divisible by {q}")
+    if missing is not None:
+        failures.append(f"congruences: c not divisible by {missing}")
     if cert.prime != cert.c + cert.d * cert.m:
         failures.append("equation: prime != c + d*m")
     p_next = nth_prime(cert.k + 1)
     if not 2 <= cert.prime < p_next * p_next:
         failures.append("range: prime outside [2, p_{k+1}^2 - 1]")
-    if _shares_a_prime(cert.m, qs, products):
+    if m_shares:
         failures.append("preimage-coprime: gcd(m, k-primorial) > 1")
-    if _shares_a_prime(cert.prime, qs, products):
+    if prime_shares:
         failures.append("image-coprime: gcd(prime, k-primorial) > 1")
     failures.extend(_h_consistency(cert, table))
     # (p_{k+1}^2 - 2)/(h + 1) < d in integers; h + 1 <= 0 never certifies
@@ -282,47 +275,35 @@ def verify_certificate(cert: PrimeCertificate,
     return CertificateCheck(tuple(failures))
 
 
-def _block_product(qs: tuple[int, ...], products: list[int],
-                   start: int) -> int:
-    """The product of the block of ``qs`` from ``start`` on.  ``products``
-    holds the blocks before it, and a block is multiplied out on first use,
-    so a verify forms each block product at most once, and only those its
-    clauses read."""
-    index = start // _COPRIME_BLOCK
-    if index == len(products):
-        products.append(prod(qs[start:start + _COPRIME_BLOCK]))
-    return products[index]
-
-
-def _first_missing_factor(c: int, d: int, qs: tuple[int, ...],
-                          products: list[int]) -> int | None:
-    """The first prime of ``qs`` that divides neither c nor d, or None.  A
-    prime divides c*d exactly when it divides c or d, so a block of primes
-    whose product divides c*d holds none: one remainder per block.  The
-    scan is a loop, not a generator expression over ``r``: that would make
-    ``r`` a cell, one more garbage-collected object allocated per call."""
-    cd = c * d
+def _prime_clauses(cert: PrimeCertificate) -> tuple[int | None, bool, bool]:
+    """One walk over the first k primes, a block at a time, answers the
+    clauses that read them: the first prime dividing neither c nor d (None
+    when each block's product divides c*d), whether m shares one, whether
+    the prime does.  Each closes at its first failing block, the last two
+    also once the primes passed reach |m| or |prime|, and the walk ends when
+    all have.  Loops: a generator would allocate one more object a call."""
+    qs = first_primes(cert.k)
+    cd, m_size, prime_size = cert.c * cert.d, abs(cert.m), abs(cert.prime)
+    missing, m_shares, prime_shares = None, False, False
+    m_open = prime_open = True
+    block = primorial(min(cert.k, _COPRIME_BLOCK))  # block 0's, kept
     for start in range(0, len(qs), _COPRIME_BLOCK):
-        r = cd % _block_product(qs, products, start)
-        if r:
+        if start:  # no prime at or past |n| divides a nonzero n
+            m_open = not m_shares and qs[start - 1] < m_size
+            prime_open = not prime_shares and qs[start - 1] < prime_size
+            if missing is not None and not m_open and not prime_open:
+                break
+            block = prod(qs[start:start + _COPRIME_BLOCK])
+        if missing is None and (r := cd % block):
             for q in qs[start:start + _COPRIME_BLOCK]:
                 if r % q:
-                    return q
-    return None
-
-
-def _shares_a_prime(n: int, qs: tuple[int, ...], products: list[int]) -> bool:
-    """``gcd(n, prod(qs)) > 1`` for ascending primes ``qs``, taken a block
-    at a time and stopping at the first block with a common factor or past
-    ``|n|`` (no larger prime divides a nonzero n).  So a forged k costs
-    no more than the primes up to ``|n|``, not a product of all k."""
-    size = abs(n)
-    for start in range(0, len(qs), _COPRIME_BLOCK):
-        if start and qs[start - 1] >= size:
-            return False
-        if gcd(n, _block_product(qs, products, start)) > 1:
-            return True
-    return False
+                    missing = q
+                    break
+        if m_open and gcd(cert.m, block) > 1:
+            m_shares = True
+        if prime_open and gcd(cert.prime, block) > 1:
+            prime_shares = True
+    return missing, m_shares, prime_shares
 
 
 def _h_consistency(cert: PrimeCertificate, table: KnownHTable) -> list[str]:
@@ -443,18 +424,37 @@ def certificate_to_json(cert: PrimeCertificate) -> str:
             f'  "prime": "{prime}"\n}}\n')
 
 
-def certificate_from_json(text: str) -> PrimeCertificate:
+def _unrepeated(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object as a dict, refusing a field json would overwrite."""
+    seen = set()
+    for name, _ in pairs:
+        if name in seen:  # at most 40 characters of a hostile name
+            raise JacobsthalError(
+                f"certificate repeats the field {name[:40]!r}")
+        seen.add(name)
+    return dict(pairs)
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unrepeated)
+
+
+def _json_value(text: str) -> object:
+    """A certificate file's JSON value, in which no object repeats a field."""
     try:
-        data = json.loads(text)
+        if text.startswith("\ufeff"):  # json.loads says why it refuses it
+            json.loads(text)
+        return _DECODER.decode(text)
     except ValueError as exc:  # also a bare number past the digit limit
         raise JacobsthalError(f"certificate is not valid JSON: {exc}") from exc
-    return _certificate_from_data(data)
+
+
+def certificate_from_json(text: str) -> PrimeCertificate:
+    return _certificate_from_data(_json_value(text))
 
 
 def _certificate_from_data(data: object) -> PrimeCertificate:
-    """The certificate a decoded JSON value holds, with every field checked:
-    ``certificate_from_json`` after ``json.loads``, and ``verify``'s reader
-    for each item of a file it decoded once."""
+    """The certificate a decoded JSON value holds, every field checked: for
+    ``certificate_from_json``, and for each item of a file ``verify`` read."""
     if not isinstance(data, dict):
         raise JacobsthalError("certificate must be a JSON object")
     if data.keys() != _FIELDS:
@@ -463,9 +463,11 @@ def _certificate_from_data(data: object) -> PrimeCertificate:
     values: dict[str, object] = {}
     for name in _INT_FIELDS:
         raw = data[name]
-        if not isinstance(raw, str) or not _DECIMAL_INT.fullmatch(raw):
+        # an optional '-', then ASCII digits: isdigit alone takes any script's
+        digits = raw.removeprefix("-") if isinstance(raw, str) else ""
+        if not (digits.isascii() and digits.isdigit()):
             raise JacobsthalError(f"field {name!r} must be a decimal string")
-        if len(raw.lstrip("-")) > _FIELD_MAX_DIGITS:
+        if len(digits) > _FIELD_MAX_DIGITS:
             raise JacobsthalError(
                 f"field {name!r} has more than {_FIELD_MAX_DIGITS} digits")
         values[name] = _decimal_to_int(raw)

@@ -245,21 +245,15 @@ def _json_number(decimal: str) -> int | str:
 def cmd_verify(args) -> _Result:
     from . import certify
     with open(args.certificate, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        data = json.loads(text)
-    except ValueError as exc:  # also a number past the digit limit
-        raise JacobsthalError(f"certificate is not valid JSON: {exc}") from exc
+        data = certify._json_value(fh.read())
     if data == []:
         raise JacobsthalError(f"{args.certificate} holds no certificates")
     certs = [certify._certificate_from_data(item)
              for item in (data if isinstance(data, list) else [data])]
     table = _table(args)
-    results = [(cert, certify.verify_certificate(cert, table))
-               for cert in certs]
-    payload = []
-    lines = []
-    for cert, check in results:
+    payload, lines = [], []
+    for cert in certs:
+        check = certify.verify_certificate(cert, table)
         prime, a, d = map(int_to_decimal, (cert.prime, cert.a, cert.d))
         payload.append({"prime": prime, "a": _json_number(a),
                         "d": _json_number(d), "mode": cert.mode,
@@ -267,7 +261,7 @@ def cmd_verify(args) -> _Result:
         place = f"{prime} in {a}+{d}Z (mode {cert.mode})"
         lines.append(f"ok: {place}" if check.ok else f"FAIL: {place}")
         lines += [f"  - {failure}" for failure in check.failures]
-    code = 0 if all(check.ok for _, check in results) else 1
+    code = 0 if all(item["ok"] for item in payload) else 1
     return code, payload if isinstance(data, list) else payload[0], lines
 
 

@@ -501,7 +501,10 @@ def _parse_h_table(lines) -> KnownHTable:
             raise TableParseError(f"unknown source {parts[2]!r}", number)
         if table.get(k) is not None:
             raise TableParseError(f"duplicate entry for k = {k}", number)
-        table.set(k, h, parts[2])
+        try:
+            table.set(k, h, parts[2])
+        except TableValidationError as exc:
+            raise TableValidationError(f"line {number}: {exc}") from None
     return table
 
 

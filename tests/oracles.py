@@ -35,10 +35,13 @@ hide in the oracle as well:
   ``max_provable_d``;
 - ``certificate_json`` renders a certificate through ``json.dumps`` with
   sorted keys and a two-space indent, the reference for
-  ``certify.certificate_to_json``, which formats the same text itself.
+  ``certify.certificate_to_json``, which formats the same text itself;
+- ``is_decimal_integer`` matches a string against the regex ``-?[0-9]+``,
+  the reference for the integer fields the certificate reader accepts.
 """
 
 import json
+import re
 from decimal import Decimal
 from math import gcd, prod
 
@@ -237,3 +240,8 @@ def certificate_json(cert) -> str:
     payload.update(h_source=cert.h_source, mode=cert.mode,
                    checks=list(cert.checks))
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def is_decimal_integer(text: str) -> bool:
+    """Whether ``text`` is an optional '-' then ASCII digits, by regex."""
+    return re.fullmatch(r"-?[0-9]+", text) is not None

@@ -28,8 +28,8 @@ from jacobsthal import arith, certify, cover, progressions
 from jacobsthal.cover import KnownHTable, default_h_table
 from jacobsthal.errors import (JacobsthalError, NotProvable, OutOfRange)
 from jacobsthal.progressions import coprime_iso, make_eligible
-from oracles import (certificate_json, least_k_walk, max_d_walk,
-                     preimage_scan)
+from oracles import (certificate_json, is_decimal_integer, least_k_walk,
+                     max_d_walk, preimage_scan)
 
 REMARK_TABLE = [
     (5, 13, 14, "11.133"),
@@ -719,12 +719,76 @@ def test_verify_names_the_first_missing_factor(shipped_table, index):
         f"congruences: c not divisible by {qs[129]}"]
 
 
+def _shifted(cert, t):
+    """cert with m moved by t and the prime with it: prime = c + d*m holds."""
+    return replace(cert, m=cert.m + t, prime=cert.prime + cert.d * t)
+
+
+# One mutation of a certificate per entry, its amount drawn from rng: most
+# break a clause, some (a shift, an equal k) may leave it valid.  A forgery
+# applies one to three of them.
+_MUTATIONS = (
+    lambda cert, rng: replace(cert, k=rng.choice((64, 65, 128, 100_000))),
+    lambda cert, rng: replace(cert, k=max(1, cert.k + rng.choice((-1, 1)))),
+    lambda cert, rng: replace(cert, k=rng.randrange(1, 200)),
+    lambda cert, rng: replace(cert, m=cert.m + rng.randrange(-40, 41)),
+    lambda cert, rng: replace(cert, m=cert.m * rng.choice((0, 2, 3, 7, 227,
+                                                           229))),
+    lambda cert, rng: replace(cert, prime=cert.prime + rng.randrange(-40, 41)),
+    lambda cert, rng: replace(cert, prime=cert.prime * rng.choice((-1, 2, 3,
+                                                                   307))),
+    lambda cert, rng: replace(cert, c=cert.c + cert.d * rng.randrange(-5, 6)),
+    lambda cert, rng: replace(cert, c=cert.c * rng.choice((2, 3, 5, 311))),
+    lambda cert, rng: replace(cert, c=cert.c // rng.choice((2, 3, 5, 7, 311))),
+    lambda cert, rng: replace(cert, a=rng.randrange(-1, 2 * cert.d + 1)),
+    lambda cert, rng: replace(cert, d=cert.d + rng.choice((-2, -1, 1, 2,
+                                                           cert.d))),
+    lambda cert, rng: replace(cert, h_value=cert.h_value
+                              + rng.randrange(-3, 4)),
+    lambda cert, rng: replace(cert, h_value=rng.choice((0, -1, 10**6))),
+    lambda cert, rng: _shifted(cert, rng.randrange(-1000, 1001)),
+    lambda cert, rng: _shifted(cert, rng.choice((1, 7, 11))
+                               * 10 ** rng.randrange(2, 30)),
+)
+
+# SHA-256 of the failure tuples verify returns for the seeded forgeries of
+# test_verify_verdicts_on_a_forgery_corpus: a change to how verify walks
+# the primes must leave every verdict as it is.
+FORGERY_CORPUS_SHA256 = (
+    "e8cbdb54ea593e1958b777fe808ca35d84be52a715d08e70e04258a23bbf85c5")
+
+
+def test_verify_verdicts_on_a_forgery_corpus():
+    # three forgeries of each certificate with d <= 76, and cw forgeries:
+    # 400 of 1 + 7Z (k = 50), 8 each of 1 + 30Z and 1 + 42Z (k in the
+    # thousands, about 22 ms a verify)
+    table = default_h_table()
+    rng = random.Random(30)
+    honest = [(find_prime(make_eligible(a, d), table), 3)
+              for d in range(1, 77) for a in range(d) if gcd(a, d) == 1]
+    honest += [(find_prime(make_eligible(1, d), table, mode=MODE_CW), count)
+               for d, count in ((7, 400), (30, 8), (42, 8))]
+    digest = hashlib.sha256()
+    forged = rejected = 0
+    for cert, count in honest:
+        for _ in range(count):
+            forgery = cert
+            for _ in range(rng.randrange(1, 4)):
+                forgery = rng.choice(_MUTATIONS)(forgery, rng)
+            failures = verify_certificate(forgery, table).failures
+            digest.update(repr(failures).encode() + b"\n")
+            forged += 1
+            rejected += bool(failures)
+    assert forged == 3 * 1772 + 416
+    assert rejected > 0.9 * forged
+    assert digest.hexdigest() == FORGERY_CORPUS_SHA256
+
+
 def test_verify_makes_no_closure_cells():
     # A cell is a garbage-collected object allocated on every call; one more
     # per verify moves the collector's gen-0 trigger into the verify call.
     # The same holds for the bound walk that find_prime reads.
-    for fn in (verify_certificate, certify._first_missing_factor,
-               certify._shares_a_prime, certify._block_product,
+    for fn in (verify_certificate, certify._prime_clauses,
                certify._h_consistency, min_k_for,
                find_prime, certify._least_row, certify._h_at):
         assert fn.__code__.co_cellvars == (), fn.__name__
@@ -921,6 +985,38 @@ def test_certificate_rejects_malformed(good_cert, mutate):
     mutate(payload)
     with pytest.raises(JacobsthalError):
         certificate_from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("array", [False, True], ids=["object", "array-item"])
+def test_certificate_rejects_a_repeated_field(good_cert, array):
+    text = certificate_to_json(good_cert).replace(
+        "{\n", '{\n  "prime": "1601",\n', 1)
+    with pytest.raises(JacobsthalError,
+                       match="^certificate repeats the field 'prime'$"):
+        certificate_from_json(f"[{text}]" if array else text)
+
+
+def test_certificate_with_a_byte_order_mark_names_it(good_cert):
+    # the reader decodes as json.loads does, which refuses a leading BOM
+    with pytest.raises(JacobsthalError, match="Unexpected UTF-8 BOM"):
+        certificate_from_json("\ufeff" + certificate_to_json(good_cert))
+
+
+@given(st.one_of(st.text(), st.text("-+0123456789\u0663\uff10 \n"),
+                 st.from_regex(r"-?[0-9]+", fullmatch=True)))
+def test_integer_fields_take_exactly_the_decimal_strings(raw):
+    # the reader's test agrees with the regex -?[0-9]+ on any text: one
+    # leading '-', then ASCII digits only (not '+5', '--5', '', '5\n' or a
+    # digit of another script)
+    payload = json.loads(certificate_to_json(PrimeCertificate(
+        1, 3, 2, 4, 1, 7, 4, "computed", MODE_UNCONDITIONAL, CHECK_NAMES)))
+    payload["m"] = raw
+    if is_decimal_integer(raw):
+        assert certify._certificate_from_data(payload).m == int(raw)
+    else:
+        with pytest.raises(JacobsthalError,
+                           match="^field 'm' must be a decimal string$"):
+            certify._certificate_from_data(payload)
 
 
 def test_decimal_conversion_past_the_digit_limit():

@@ -536,6 +536,18 @@ def test_verify_empty_array_is_an_error(tmp_path, capsys):
     assert err == f"error: {cert_file} holds no certificates\n"
 
 
+@pytest.mark.parametrize("array", [False, True], ids=["object", "array-item"])
+def test_verify_rejects_a_repeated_field(tmp_path, capsys, array):
+    # json keeps the last of two equal keys, but a reader sees 1601 first
+    _, out, _ = _run(capsys, "find-prime", "1", "76")
+    text = out.replace("{\n", '{\n  "prime": "1601",\n', 1)
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(f"[{text}]" if array else text)
+    code, out, err = _run(capsys, "verify", str(cert_file))
+    assert (code, out) == (1, "")
+    assert err == "error: certificate repeats the field 'prime'\n"
+
+
 @pytest.mark.parametrize("text", ["1" * 5000, "[" + "1" * 5000 + "]"],
                          ids=["bare", "in-array"])
 def test_verify_number_past_the_digit_limit_is_not_json(tmp_path, capsys,

@@ -490,6 +490,16 @@ def test_parse_errors_carry_line_numbers(line, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("line, fragment", [
+    ("5,3,paper", "h(5) = 3 violates the elementary bound 2*p_4 = 14"),
+    ("0,14,paper", "index k must be >= 1, got 0"),
+], ids=["below-the-bound", "k-zero"])
+def test_rows_the_table_refuses_carry_line_numbers(line, fragment):
+    with pytest.raises(TableValidationError) as err:
+        _parse_h_table(["1,2,computed", line])
+    assert str(err.value) == f"line 2: {fragment}"
+
+
 def test_parse_rejects_duplicate_k():
     with pytest.raises(TableParseError) as err:
         _parse_h_table(["5,14,paper", "5,14,paper"])

@@ -118,6 +118,18 @@ def test_the_cover_search_keeps_one_copy_of_its_state():
     assert copies == []
 
 
+def test_verify_walks_the_first_k_primes_in_one_helper():
+    # one walk forms each block product, once: no other certify function
+    # multiplies primes out or reads the kept primorials, and the per-clause
+    # helpers and their shared product cache are gone
+    users = {user for user in _top_level_users("prod", "primorial")
+             if user.startswith("certify.")}
+    assert users == {"certify._prime_clauses"}
+    from jacobsthal import certify
+    retired = ("_block_product", "_first_missing_factor", "_shares_a_prime")
+    assert [name for name in retired if hasattr(certify, name)] == []
+
+
 def test_only_the_cli_resolves_the_h_table():
     # one way to resolve the table: library calls take the table they are
     # given, and only cli._table picks the packaged file or a --table path
