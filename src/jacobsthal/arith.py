@@ -20,7 +20,10 @@ from .errors import BudgetExceeded, JacobsthalError, NonCoprimeModuli
 # primality correctly for every n below this bound (Sorenson/Webster).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
-# A composite below 43**2 has a prime factor <= 41, a witness itself.
+# is_prime's trial step is one gcd with the witnesses' product, which is not
+# 1 exactly when a witness divides n; and a composite below 43**2 has a
+# prime factor <= 41, a witness itself.
+_WITNESS_PRODUCT = 304_250_263_527_210
 _TRIAL_LIMIT = 43 * 43
 
 _SIEVE_CAP = 80_000_000  # largest bound primes_upto will sieve
@@ -229,9 +232,8 @@ def is_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
+    if math.gcd(n, _WITNESS_PRODUCT) != 1:
+        return n in _MR_WITNESSES
     if n < _TRIAL_LIMIT:
         return True
     if n >= _MR_LIMIT:

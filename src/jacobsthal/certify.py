@@ -22,9 +22,9 @@ from json.encoder import encode_basestring_ascii as _json_string
 from math import ceil, gcd, inf, log, prod
 from typing import TYPE_CHECKING, NamedTuple
 
-from .arith import (_COPRIME_BLOCK, _decimal_to_int, decimal_excerpt,
-                    first_primes, int_to_decimal, is_prime, nth_prime,
-                    primorial)
+from .arith import (_COPRIME_BLOCK, _PIECE_DIGITS, _decimal_to_int,
+                    decimal_excerpt, first_primes, int_to_decimal, is_prime,
+                    nth_prime, primorial)
 # default_h_table stays bound for the benchmark's tracer (perfbench/tracing.py)
 from .cover import (DEFAULT_MAX_COMPUTE_K, MODE_CW,  # noqa: F401
                     MODE_UNCONDITIONAL, MODES, KnownHTable, default_h_table,
@@ -102,6 +102,9 @@ class CertificateCheck(NamedTuple):
         return not self.failures
 
 
+_PASSED = CertificateCheck()  # what every passing verify returns: immutable
+
+
 def render_thousandths(value: Fraction) -> str:
     """Exact 3-decimal rendering, rounding halves away from zero."""
     sign = "-" if value < 0 else ""
@@ -169,6 +172,8 @@ def _walk(d: float, table: KnownHTable, mode: str,
             set(table.ks()).union(range(1, max_compute_k + 1)))
         walk = derived.setdefault(key, (ks, [(0,)], threading.Lock()))
     ks, rows, lock = walk
+    if rows[-1][0] >= d:  # rows only grow, and only under the lock
+        return rows
     with lock:
         while rows[-1][0] < d and len(rows) <= len(ks):
             k = ks[len(rows) - 1]
@@ -238,24 +243,25 @@ def verify_certificate(cert: PrimeCertificate,
     certificates are reported, not crashed on.  The stored ``checks`` field
     is informational and deliberately ignored here.
     """
-    failures: list[str] = []
+    a, d, k, c, m, prime = cert.a, cert.d, cert.k, cert.c, cert.m, cert.prime
     if cert.mode not in MODES:
         return CertificateCheck((f"unknown mode {cert.mode!r}",))
-    if cert.k < 1 or cert.k > 100_000:
+    if k < 1 or k > 100_000:
         return CertificateCheck(
-            (f"index k = {decimal_excerpt(cert.k)} out of range",))
-    if cert.d < 1 or not 0 <= cert.a < cert.d or gcd(cert.a, cert.d) != 1:
+            (f"index k = {decimal_excerpt(k)} out of range",))
+    if d < 1 or not 0 <= a < d or gcd(a, d) != 1:
         return CertificateCheck(
             ("eligible: a + dZ is not an eligible progression",))
-    missing, m_shares, prime_shares = _prime_clauses(cert)
-    if cert.c % cert.d != cert.a:
+    missing, m_shares, prime_shares = _prime_clauses(k, c * d, m, prime)
+    failures: list[str] = []
+    if c % d != a:
         failures.append("congruences: c does not lie in a + dZ")
     if missing is not None:
         failures.append(f"congruences: c not divisible by {missing}")
-    if cert.prime != cert.c + cert.d * cert.m:
+    if prime != c + d * m:
         failures.append("equation: prime != c + d*m")
-    p_next = nth_prime(cert.k + 1)
-    if not 2 <= cert.prime < p_next * p_next:
+    p_next = nth_prime(k + 1)
+    if not 2 <= prime < p_next * p_next:
         failures.append("range: prime outside [2, p_{k+1}^2 - 1]")
     if m_shares:
         failures.append("preimage-coprime: gcd(m, k-primorial) > 1")
@@ -264,29 +270,33 @@ def verify_certificate(cert: PrimeCertificate,
     failures.extend(_h_consistency(cert, table))
     # (p_{k+1}^2 - 2)/(h + 1) < d in integers; h + 1 <= 0 never certifies
     below = cert.h_value + 1
-    if below <= 0 or p_next * p_next - 2 < cert.d * below:
+    if below <= 0 or p_next * p_next - 2 < d * below:
         failures.append("bound: (p_{k+1}^2 - 2)/(h + 1) < d")
     try:
-        if not is_prime(cert.prime):
+        if not is_prime(prime):
             failures.append("primality: independent test rejects prime")
     except BudgetExceeded:  # only past 3.3e24, far outside the range clause
         failures.append("primality: prime exceeds the deterministic test's "
                         "range")
-    return CertificateCheck(tuple(failures))
+    return CertificateCheck(tuple(failures)) if failures else _PASSED
 
 
-def _prime_clauses(cert: PrimeCertificate) -> tuple[int | None, bool, bool]:
-    """One walk over the first k primes, a block at a time, answers the
-    clauses that read them: the first prime dividing neither c nor d (None
-    when each block's product divides c*d), whether m shares one, whether
-    the prime does.  Each closes at its first failing block, the last two
-    also once the primes passed reach |m| or |prime|, and the walk ends when
-    all have.  Loops: a generator would allocate one more object a call."""
-    qs = first_primes(cert.k)
-    cd, m_size, prime_size = cert.c * cert.d, abs(cert.m), abs(cert.prime)
+def _prime_clauses(k: int, cd: int, m: int,
+                   prime: int) -> tuple[int | None, bool, bool]:
+    """One walk over the first k primes, 64 at a time, answers the clauses
+    that read them: the first prime dividing neither c nor d (None when each
+    block's product divides cd = c*d), whether m shares one, whether the
+    prime does.  Each closes at its first failing block, the last two also
+    once the primes passed reach |m| or |prime|, and the walk ends when all
+    have; block 0, the kept primorial, answers alone at k <= 64 unless c*d
+    misses a prime.  Loops: a generator would allocate one more object."""
+    block = primorial(min(k, _COPRIME_BLOCK))  # block 0's, kept
+    if k <= _COPRIME_BLOCK and not cd % block:  # one block, none missing
+        return None, gcd(m, block) > 1, gcd(prime, block) > 1
+    qs = first_primes(k)
+    m_size, prime_size = abs(m), abs(prime)
     missing, m_shares, prime_shares = None, False, False
     m_open = prime_open = True
-    block = primorial(min(cert.k, _COPRIME_BLOCK))  # block 0's, kept
     for start in range(0, len(qs), _COPRIME_BLOCK):
         if start:  # no prime at or past |n| divides a nonzero n
             m_open = not m_shares and qs[start - 1] < m_size
@@ -299,9 +309,9 @@ def _prime_clauses(cert: PrimeCertificate) -> tuple[int | None, bool, bool]:
                 if r % q:
                     missing = q
                     break
-        if m_open and gcd(cert.m, block) > 1:
+        if m_open and gcd(m, block) > 1:
             m_shares = True
-        if prime_open and gcd(cert.prime, block) > 1:
+        if prime_open and gcd(prime, block) > 1:
             prime_shares = True
     return missing, m_shares, prime_shares
 
@@ -426,13 +436,15 @@ def certificate_to_json(cert: PrimeCertificate) -> str:
 
 def _unrepeated(pairs: list[tuple[str, object]]) -> dict[str, object]:
     """A JSON object as a dict, refusing a field json would overwrite."""
-    seen = set()
-    for name, _ in pairs:
-        if name in seen:  # at most 40 characters of a hostile name
-            raise JacobsthalError(
-                f"certificate repeats the field {name[:40]!r}")
-        seen.add(name)
-    return dict(pairs)
+    values = dict(pairs)
+    if len(values) != len(pairs):  # walk the pairs to name the repeat
+        seen = set()
+        for name, _ in pairs:
+            if name in seen:  # at most 40 characters of a hostile name
+                raise JacobsthalError(
+                    f"certificate repeats the field {name[:40]!r}")
+            seen.add(name)
+    return values
 
 
 _DECODER = json.JSONDecoder(object_pairs_hook=_unrepeated)
@@ -460,7 +472,7 @@ def _certificate_from_data(data: object) -> PrimeCertificate:
     if data.keys() != _FIELDS:
         raise JacobsthalError(
             f"certificate fields must be exactly {sorted(_FIELDS)}")
-    values: dict[str, object] = {}
+    values: list[object] = []  # in field order: positional is cheaper
     for name in _INT_FIELDS:
         raw = data[name]
         # an optional '-', then ASCII digits: isdigit alone takes any script's
@@ -470,14 +482,14 @@ def _certificate_from_data(data: object) -> PrimeCertificate:
         if len(digits) > _FIELD_MAX_DIGITS:
             raise JacobsthalError(
                 f"field {name!r} has more than {_FIELD_MAX_DIGITS} digits")
-        values[name] = _decimal_to_int(raw)
+        values.append(int(raw) if len(digits) <= _PIECE_DIGITS
+                      else _decimal_to_int(raw))
     for name in _STR_FIELDS:
         if not isinstance(data[name], str):
             raise JacobsthalError(f"field {name!r} must be a string")
-        values[name] = data[name]
+        values.append(data[name])
     checks = data["checks"]
     if (not isinstance(checks, list)
             or any(not isinstance(c, str) for c in checks)):
         raise JacobsthalError("field 'checks' must be a list of strings")
-    values["checks"] = tuple(checks)
-    return PrimeCertificate(**values)  # type: ignore[arg-type]
+    return PrimeCertificate(*values, tuple(checks))  # type: ignore[arg-type]

@@ -15,8 +15,8 @@ from math import gcd, prod
 
 # crt_solve and is_prime stay bound here for the benchmark's tracer
 # (perfbench/tracing.py)
-from .arith import (crt_solve, decimal_excerpt, first_primes,  # noqa: F401
-                    is_prime, primorial, validated_primes)
+from .arith import (crt_solve, decimal_excerpt, is_prime,  # noqa: F401
+                    primorial, validated_primes)
 from .errors import NotEligible, NotInProgression
 
 
@@ -98,7 +98,8 @@ def coprime_iso(ap: EligibleAP, primes) -> ApIso:
     # c ≡ 0 modulo each q not dividing d is c ≡ 0 modulo their product F,
     # which is coprime to d: so c = F * (a / F mod d), and d = 1 gives 0
     ps = validated_primes(primes)
-    product = primorial(len(ps)) if ps == first_primes(len(ps)) else prod(ps)
+    # handed back as it is only when it is the first primes already sieved
+    product = primorial(len(ps)) if ps is primes else prod(ps)
     f = product // gcd(product, ap.d)
     return ApIso(f * (ap.a * pow(f, -1, ap.d) % ap.d), ap.d)
 

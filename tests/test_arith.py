@@ -16,7 +16,7 @@ from jacobsthal.arith import (Factorization, crt_solve, factorize, first_primes,
 from jacobsthal.errors import BudgetExceeded, JacobsthalError, NonCoprimeModuli
 from oracles import prime_flags, shared_factor_flags
 
-from math import prod
+from math import gcd, prod
 
 
 def test_crt_empty_and_single():
@@ -242,6 +242,26 @@ def test_is_prime_corners():
     assert is_prime(104743)
     with pytest.raises(BudgetExceeded):
         is_prime(_MR_LIMIT + 12)
+
+
+def test_is_prime_trial_step_is_one_gcd_with_the_witnesses():
+    # n shares a factor with the witnesses' product W exactly when a
+    # witness divides n, and then n is prime only if it is that witness
+    w = prod(arith._MR_WITNESSES)
+    assert arith._WITNESS_PRODUCT == w
+    cases = list(arith._MR_WITNESSES) + [6, 30, 37 * 41, w]
+    cases += [2 * 43, 41 * 47, 3 * 1_000_003, 37 * 104743, 1849, 0, 1]
+    cases += [-1, -2, -41, -1849, -w]
+    for n in cases:
+        assert is_prime(n) == sympy.isprime(n), n
+    # 60000 digits: an even n is refused by the gcd alone, one coprime to W
+    # reaches the range check, as the trial loop did
+    base = 10**59999
+    assert not is_prime(2 * base)
+    odd = next(base + t for t in range(1, 100) if gcd(base + t, w) == 1)
+    assert base < odd < 10 * base
+    with pytest.raises(BudgetExceeded):
+        is_prime(odd)
 
 
 def test_is_prime_strong_pseudoprime_traps():

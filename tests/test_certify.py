@@ -702,6 +702,46 @@ def test_verify_forms_each_block_product_once(good_cert, shipped_table,
     assert 1 <= len(kept) + len(blocks) <= 2
 
 
+def test_an_honest_short_verify_slices_no_primes(shipped_table, monkeypatch):
+    # at k <= 64 block 0 is the kept primorial, so a passing verify reads no
+    # prime list and returns the one shared passing result; a missing factor
+    # is still named, from one slice of the first k primes
+    certs = [find_prime(make_eligible(a, d), shipped_table)
+             for a, d in ((1, 76), (3, 76), (1, 5), (2, 33), (0, 1))]
+    sliced = []
+    monkeypatch.setattr(certify, "first_primes",
+                        lambda k: sliced.append(k) or first_primes(k))
+    for cert in certs:
+        assert cert.k <= 64
+        assert verify_certificate(cert, shipped_table) is certify._PASSED
+    assert sliced == []
+    assert certify._PASSED == CertificateCheck() and certify._PASSED.ok
+    cert = certs[0]
+    check = verify_certificate(replace(cert, c=cert.c // 3), shipped_table)
+    assert "congruences: c not divisible by 3" in check.failures
+    assert sliced == [cert.k]
+
+
+def test_a_warm_walk_takes_no_lock(shipped_table):
+    # once the kept rows reach d, _walk returns them without the lock
+    table = _copy_rows(shipped_table)
+    find_prime(make_eligible(1, 76), table)
+    key = cover.DEFAULT_MAX_COMPUTE_K
+    ks, rows, _ = table._derived[key]
+
+    class Refused:
+        def __enter__(self):
+            raise AssertionError("the walk took its lock")
+
+        def __exit__(self, *exc):
+            return False
+
+    table._derived[key] = (ks, rows, Refused())
+    for d in (1, 5, 33, 76):
+        assert find_prime(make_eligible(1, d), table).d == d
+    assert min_k_for(76, table) == 54
+
+
 @pytest.mark.parametrize("index", [0, 63, 64, 100, 128])
 def test_verify_names_the_first_missing_factor(shipped_table, index):
     # c misses the index-th and the last of the first 130 primes, so the
