@@ -46,9 +46,10 @@ WHEEL_PRODUCT_CAP = 30030
 DEFAULT_MAX_COMPUTE_K = 12
 
 # Largest search _Search will build: positions searched (after halving),
-# and bits held by the residue masks, sum over p of min(p, n) * n.
+# and primes times positions, which bounds its state: one base mask of n
+# bits and at most n / 2 counts per prime.
 _MAX_POSITIONS = 1 << 17
-_MAX_MASK_BITS = 1 << 32
+_MAX_STATE = 1 << 25
 
 
 class CoverAssignment(NamedTuple):
@@ -114,24 +115,20 @@ class _Search:
         self.length = length
         self.primes = primes
         self.full = (1 << length) - 1
-        masks = []
-        for p in primes:
-            base = 0
-            for pos in range(0, length, p):
-                base |= 1 << pos
-            # Offsets c >= length cover nothing and are never looked up
-            # (lookups use u % p for a position u), so a prime far beyond
-            # the length costs O(length) masks, not O(p).
-            masks.append(tuple((base << c) & self.full
-                               for c in range(min(p, length))))
-        self.masks = masks
-        # counts[i][c] = |masks[i][c] & uncov| for the uncovered set of the
-        # node being searched.  Only primes with 2p < length have a table:
-        # their caps start at ceil(length/p) >= 3, and a table is kept in
-        # step exactly while the prime's cap stays above 2.  Caps of 2 and 1
-        # are settled from the uncovered set itself (see _capacity_prune).
-        self.counts = [[m.bit_count() for m in ms] if 2 * p < length
-                       else None for p, ms in zip(primes, masks)]
+        # bases[i] marks the multiples of primes[i] in [0, length), a
+        # repunit in base 2^p (only position 0 once p >= length, where
+        # 2^p could be huge); offset c covers (bases[i] << c) & full,
+        # formed where it is read.
+        self.bases = [((1 << p * -(-length // p)) - 1) // ((1 << p) - 1)
+                      if p < length else min(length, 1) for p in primes]
+        # counts[i][c] = |(bases[i] << c) & uncov| for the uncovered set of
+        # the node being searched, at the root (length - 1 - c) // p + 1.
+        # Only primes with 2p < length have a table: their caps start at
+        # ceil(length/p) >= 3, and a table is kept in step exactly while the
+        # prime's cap stays above 2.  Caps of 2 and 1 are settled from the
+        # uncovered set itself (see _capacity_prune).
+        self.counts = [[(length - 1 - c) // p + 1 for c in range(p)]
+                       if 2 * p < length else None for p in primes]
         # Two positions share a residue class of p when they differ by one
         # of these multiples of p.
         self.strides = [tuple(range(p, length, p)) for p in primes]
@@ -217,12 +214,12 @@ class _Search:
         if self._capacity_prune(uncov, rem, caps, need):
             return None
         u0 = (uncov & -uncov).bit_length() - 1
-        primes, masks = self.primes, self.masks
+        primes, bases = self.primes, self.bases
         live = [j for j in rem if caps[j] > 2]  # whose counts children read
         branches = []
         for at, i in enumerate(rem):
             p = primes[i]
-            hit = masks[i][u0 % p] & uncov
+            hit = (bases[i] << (u0 % p)) & uncov
             branches.append((hit.bit_count(), -p, at, i, hit))
         branches.sort(reverse=True)  # biggest bite first, small prime on ties
         spare = sum([caps[j] for j in rem])
@@ -284,7 +281,8 @@ class _Search:
             # class of the survivors; the rest must fit the other primes.
             self._tick()
             need = uncov.bit_count() - sum(
-                max([(m & uncov).bit_count() for m in self.masks[i]])
+                max([((self.bases[i] << c) & uncov).bit_count()
+                     for c in range(self.primes[i])])
                 for i in range(j, width))
             caps = caps[:]
             if need > 0 and self._capacity_prune(uncov, rem, caps, need):
@@ -297,7 +295,7 @@ class _Search:
             # offset per orbit {c, (length-1-c) mod p} of the first prime.
             if j == 0 and c > (self.length - 1 - c) % p:
                 continue
-            left = uncov & ~self.masks[j][c]
+            left = uncov & ~(self.bases[j] << c)
             if left in seen:  # identical survivor set, identical subtree
                 continue
             seen.add(left)
@@ -331,10 +329,11 @@ def coverable(length: int, primes,
         raise BudgetExceeded(
             f"a cover search over {decimal_excerpt(n)} positions passes the "
             f"limit of {_MAX_POSITIONS}")
-    bits = sum(min(p, n) for p in ps[halve:]) * n
-    if bits > _MAX_MASK_BITS:
-        raise BudgetExceeded(f"a cover search needing {bits} mask bits passes "
-                             f"the limit of {_MAX_MASK_BITS}")
+    state = (len(ps) - halve) * n
+    if state > _MAX_STATE:
+        raise BudgetExceeded(
+            f"a cover search of {len(ps) - halve} primes over {n} positions "
+            f"passes the limit of {_MAX_STATE} primes times positions")
     search = _Search(n, ps[halve:], allowance)
     found = search.search_wheel()
     if found is None:
@@ -497,8 +496,6 @@ def _parse_h_table(lines) -> KnownHTable:
         except ValueError:
             raise TableParseError(f"k and h must be integers, got {line!r}",
                                   number) from None
-        if parts[2] not in H_SOURCES:
-            raise TableParseError(f"unknown source {parts[2]!r}", number)
         if table.get(k) is not None:
             raise TableParseError(f"duplicate entry for k = {k}", number)
         try:

@@ -51,6 +51,16 @@ def test_crt_rejects_non_coprime_moduli():
         crt_solve([(0, 4), (0, 6)])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: crt_solve([(0, 0)]), "modulus must be positive, got 0"),
+    (lambda: factorize(0), "can only factor positive integers, got 0"),
+], ids=["crt-zero-modulus", "factorize-zero"])
+def test_zero_is_refused_by_name(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_primes_upto_against_sympy():
     assert primes_upto(1) == []
     assert primes_upto(2) == [2]

@@ -160,6 +160,12 @@ def test_min_k_for_rejects_an_unknown_mode():
         min_k_for(5, KnownHTable(), mode="bogus")
 
 
+def test_min_k_for_refuses_a_modulus_below_one():
+    with pytest.raises(ValueError) as err:
+        min_k_for(0, KnownHTable())
+    assert str(err.value) == "modulus must be >= 1, got 0"
+
+
 def _copy_rows(table, keep=lambda k: True):
     copy = KnownHTable()
     for k in table.ks():

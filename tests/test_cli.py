@@ -288,6 +288,21 @@ def test_h_search_budget_exit(capsys):
     assert "budget" in err
 
 
+def test_an_ample_time_budget_changes_nothing(capsys):
+    plain = _run(capsys, "h", "12", "--compute", "--json")
+    budgeted = _run(capsys, "h", "12", "--compute", "--max-seconds", "60",
+                    "--json")
+    assert plain[0] == 0 and budgeted == plain
+
+
+def test_h_search_time_budget_exit(capsys):
+    # the time budget is checked at the first node, so a spent one stops it
+    code, out, err = _run(capsys, "h-search", "65", "--primes", "12",
+                          "--max-seconds", "1e-9")
+    assert (code, out) == (3, "")
+    assert err == "budget exhausted: cover search passed its time budget\n"
+
+
 def test_witness_lower(capsys):
     code, out, _ = _run(capsys, "witness-lower", "5")
     assert code == 0

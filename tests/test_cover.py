@@ -293,8 +293,9 @@ def _checking_count_tables():
     def checking_prune(self, uncov, rem, caps, need):
         for i in rem:
             if caps[i] > 2:
-                assert self.counts[i] == [(m & uncov).bit_count()
-                                          for m in self.masks[i]], i
+                base = self.bases[i]
+                assert self.counts[i] == [((base << c) & uncov).bit_count()
+                                          for c in range(self.primes[i])], i
                 checked.append(self.primes[i])
         return prune(self, uncov, rem, caps, need)
 
@@ -318,7 +319,7 @@ def _at_the_h_searches(test):
                        max_size=len(PRIMES_TO_37), unique=True))
 @_at_the_h_searches
 def test_count_tables_equal_what_they_cache(length, primes):
-    # _shift keeps counts[i][c] = |masks[i][c] & uncov| while branches
+    # _shift keeps counts[i][c] = |(bases[i] << c) & uncov| while branches
     # cover positions and give them back; the pinned node counts only
     # catch an upkeep error that changes the search path
     with _checking_count_tables():
@@ -481,7 +482,6 @@ def test_parse_accepts_comments_and_blank_lines():
 @pytest.mark.parametrize("line, fragment", [
     ("5,14", "expected 'k,h,source'"),
     ("5,fourteen,paper", "must be integers"),
-    ("5,14,guessed", "unknown source"),
 ])
 def test_parse_errors_carry_line_numbers(line, fragment):
     with pytest.raises(TableParseError) as err:
@@ -493,7 +493,8 @@ def test_parse_errors_carry_line_numbers(line, fragment):
 @pytest.mark.parametrize("line, fragment", [
     ("5,3,paper", "h(5) = 3 violates the elementary bound 2*p_4 = 14"),
     ("0,14,paper", "index k must be >= 1, got 0"),
-], ids=["below-the-bound", "k-zero"])
+    ("5,14,guessed", "unknown source 'guessed'"),
+], ids=["below-the-bound", "k-zero", "unknown-source"])
 def test_rows_the_table_refuses_carry_line_numbers(line, fragment):
     with pytest.raises(TableValidationError) as err:
         _parse_h_table(["1,2,computed", line])
@@ -572,29 +573,46 @@ def test_records_keep_their_defaults_and_repr():
 
 
 def test_coverable_refuses_a_search_too_large_to_hold(monkeypatch):
-    # past 2^17 positions (after halving) or 2^32 mask bits the search is
-    # refused before it is built; the stand-in records what gets built
+    # past 2^17 positions (after halving) or 2^25 primes times positions
+    # the search is refused before it is built; the stand-in records what
+    # gets built.  A prime far beyond the length marks one position, and
+    # its base mask is built without forming 2^p.
+    assert coverable(cover._MAX_POSITIONS, (10**18 + 3,)) is None
+
     class Built(Exception):
         pass
 
     def search(length, primes, allowance):
-        raise Built(length, sum(min(p, length) for p in primes) * length)
+        raise Built(length, len(primes) * length)
 
     monkeypatch.setattr(cover, "_Search", search)
     refused = [(10**11, first_primes(3)), (10**5000, first_primes(3)),
                (2 * cover._MAX_POSITIONS + 2, first_primes(3)),
-               (cover._MAX_POSITIONS, (1000003,))]
+               (2 * cover._MAX_POSITIONS, first_primes(258))]
     for length, primes in refused:
         with pytest.raises(BudgetExceeded):
             coverable(length, primes)
     # the largest probe of the k = 200 walk still runs: 9,807 positions
-    # and about 1.09e9 mask bits
+    # for 199 odd primes
     with pytest.raises(Built) as built:
         coverable(19615, first_primes(200))
-    positions, bits = built.value.args
-    assert positions == 9807 and 1.08e9 < bits < 1.10e9
+    assert built.value.args == (9807, 199 * 9807)
     with pytest.raises(Built):
         coverable(2 * cover._MAX_POSITIONS + 1, first_primes(3))
+    with pytest.raises(Built):
+        coverable(2 * cover._MAX_POSITIONS, first_primes(257))
+
+
+def test_the_search_keeps_no_per_offset_masks():
+    # one base mask per prime: the k = 140, U = 8540 search over 4,270
+    # positions holds about 0.8 MB, where a mask per offset took 30.8 MB
+    tracemalloc.start()
+    try:
+        cover._Search(4270, first_primes(140)[1:], cover._Allowance(None))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_h_of_budget_propagates():

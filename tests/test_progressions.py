@@ -25,6 +25,10 @@ def test_eligible_validation():
         EligibleAP(7, 5)  # unnormalized representative
     with pytest.raises(ValueError):
         EligibleAP(1, 0)
+    with pytest.raises(ValueError, match="^modulus must be >= 1, got 0$"):
+        make_eligible(1, 0)
+    with pytest.raises(ValueError, match="^modulus must be >= 1, got 0$"):
+        ApIso(5, 0)
 
 
 def test_iso_apply_invert():

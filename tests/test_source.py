@@ -102,7 +102,8 @@ def test_only_arith_owns_the_run_scan():
 def test_the_cover_search_keeps_one_copy_of_its_state():
     # the count table has one writer (_shift) and one reader
     # (_capacity_prune) after __init__ builds it; nodes and limits live on
-    # the walk's allowance alone, and no residue table is kept
+    # the walk's allowance alone, and no residue table or per-offset mask
+    # table is kept
     path = Path(jacobsthal.__file__).parent / "cover.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     search = next(node for node in tree.body
@@ -114,7 +115,8 @@ def test_the_cover_search_keeps_one_copy_of_its_state():
     copies = [f"{node.attr}:{node.lineno}" for node in ast.walk(search)
               if isinstance(node, ast.Attribute)
               and isinstance(node.ctx, ast.Store)
-              and node.attr in ("nodes", "max_nodes", "deadline", "residues")]
+              and node.attr in ("nodes", "max_nodes", "deadline", "residues",
+                                "masks")]
     assert copies == []
 
 
