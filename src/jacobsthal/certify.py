@@ -25,12 +25,13 @@ from typing import TYPE_CHECKING, NamedTuple
 from .arith import (_COPRIME_BLOCK, _PIECE_DIGITS, _decimal_to_int,
                     decimal_excerpt, first_primes, int_to_decimal, is_prime,
                     nth_prime, primorial)
-# default_h_table stays bound for the benchmark's tracer (perfbench/tracing.py)
+# default_h_table, coprime_iso stay bound for perfbench/tracing.py's tracer
 from .cover import (DEFAULT_MAX_COMPUTE_K, MODE_CW,  # noqa: F401
                     MODE_UNCONDITIONAL, MODES, KnownHTable, default_h_table,
                     h_of)
 from .errors import BudgetExceeded, JacobsthalError, NotProvable, OutOfRange
-from .progressions import EligibleAP, coprime_iso
+from .progressions import (EligibleAP, _coprime_factor,  # noqa: F401
+                           coprime_iso)
 
 if TYPE_CHECKING:  # bound imports it when it builds a row
     from fractions import Fraction
@@ -216,10 +217,16 @@ def find_prime(ap: EligibleAP, table: KnownHTable, *,
     prime that does not divide d divides c, so it divides m only when it
     divides x; and d stays below p_{k+1}, so every prime of d is among the
     first k.  So the scan runs from p_{k+1} and tests x, then ``gcd(m, d)``.
+    A table keeps ``(k, h, source, p_{k+1}, f, f⁻¹ mod d)`` per mode and d.
     """
-    k, h_value, h_source = _least_row(ap.d, table, mode)
-    c = coprime_iso(ap, first_primes(k)).c
-    p_next = nth_prime(k + 1)
+    derived = table._derived  # read once: a set() from here on orphans it
+    record = derived.get((mode, ap.d))
+    if record is None:  # a d past every bound raises here and keeps none
+        k, h_value, h_source = _least_row(ap.d, table, mode)
+        record = derived[mode, ap.d] = (k, h_value, h_source, nth_prime(k + 1),
+                                        *_coprime_factor(ap.d, k))
+    k, h_value, h_source, p_next, f, f_inv = record
+    c = f * (ap.a * f_inv % ap.d)
     for x in range(p_next + (ap.a - p_next) % ap.d, p_next * p_next, ap.d):
         if is_prime(x) and gcd(m := (x - c) // ap.d, ap.d) == 1:
             cert = PrimeCertificate(ap.a, ap.d, k, c, m, x,
@@ -267,7 +274,8 @@ def verify_certificate(cert: PrimeCertificate,
         failures.append("preimage-coprime: gcd(m, k-primorial) > 1")
     if prime_shares:
         failures.append("image-coprime: gcd(prime, k-primorial) > 1")
-    failures.extend(_h_consistency(cert, table))
+    if h_failure := _h_consistency(cert, table):
+        failures.append(h_failure)
     # (p_{k+1}^2 - 2)/(h + 1) < d in integers; h + 1 <= 0 never certifies
     below = cert.h_value + 1
     if below <= 0 or p_next * p_next - 2 < d * below:
@@ -316,29 +324,29 @@ def _prime_clauses(k: int, cd: int, m: int,
     return missing, m_shares, prime_shares
 
 
-def _h_consistency(cert: PrimeCertificate, table: KnownHTable) -> list[str]:
+def _h_consistency(cert: PrimeCertificate, table: KnownHTable) -> str | None:
     if cert.h_value < 1:
-        return ["h-consistent: impossible h_value "
-                f"{decimal_excerpt(cert.h_value)}"]
+        return ("h-consistent: impossible h_value "
+                f"{decimal_excerpt(cert.h_value)}")
     cw = cert.mode == MODE_CW
     if cw != (cert.h_source == HSOURCE_CW):
-        return ["h-consistent: cw mode requires the cw source" if cw else
-                "h-consistent: unconditional mode with conditional source"]
+        return ("h-consistent: cw mode requires the cw source" if cw else
+                "h-consistent: unconditional mode with conditional source")
     try:
         expected, source = _h_at(cert.k, table, cert.mode)
     except OutOfRange:
-        return [f"h-consistent: k = {cert.k} outside the conditional range"]
+        return f"h-consistent: k = {cert.k} outside the conditional range"
     except JacobsthalError as exc:
-        return [f"h-consistent: cannot confirm h({cert.k}) here ({exc})"]
+        return f"h-consistent: cannot confirm h({cert.k}) here ({exc})"
     if expected != cert.h_value:
         named = (f"conditional bound for k = {cert.k} is" if cw
                  else f"h({cert.k}) =")
-        return [f"h-consistent: {named} {expected}, certificate says "
-                f"{decimal_excerpt(cert.h_value)}"]
+        return (f"h-consistent: {named} {expected}, certificate says "
+                f"{decimal_excerpt(cert.h_value)}")
     if source != cert.h_source:
-        return [f"h-consistent: h({cert.k}) comes from {source}, "
-                f"certificate says {cert.h_source}"]
-    return []
+        return (f"h-consistent: h({cert.k}) comes from {source}, "
+                f"certificate says {cert.h_source}")
+    return None
 
 
 def _refined(ap: EligibleAP, prime: int) -> EligibleAP:

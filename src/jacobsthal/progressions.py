@@ -5,7 +5,7 @@ progression ``(c mod d) + dZ``.  When c is chosen so that every prime q in a
 set S either divides d or divides c, the map also preserves coprimality to
 the primes of S in both directions — coprime inputs land on coprime images.
 That choice is a two-modulus CRT solution in closed form, done in
-:func:`coprime_iso`.
+:func:`_coprime_factor` for :func:`coprime_iso` and ``find_prime``.
 """
 
 from __future__ import annotations
@@ -95,11 +95,18 @@ def coprime_iso(ap: EligibleAP, primes) -> ApIso:
     >>> coprime_iso(make_eligible(1, 3), (2, 3)).c
     4
     """
-    # c ≡ 0 modulo each q not dividing d is c ≡ 0 modulo their product F,
-    # which is coprime to d: so c = F * (a / F mod d), and d = 1 gives 0
     ps = validated_primes(primes)
     # handed back as it is only when it is the first primes already sieved
-    product = primorial(len(ps)) if ps is primes else prod(ps)
-    f = product // gcd(product, ap.d)
-    return ApIso(f * (ap.a * pow(f, -1, ap.d) % ap.d), ap.d)
+    f, f_inv = _coprime_factor(ap.d, len(ps),
+                               None if ps is primes else prod(ps))
+    return ApIso(f * (ap.a * f_inv % ap.d), ap.d)
 
+
+def _coprime_factor(d: int, k: int,
+                    product: int | None = None) -> tuple[int, int]:
+    """``(f, f⁻¹ mod d)``, f the product of the first k primes (or of the
+    primes of ``product``) that do not divide d: c ≡ 0 modulo each is c ≡ 0
+    modulo f, coprime to d, so ``c = f * (a * f⁻¹ mod d)``; 0 when d = 1."""
+    product = product or primorial(k)
+    f = product // gcd(product, d)
+    return f, pow(f, -1, d)

@@ -318,6 +318,40 @@ def test_min_k_for_agrees_across_threads(shipped_table, computed):
         sys.setswitchinterval(interval)
 
 
+def test_find_prime_agrees_across_threads(shipped_table):
+    # four threads share one table with the rows k <= 12 missing, so the
+    # engine's inserts drop the store while some finds build their record;
+    # each thread gets the certificates a single-threaded find gives
+    aps = [make_eligible(a, d) for d in range(1, 77) for a in (1, d - 1)]
+    reference = _copy_rows(shipped_table, lambda k: k > 12)
+    expected = [find_prime(ap, reference) for ap in aps]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            table = _copy_rows(shipped_table, lambda k: k > 12)
+            start = threading.Barrier(4)
+            results = [None] * 4
+
+            def work(seed):
+                order = list(range(len(aps)))
+                random.Random(seed).shuffle(order)
+                start.wait()
+                found = {i: find_prime(aps[i], table) for i in order}
+                results[seed] = [found[i] for i in range(len(aps))]
+
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_warm_find_prime_looks_up_h_once(monkeypatch):
     # once the table's walk has reached d, find_prime takes k and h from it
     # and only verify's h-consistent clause asks for h(k)
@@ -470,16 +504,112 @@ def test_warm_unconditional_find_multiplies_out_no_primes(shipped_table,
 
 def test_warm_cw_find_multiplies_out_the_first_k_primes_once(shipped_table,
                                                              monkeypatch):
-    # the scan tests x for primality, not against P_k: of a cw find, only
-    # coprime_iso asks for a product of more than the 64 kept primes
+    # the scan tests x for primality, not against P_k: of cw finds modulo
+    # d, only the first asks for a product of more than the 64 kept primes,
+    # for the factor of c the table then keeps
+    table = _copy_rows(shipped_table)
     ap = make_eligible(1, 42)
-    cert = find_prime(ap, shipped_table, mode=MODE_CW)
     asked = []
     for module in (certify, progressions):
         monkeypatch.setattr(module, "primorial",
                             lambda k: asked.append(k) or primorial(k))
-    assert find_prime(ap, shipped_table, mode=MODE_CW) == cert
+    cert = find_prime(ap, table, mode=MODE_CW)
     assert [k for k in asked if k > 64] == [cert.k] == [8119]
+    asked.clear()
+    assert find_prime(ap, table, mode=MODE_CW) == cert
+    assert find_prime(make_eligible(5, 42), table, mode=MODE_CW).k == 8119
+    assert [k for k in asked if k > 64] == []
+
+
+def test_find_prime_c_is_the_coprime_iso_anchor(shipped_table):
+    # the kept factor gives the c that coprime_iso gives on the first k
+    # primes, for every pair with d <= 76 and for cw residues
+    table = _copy_rows(shipped_table)
+    for d in range(1, 77):
+        for a in range(d):
+            if gcd(a, d) == 1:
+                ap = make_eligible(a, d)
+                cert = find_prime(ap, table)
+                assert cert.c == coprime_iso(ap, first_primes(cert.k)).c, ap
+    for d in (1, 7, 30, 42):
+        for a in [a for a in range(d) if gcd(a, d) == 1][:4]:
+            ap = make_eligible(a, d)
+            cert = find_prime(ap, table, mode=MODE_CW)
+            assert cert.c == coprime_iso(ap, first_primes(cert.k)).c, ap
+
+
+def test_a_second_find_modulo_d_reads_the_kept_record(shipped_table,
+                                                      monkeypatch):
+    # after the first find modulo d, a find for any residue builds no map,
+    # validates no primes and asks for no list or product of primes beyond
+    # what its own verify asks for: none at k <= 64, and at the cw
+    # k = 8119 the verify's walk over the first k primes
+    table = _copy_rows(shipped_table)
+    cases = [(MODE_UNCONDITIONAL, 76, (1, 3, 75)),
+             (MODE_UNCONDITIONAL, 1, (0,)), (MODE_CW, 3, (1, 2)),
+             (MODE_CW, 42, (1, 5))]
+    for mode, d, residues in cases:
+        find_prime(make_eligible(residues[0], d), table, mode=mode)
+    calls = []
+    for module, name in ((certify, "coprime_iso"), (certify, "first_primes"),
+                         (certify, "primorial"), (progressions, "primorial"),
+                         (progressions, "validated_primes"),
+                         (arith, "first_primes"),
+                         (arith, "validated_primes")):
+        real = getattr(module, name)
+        counted = name in ("first_primes", "primorial")
+        monkeypatch.setattr(module, name, lambda *args, name=name, real=real,
+                            counted=counted: calls.append(
+                                (name, args[0] if counted else None))
+                            or real(*args))
+    for mode, d, residues in cases:
+        for a in residues:
+            calls.clear()
+            cert = find_prime(make_eligible(a, d), table, mode=mode)
+            found = list(calls)
+            calls.clear()
+            assert verify_certificate(cert, table).ok
+            assert found == calls, (mode, a, d)
+            if cert.k <= 64:
+                assert [name for name, _ in found] in ([], ["primorial"])
+    assert found == [("primorial", 64), ("first_primes", 8119)]
+
+
+def test_a_modulus_past_every_bound_keeps_no_record(shipped_table):
+    # d = 77 raises each time, and the table keeps only the walk
+    table = _copy_rows(shipped_table)
+    for _ in range(2):
+        with pytest.raises(NotProvable) as err:
+            find_prime(make_eligible(1, 77), table)
+        assert err.value.max_provable_d == 76
+    assert list(table._derived) == [cover.DEFAULT_MAX_COMPUTE_K]
+
+
+def test_a_record_built_across_an_engine_insert_is_dropped():
+    # on an empty table the first find computes h(1..3), and each insert
+    # drops the store the find read: its record goes with it, and the
+    # second find keeps one built from the filled rows
+    table = KnownHTable()
+    key = (MODE_UNCONDITIONAL, 5)
+    cert = find_prime(make_eligible(1, 5), table)
+    assert table.ks() == [1, 2, 3] and key not in table._derived
+    assert find_prime(make_eligible(1, 5), table) == cert
+    assert table._derived[key][:3] == (cert.k, cert.h_value, cert.h_source)
+
+
+def test_a_set_row_replaces_the_kept_record(shipped_table):
+    # without the row k = 30, d = 40 certifies at k = 35; once the row is
+    # set, finds modulo 40 give the shipped table's certificates again
+    table = _copy_rows(shipped_table, lambda k: k != 30)
+    aps = [make_eligible(a, 40) for a in (1, 3, 39)]
+    for ap in aps:
+        cert = find_prime(ap, table)
+        assert cert.k == 35 and verify_certificate(cert, table).ok
+    entry = shipped_table.get(30)
+    table.set(30, entry.h, entry.source)
+    for ap in aps:
+        assert find_prime(ap, table) == find_prime(ap, shipped_table)
+        assert find_prime(ap, table).k == 30
 
 
 def test_find_prime_uses_tabulated_h(shipped_table):

@@ -132,6 +132,32 @@ def test_verify_walks_the_first_k_primes_in_one_helper():
     assert [name for name in retired if hasattr(certify, name)] == []
 
 
+def test_only_progressions_computes_the_coprime_factor():
+    # c = f * (a * f^-1 mod d) has one home, progressions._coprime_factor:
+    # certify inverts nothing modulo d (only the general crt_solve does,
+    # elsewhere), and find_prime builds no map and slices or validates no
+    # primes, reading c's factor off the table's record instead
+    inverters = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "pow"
+                        and len(node.args) == 3
+                        and ast.unparse(node.args[1]) == "-1"):
+                    inverters.add(f"{path.stem}.{top.name}")
+    assert inverters == {"arith.crt_solve", "progressions._coprime_factor"}
+    path = Path(jacobsthal.__file__).parent / "certify.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    find = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "find_prime")
+    assert [name for name in ("coprime_iso", "validated_primes",
+                              "first_primes")
+            if _references(find, name)] == []
+
+
 def test_only_the_cli_resolves_the_h_table():
     # one way to resolve the table: library calls take the table they are
     # given, and only cli._table picks the packaged file or a --table path
