@@ -15,6 +15,7 @@ scan.  Everything a certificate claims is independently re-checkable.
 from __future__ import annotations
 
 import json
+import re
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -468,8 +469,47 @@ def _json_value(text: str) -> object:
         raise JacobsthalError(f"certificate is not valid JSON: {exc}") from exc
 
 
+# The layout certificate_to_json writes when no string needs an escape,
+# compiled on first use: a process that reads no certificate pays nothing.
+_layout = None
+
+
+def _compile_layout():
+    global _layout
+    chars = r'[ !#-\[\]-~]*'  # printable ASCII but '"' and '\': no escapes
+    num = r'"(-?[0-9]+)"'  # [0-9]: \d would take any script's digits
+    _layout = re.compile(
+        rf'\{{\n  "a": {num},\n  "c": {num},\n'
+        rf'  "checks": \[(?:\n    "({chars}(?:",\n    "{chars})*)"\n  )?\],\n'
+        rf'  "d": {num},\n  "h_source": "({chars})",\n  "h_value": {num},\n'
+        rf'  "k": {num},\n  "m": {num},\n  "mode": "({chars})",\n'
+        rf'  "prime": {num}\n\}}\n')
+    return _layout
+
+
 def certificate_from_json(text: str) -> PrimeCertificate:
-    return _certificate_from_data(_json_value(text))
+    """The certificate a text holds.  The layout certificate_to_json writes
+    is read directly; any other text goes through json and
+    ``_certificate_from_data``, with the same checks and the same record."""
+    match = (_layout or _compile_layout()).fullmatch(text)
+    if match is None:
+        return _certificate_from_data(_json_value(text))
+    a, c, checks, d, h_source, h_value, k, m, mode, prime = match.groups()
+    raws = (a, d, k, c, m, prime, h_value)  # in _INT_FIELDS order
+    to_int = int
+    if len(text) > _PIECE_DIGITS:  # only then can a field be longer
+        for name, raw in zip(_INT_FIELDS, raws):
+            if len(raw) - (raw[0] == "-") > _FIELD_MAX_DIGITS:
+                raise _too_many_digits(name)
+        to_int = _decimal_to_int
+    return PrimeCertificate(*map(to_int, raws), h_source, mode,
+                            () if checks is None else
+                            tuple(checks.split('",\n    "')))
+
+
+def _too_many_digits(name: str) -> JacobsthalError:
+    return JacobsthalError(
+        f"field {name!r} has more than {_FIELD_MAX_DIGITS} digits")
 
 
 def _certificate_from_data(data: object) -> PrimeCertificate:
@@ -488,8 +528,7 @@ def _certificate_from_data(data: object) -> PrimeCertificate:
         if not (digits.isascii() and digits.isdigit()):
             raise JacobsthalError(f"field {name!r} must be a decimal string")
         if len(digits) > _FIELD_MAX_DIGITS:
-            raise JacobsthalError(
-                f"field {name!r} has more than {_FIELD_MAX_DIGITS} digits")
+            raise _too_many_digits(name)
         values.append(int(raw) if len(digits) <= _PIECE_DIGITS
                       else _decimal_to_int(raw))
     for name in _STR_FIELDS:

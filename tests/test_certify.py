@@ -1147,6 +1147,116 @@ def test_certificate_text_never_runs_the_json_encoder(shipped_table,
     assert texts == expected
 
 
+def test_every_engine_certificate_is_read_without_json(shipped_table,
+                                                       monkeypatch):
+    # certificate_from_json reads the writer's layout itself: a certificate
+    # the engine writes never reaches json, so writer and reader cannot drift
+    # apart unnoticed
+    certs = [find_prime(make_eligible(a, d), shipped_table)
+             for d in range(1, 77) for a in range(d) if gcd(a, d) == 1]
+    certs.append(find_prime(make_eligible(1, 42), shipped_table,
+                            mode=MODE_CW))  # c past 4300 digits
+    certs.append(replace(certs[0], checks=()))
+    assert len(certs) == 1772 + 2
+    texts = [certificate_to_json(cert) for cert in certs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json decoded an engine-written certificate")
+
+    monkeypatch.setattr(certify._DECODER, "decode", refuse)
+    monkeypatch.setattr(json, "loads", refuse)
+    read = [certificate_from_json(text) for text in texts]
+    monkeypatch.undo()
+    assert read == certs
+
+
+def _read_both_ways(text):
+    """What ``certificate_from_json`` and the json path (decode, then
+    ``_certificate_from_data``) make of a text: a record, or the type and
+    message of the JacobsthalError raised."""
+    def outcome(read):
+        try:
+            return read(text)
+        except JacobsthalError as exc:
+            return type(exc), str(exc)
+
+    return (outcome(certificate_from_json),
+            outcome(lambda text: certify._certificate_from_data(
+                certify._json_value(text))))
+
+
+# text fields the layout takes (printable ASCII but '"' and '\') as well as
+# any other
+_FIELD_TEXT = st.one_of(_TEXT, st.text(st.characters(min_codepoint=32,
+                                                     max_codepoint=126)),
+                        st.sampled_from(CHECK_NAMES + MODES))
+_CERTS = st.builds(PrimeCertificate, _INTS, _INTS, _INTS, _INTS, _INTS,
+                   _INTS, _INTS, _FIELD_TEXT, _FIELD_TEXT,
+                   st.lists(_FIELD_TEXT).map(tuple))
+
+
+@given(_CERTS)
+def test_layout_reader_agrees_with_json_on_canonical_text(cert):
+    text = certificate_to_json(cert)
+    layout, json_path = _read_both_ways(text)
+    assert layout == json_path == cert
+
+
+@given(_CERTS, st.data())
+def test_layout_reader_agrees_with_json_on_single_edits(cert, data):
+    # a character dropped, doubled or replaced anywhere in a canonical text
+    text = certificate_to_json(cert)
+    at = data.draw(st.integers(0, len(text) - 1))
+    edit = data.draw(st.sampled_from(("drop", "double", "replace")))
+    if edit == "replace":
+        new = data.draw(st.one_of(st.sampled_from('"\\ ,:[]{}-0+9\n\t\u0663'),
+                                  st.characters()))
+    else:
+        new = "" if edit == "drop" else text[at] * 2
+    layout, json_path = _read_both_ways(text[:at] + new + text[at + 1:])
+    assert layout == json_path
+
+
+def _field_edits(payload):
+    """Texts one field-level edit away from a canonical payload."""
+    def canonical(edited):  # non-ASCII characters as they are
+        return json.dumps(edited, sort_keys=True, indent=2,
+                          ensure_ascii=False) + "\n"
+
+    names = sorted(payload)
+    for i, first in enumerate(names):  # two fields' values swapped
+        for second in names[i + 1:]:
+            yield canonical({**payload, first: payload[second],
+                             second: payload[first]})
+    for i in range(len(names) - 1):  # two neighbours' places swapped
+        order = names[:i] + [names[i + 1], names[i]] + names[i + 2:]
+        yield json.dumps({name: payload[name] for name in order},
+                         indent=2) + "\n"
+    yield json.dumps(payload)  # compact
+    yield canonical(payload)[:-1]  # no final newline
+    yield canonical({**payload, "checks": []}).replace("[]", "[\n  ]")
+    for name in certify._INT_FIELDS:
+        for raw in ("-0", "0", "00", "007", "-007", "+7", "-", "\u0663",
+                    "7\uff17"):
+            yield canonical({**payload, name: raw})
+    for digits in (certify._FIELD_MAX_DIGITS, certify._FIELD_MAX_DIGITS + 1):
+        for sign in ("", "-"):
+            yield canonical({**payload, "c": sign + "7" * digits})
+            yield canonical({**payload, "c": sign + "7" * digits,
+                             "d": sign + "1" * digits})
+
+
+@pytest.mark.parametrize("a, d", [(1, 3), (3, 76)])
+def test_layout_reader_agrees_with_json_on_field_edits(a, d, shipped_table):
+    cert = find_prime(make_eligible(a, d), shipped_table)
+    payload = json.loads(certificate_to_json(cert))
+    outcomes = [_read_both_ways(text) for text in _field_edits(payload)]
+    assert [layout for layout, _ in outcomes] == [
+        json_path for _, json_path in outcomes]
+    assert any(isinstance(layout, PrimeCertificate)
+               for layout, _ in outcomes)
+
+
 @pytest.mark.parametrize("mutate", [
     lambda d: d.pop("prime"),
     lambda d: d.update(extra="1"),
