@@ -16,11 +16,9 @@ from __future__ import annotations
 
 import json
 import re
-import threading
-from bisect import bisect_left
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_string
-from math import ceil, gcd, inf, log, prod
+from math import ceil, gcd, log, prod
 from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import (_COPRIME_BLOCK, _PIECE_DIGITS, _decimal_to_int,
@@ -158,42 +156,32 @@ def bound_table(ks, table: KnownHTable, *,
     return [bound(k, table, mode=mode) for k in ks]
 
 
-def _walk(d: float, table: KnownHTable, mode: str,
-          max_compute_k: int) -> list[tuple]:
-    """The walk up the table's k and every k up to ``max_compute_k`` (cw
-    mode: its validity range), extended until its reach passes d or the k
-    run out.  The table keeps it until its next ``set``: a sentinel, then one
-    ``(reach, k, h, source)`` per k, reach the largest d certified so far."""
-    derived = table._derived  # read once: a set() from here on orphans it
-    key = max_compute_k if mode == MODE_UNCONDITIONAL else mode
-    walk = derived.get(key)
-    if walk is None:
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
-        ks = range(CW_MIN_K, CW_MAX_K + 1) if mode == MODE_CW else sorted(
-            set(table.ks()).union(range(1, max_compute_k + 1)))
-        walk = derived.setdefault(key, (ks, [(0,)], threading.Lock()))
-    ks, rows, lock = walk
-    if rows[-1][0] >= d:  # rows only grow, and only under the lock
-        return rows
-    with lock:
-        while rows[-1][0] < d and len(rows) <= len(ks):
-            k = ks[len(rows) - 1]
-            h_value, h_source = _h_at(k, table, mode)
-            p_next = nth_prime(k + 1)  # largest d: (p_{k+1}^2 - 2) // (h + 1)
-            rows.append((max(rows[-1][0], (p_next * p_next - 2)
-                             // (h_value + 1)), k, h_value, h_source))
-    return rows
+def _bounds(table: KnownHTable, mode: str, max_compute_k: int):
+    """``(k, h, source, reach)`` for each k in ascending order: the table's
+    k and every k up to ``max_compute_k``, or cw mode's validity range.
+    ``reach = (p_{k+1}**2 - 2) // (h + 1)`` is the largest d k certifies."""
+    if mode == MODE_CW:
+        ks = range(CW_MIN_K, CW_MAX_K + 1)
+    elif mode == MODE_UNCONDITIONAL:
+        ks = sorted(set(table.ks()).union(range(1, max_compute_k + 1)))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    for k in ks:
+        h_value, h_source = _h_at(k, table, mode)
+        p_next = nth_prime(k + 1)
+        yield k, h_value, h_source, (p_next * p_next - 2) // (h_value + 1)
 
 
 def _least_row(d: int, table: KnownHTable, mode: str) -> tuple[int, int, str]:
     """``(k, h, source)`` at the least k whose bound certifies d."""
-    rows = _walk(d, table, mode, DEFAULT_MAX_COMPUTE_K)
-    if rows[-1][0] < d:
-        raise NotProvable(f"no available bound reaches d = "
-                          f"{decimal_excerpt(d)} (largest provable: "
-                          f"{rows[-1][0]})", max_provable_d=rows[-1][0])
-    return rows[bisect_left(rows, (d,))][1:]
+    best = 0
+    for k, h_value, h_source, reach in _bounds(table, mode,
+                                               DEFAULT_MAX_COMPUTE_K):
+        if reach >= d:
+            return k, h_value, h_source
+        best = max(best, reach)
+    raise NotProvable(f"no available bound reaches d = {decimal_excerpt(d)} "
+                      f"(largest provable: {best})", max_provable_d=best)
 
 
 def min_k_for(d: int, table: KnownHTable, *,
@@ -408,10 +396,11 @@ def max_provable_d(table: KnownHTable, *,
     Unconditional mode scans the table as-is; cw mode scans the whole
     conditional validity range.  Returns ``(0, None)`` for an empty table.
     """
-    # the rows the table holds, computing none; no reach passes inf
-    rows = _walk(inf, table, mode, 0)
-    best = rows[-1][0]
-    return best, (rows[bisect_left(rows, (best,))][1] if best else None)
+    best, best_k = 0, None
+    for k, _, _, reach in _bounds(table, mode, 0):  # computes no h(k)
+        if reach > best:
+            best, best_k = reach, k
+    return best, best_k
 
 
 # --- serialization -----------------------------------------------------------

@@ -22,7 +22,7 @@ from math import gcd, prod
 from . import cover
 from .arith import (_decimal_to_int, decimal_excerpt, first_primes,
                     int_to_decimal)
-from .cover import (DEFAULT_MAX_COMPUTE_K, MODE_UNCONDITIONAL, MODES,
+from .cover import (DEFAULT_MAX_COMPUTE_K, MODE_CW, MODE_UNCONDITIONAL, MODES,
                     KnownHTable, SearchBudget, default_h_table, load_h_table)
 from .errors import BudgetExceeded, JacobsthalError, NotProvable
 
@@ -44,7 +44,11 @@ def __getattr__(name: str):
 
 
 H_TABLE_ENV = "JACOBSTHAL_H_TABLE"
-DEFAULT_BOUND_KS = (5, 10, 15, 20, 25, 30, 35, 40, 45, 50)
+# bound-table's indices without --ks: cw mode's lie in its range 50..10000
+DEFAULT_BOUND_KS = {
+    MODE_UNCONDITIONAL: (5, 10, 15, 20, 25, 30, 35, 40, 45, 50),
+    MODE_CW: (50, 100, 200, 500, 1000, 2000, 5000, 10000),
+}
 # longest argument text an error message echoes in full
 _ECHO_CHARS = 40
 
@@ -286,7 +290,8 @@ def cmd_primes(args) -> _Result:
 
 def cmd_bound_table(args) -> _Result:
     from . import certify
-    rows = certify.bound_table(args.ks, _table(args), mode=args.mode)
+    ks = DEFAULT_BOUND_KS[args.mode] if args.ks is None else args.ks
+    rows = certify.bound_table(ks, _table(args), mode=args.mode)
     payload = [{"k": row.k, "next_prime": row.next_prime, "h": row.h_value,
                 "h_source": row.h_source, "value": row.text} for row in rows]
     cells = [("k", "p_{k+1}", "h(k)", "(p_{k+1}^2-2)/(h(k)+1)")]
@@ -399,8 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound-table", parents=[common, tableopts, modeopt],
                        help="certifiable-modulus bound for chosen indices")
-    p.add_argument("--ks", type=_k_list, default=DEFAULT_BOUND_KS,
-                   metavar="K1,K2,...")
+    p.add_argument("--ks", type=_k_list, metavar="K1,K2,...")
     p.set_defaults(func=cmd_bound_table)
 
     p = sub.add_parser("max-d", parents=[common, tableopts, modeopt],

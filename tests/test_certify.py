@@ -206,8 +206,8 @@ TABLE_VARIANTS = {
 @pytest.mark.parametrize("variant", sorted(TABLE_VARIANTS))
 def test_min_k_for_matches_the_reference_walk(shipped_table, variant, mode,
                                               monkeypatch):
-    # one table, every d in 1..80 in shuffled order: the kept walk answers
-    # each as a walk from the first k would, and walks each k once, in order
+    # one table, every d in 1..80 in shuffled order: each answer is the
+    # reference walk's, and each d looks up the k that walk passes, in order
     table = TABLE_VARIANTS[variant](shipped_table)
     ks, h_at = _reference_walk(table, mode, cover.DEFAULT_MAX_COMPUTE_K)
     looked_up = []
@@ -217,8 +217,11 @@ def test_min_k_for_matches_the_reference_walk(shipped_table, variant, mode,
     ds = list(range(1, 81))
     random.Random(11).shuffle(ds)
     for d in ds:
-        assert _outcome(d, table, mode) == least_k_walk(d, ks, h_at), d
-    assert looked_up == list(ks)  # some d past 76 walked to the end
+        looked_up.clear()
+        outcome = least_k_walk(d, ks, h_at)
+        assert _outcome(d, table, mode) == outcome, d
+        passed = ks[:ks.index(outcome[1]) + 1] if outcome[0] == "k" else ks
+        assert looked_up == list(passed), d
     max_ks, max_h_at = _reference_walk(table, mode, 0)
     assert max_provable_d(table, mode=mode) == max_d_walk(max_ks, max_h_at)
 
@@ -242,8 +245,7 @@ def test_min_k_for_computes_what_the_reference_walk_computes():
 
 
 def test_min_k_for_cw_walk_stays_lazy(monkeypatch):
-    # a cold cw question looks up only the k it needs, and a later one
-    # within reach looks up none
+    # a cw question looks up only the k it needs, from the first
     looked_up = []
     real = certify.cw_upper
     monkeypatch.setattr(certify, "cw_upper",
@@ -251,10 +253,9 @@ def test_min_k_for_cw_walk_stays_lazy(monkeypatch):
     table = KnownHTable()
     assert min_k_for(19, table, mode=MODE_CW) == 50
     assert looked_up == [50]
+    looked_up.clear()
     assert min_k_for(42, table, mode=MODE_CW) == 8119
     assert looked_up == list(range(50, 8120))
-    assert min_k_for(30, table, mode=MODE_CW) < 8119
-    assert len(looked_up) == 8070
 
 
 def test_min_k_for_sees_every_set(shipped_table):
@@ -281,16 +282,20 @@ def test_min_k_for_sees_every_set(shipped_table):
     assert max_provable_d(trimmed) == (76, 54)
 
 
-@pytest.mark.parametrize("computed", [False, True])
-def test_min_k_for_agrees_across_threads(shipped_table, computed):
+@pytest.mark.parametrize("mode, computed", [
+    (MODE_UNCONDITIONAL, False), (MODE_UNCONDITIONAL, True), (MODE_CW, False),
+], ids=["False", "True", "cw"])
+def test_min_k_for_agrees_across_threads(shipped_table, mode, computed):
     # four threads start together on one fresh table, five times over;
     # with ``computed`` the rows k <= 12 are missing, so the walks run the
-    # engine and its inserts drop them mid-walk
+    # engine and its inserts drop the table's records mid-walk; in cw mode
+    # d runs to 43, past the conditional bound
     keep = (lambda k: k > 12) if computed else (lambda k: True)
-    ks, h_at = _reference_walk(_copy_rows(shipped_table, keep),
-                               MODE_UNCONDITIONAL,
+    ks, h_at = _reference_walk(_copy_rows(shipped_table, keep), mode,
                                cover.DEFAULT_MAX_COMPUTE_K)
-    expected = {d: least_k_walk(d, ks, h_at) for d in range(1, 77)}
+    top = 43 if mode == MODE_CW else 76
+    expected = {d: least_k_walk(d, ks, h_at) for d in range(1, top + 1)}
+    assert (expected[top] == ("max", 42)) == (mode == MODE_CW)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch often, so the walks interleave
     try:
@@ -300,11 +305,11 @@ def test_min_k_for_agrees_across_threads(shipped_table, computed):
             results = [dict() for _ in range(4)]
 
             def work(seed):
-                ds = list(range(1, 77))
+                ds = list(range(1, top + 1))
                 random.Random(seed).shuffle(ds)
                 start.wait()
                 for d in ds:
-                    results[seed][d] = _outcome(d, table, MODE_UNCONDITIONAL)
+                    results[seed][d] = _outcome(d, table, mode)
 
             threads = [threading.Thread(target=work, args=(i,))
                        for i in range(4)]
@@ -353,15 +358,17 @@ def test_find_prime_agrees_across_threads(shipped_table):
 
 
 def test_warm_find_prime_looks_up_h_once(monkeypatch):
-    # once the table's walk has reached d, find_prime takes k and h from it
-    # and only verify's h-consistent clause asks for h(k)
+    # once a find modulo d has kept its record, find_prime takes k and h
+    # from it and only verify's h-consistent clause asks for h(k)
     table = default_h_table()
-    find_prime(make_eligible(1, 76), table)
+    cases = ((1, 76), (3, 76), (1, 5), (2, 33), (0, 1))
+    for a, d in cases:
+        find_prime(make_eligible(a, d), table)
     looked_up = []
     real = certify.h_of
     monkeypatch.setattr(certify, "h_of",
                         lambda k, *rest: looked_up.append(k) or real(k, *rest))
-    for a, d in ((1, 76), (3, 76), (1, 5), (2, 33), (0, 1)):
+    for a, d in cases:
         looked_up.clear()
         cert = find_prime(make_eligible(a, d), table)
         assert looked_up == [cert.k], (a, d)
@@ -576,13 +583,33 @@ def test_a_second_find_modulo_d_reads_the_kept_record(shipped_table,
 
 
 def test_a_modulus_past_every_bound_keeps_no_record(shipped_table):
-    # d = 77 raises each time, and the table keeps only the walk
+    # d = 77 raises each time, and the table keeps nothing
     table = _copy_rows(shipped_table)
     for _ in range(2):
         with pytest.raises(NotProvable) as err:
             find_prime(make_eligible(1, 77), table)
         assert err.value.max_provable_d == 76
-    assert list(table._derived) == [cover.DEFAULT_MAX_COMPUTE_K]
+    assert table._derived == {}
+
+
+def test_a_table_keeps_only_the_records_of_the_moduli_found(shipped_table):
+    # finds over every pair with d <= 76 and the cw line 1 + dZ, d <= 42,
+    # then the walks of min_k_for and max_provable_d in both modes: the
+    # table holds one record per mode and modulus found, and nothing else
+    table = _copy_rows(shipped_table)
+    for d in range(1, 77):
+        for a in range(d):
+            if gcd(a, d) == 1:
+                find_prime(make_eligible(a, d), table)
+    for d in range(1, 43):
+        find_prime(make_eligible(1, d), table, mode=MODE_CW)
+    assert min_k_for(19, table) == 9
+    assert min_k_for(19, table, mode=MODE_CW) == 50
+    assert max_provable_d(table) == (76, 54)
+    assert max_provable_d(table, mode=MODE_CW) == (42, 8119)
+    assert set(table._derived) == (
+        {(MODE_UNCONDITIONAL, d) for d in range(1, 77)}
+        | {(MODE_CW, d) for d in range(1, 43)})
 
 
 def test_a_record_built_across_an_engine_insert_is_dropped():
@@ -858,26 +885,6 @@ def test_an_honest_short_verify_slices_no_primes(shipped_table, monkeypatch):
     assert sliced == [cert.k]
 
 
-def test_a_warm_walk_takes_no_lock(shipped_table):
-    # once the kept rows reach d, _walk returns them without the lock
-    table = _copy_rows(shipped_table)
-    find_prime(make_eligible(1, 76), table)
-    key = cover.DEFAULT_MAX_COMPUTE_K
-    ks, rows, _ = table._derived[key]
-
-    class Refused:
-        def __enter__(self):
-            raise AssertionError("the walk took its lock")
-
-        def __exit__(self, *exc):
-            return False
-
-    table._derived[key] = (ks, rows, Refused())
-    for d in (1, 5, 33, 76):
-        assert find_prime(make_eligible(1, d), table).d == d
-    assert min_k_for(76, table) == 54
-
-
 @pytest.mark.parametrize("index", [0, 63, 64, 100, 128])
 def test_verify_names_the_first_missing_factor(shipped_table, index):
     # c misses the index-th and the last of the first 130 primes, so the
@@ -966,7 +973,8 @@ def test_verify_makes_no_closure_cells():
     # The same holds for the bound walk that find_prime reads.
     for fn in (verify_certificate, certify._prime_clauses,
                certify._h_consistency, min_k_for,
-               find_prime, certify._least_row, certify._h_at):
+               find_prime, certify._least_row, certify._bounds,
+               certify._h_at):
         assert fn.__code__.co_cellvars == (), fn.__name__
 
 

@@ -22,11 +22,11 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def _spawn(*argv, env_extra=None):
+def _spawn(*argv, env_extra=None, flags=()):
     env = {k: v for k, v in os.environ.items() if k != H_TABLE_ENV}
     if env_extra:
         env.update(env_extra)
-    return subprocess.run([sys.executable, "-m", "jacobsthal", *argv],
+    return subprocess.run([sys.executable, *flags, "-m", "jacobsthal", *argv],
                           capture_output=True, text=True, env=env)
 
 
@@ -656,6 +656,22 @@ def test_bound_table_cw_mode(capsys):
                         "h_source": "cw", "value": "19.995"}]
 
 
+@pytest.mark.parametrize("mode, ks, last", [
+    ("unconditional", [5, 10, 15, 20, 25, 30, 35, 40, 45, 50], "71.149"),
+    ("cw", [50, 100, 200, 500, 1000, 2000, 5000, 10000], "42.926"),
+])
+def test_bound_table_default_indices_per_mode(capsys, mode, ks, last):
+    # without --ks each mode tabulates indices it has a bound for: cw mode's
+    # lie in its range 50..10000
+    code, out, err = _run(capsys, "bound-table", "--mode", mode, "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert [row["k"] for row in payload] == ks
+    assert payload[-1]["value"] == last
+    assert {row["h_source"] for row in payload} == (
+        {"cw"} if mode == "cw" else {"paper"})
+
+
 def test_max_d(capsys):
     code, out, _ = _run(capsys, "max-d")
     assert code == 0
@@ -770,6 +786,24 @@ def test_subprocess_output_is_byte_stable(tmp_path):
     tables = [_spawn("bound-table", "--json") for _ in range(2)]
     assert tables[0].stdout == tables[1].stdout
     assert json.loads(tables[0].stdout)[0]["value"] == "11.133"
+
+
+def test_subprocess_outputs_hold_under_python_O(tmp_path):
+    # -O drops assert statements: each self-check is a typed error instead,
+    # so every command prints the same and exits the same either way
+    def same_either_way(*argv):
+        plain, optimized = (_spawn(*argv, flags=flags)
+                            for flags in ((), ("-O",)))
+        assert plain.returncode == 0 and plain.stdout, argv
+        assert (optimized.returncode, optimized.stdout) == (
+            plain.returncode, plain.stdout), argv
+        return plain.stdout
+
+    same_either_way("h", "12", "--compute")
+    for argv in (("1", "76"), ("1", "42", "--mode", "cw")):
+        path = tmp_path / "cert.json"
+        path.write_text(same_either_way("find-prime", *argv))
+        same_either_way("verify", str(path))
 
 
 def test_subprocess_env_table(tmp_path):
