@@ -24,8 +24,8 @@ _EXPORTS = {
              "elementary_lower_witness h_of least_witness load_h_table "
              "max_cover_length verify_cover witness_integer",
     "errors": "BudgetExceeded JacobsthalError NonCoprimeModuli NotEligible "
-              "NotInProgression NotProvable OutOfRange TableParseError "
-              "TableValidationError Unavailable",
+              "NotProvable OutOfRange TableParseError TableValidationError "
+              "Unavailable",
     "gaps": "GapScanResult g_of",
     "progressions": "ApIso EligibleAP coprime_iso make_eligible",
 }

@@ -156,30 +156,28 @@ def bound_table(ks, table: KnownHTable, *,
     return [bound(k, table, mode=mode) for k in ks]
 
 
-def _bounds(table: KnownHTable, mode: str, max_compute_k: int):
-    """``(k, h, source, reach)`` for each k in ascending order: the table's
-    k and every k up to ``max_compute_k``, or cw mode's validity range.
-    ``reach = (p_{k+1}**2 - 2) // (h + 1)`` is the largest d k certifies."""
-    if mode == MODE_CW:
-        ks = range(CW_MIN_K, CW_MAX_K + 1)
-    elif mode == MODE_UNCONDITIONAL:
-        ks = sorted(set(table.ks()).union(range(1, max_compute_k + 1)))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    for k in ks:
+def _bounds(table: KnownHTable, mode: str):
+    """``(k, h, source, p_{k+1}, reach)`` for each k in ascending order: the
+    table's k and every k up to the compute cap, or cw mode's validity
+    range.  ``reach = (p_{k+1}**2 - 2) // (h + 1)`` is the largest d k
+    certifies.  Every certify question reads this one walk."""
+    ks = (range(CW_MIN_K, CW_MAX_K + 1) if mode == MODE_CW else
+          sorted(set(table.ks()).union(range(1, DEFAULT_MAX_COMPUTE_K + 1))))
+    for k in ks:  # an unknown mode raises at the first _h_at
         h_value, h_source = _h_at(k, table, mode)
         p_next = nth_prime(k + 1)
-        yield k, h_value, h_source, (p_next * p_next - 2) // (h_value + 1)
+        yield (k, h_value, h_source, p_next,
+               (p_next * p_next - 2) // (h_value + 1))
 
 
-def _least_row(d: int, table: KnownHTable, mode: str) -> tuple[int, int, str]:
-    """``(k, h, source)`` at the least k whose bound certifies d."""
+def _least_row(d: int, table: KnownHTable,
+               mode: str) -> tuple[int, int, str, int, int]:
+    """The row of ``_bounds`` at the least k whose bound certifies d."""
     best = 0
-    for k, h_value, h_source, reach in _bounds(table, mode,
-                                               DEFAULT_MAX_COMPUTE_K):
-        if reach >= d:
-            return k, h_value, h_source
-        best = max(best, reach)
+    for row in _bounds(table, mode):
+        if row[4] >= d:
+            return row
+        best = max(best, row[4])
     raise NotProvable(f"no available bound reaches d = {decimal_excerpt(d)} "
                       f"(largest provable: {best})", max_provable_d=best)
 
@@ -211,8 +209,8 @@ def find_prime(ap: EligibleAP, table: KnownHTable, *,
     derived = table._derived  # read once: a set() from here on orphans it
     record = derived.get((mode, ap.d))
     if record is None:  # a d past every bound raises here and keeps none
-        k, h_value, h_source = _least_row(ap.d, table, mode)
-        record = derived[mode, ap.d] = (k, h_value, h_source, nth_prime(k + 1),
+        k, h_value, h_source, p_next, _ = _least_row(ap.d, table, mode)
+        record = derived[mode, ap.d] = (k, h_value, h_source, p_next,
                                         *_coprime_factor(ap.d, k))
     k, h_value, h_source, p_next, f, f_inv = record
     c = f * (ap.a * f_inv % ap.d)
@@ -390,17 +388,13 @@ def prime_stream(ap: EligibleAP, count: int, table: KnownHTable, *,
 
 
 def max_provable_d(table: KnownHTable, *,
-                   mode: str = MODE_UNCONDITIONAL) -> tuple[int, int | None]:
-    """Largest modulus any available bound certifies, with the index used.
-
-    Unconditional mode scans the table as-is; cw mode scans the whole
-    conditional validity range.  Returns ``(0, None)`` for an empty table.
-    """
-    best, best_k = 0, None
-    for k, _, _, reach in _bounds(table, mode, 0):  # computes no h(k)
-        if reach > best:
-            best, best_k = reach, k
-    return best, best_k
+                   mode: str = MODE_UNCONDITIONAL) -> tuple[int, int]:
+    """Largest modulus any available bound certifies, with the least index
+    that certifies it: the largest reach of the walk ``min_k_for`` and
+    ``find_prime`` take, so always the ``max_provable_d`` that their
+    NotProvable carries."""
+    k, *_, best = max(_bounds(table, mode), key=lambda row: row[4])
+    return best, k
 
 
 # --- serialization -----------------------------------------------------------

@@ -306,8 +306,6 @@ def cmd_max_d(args) -> _Result:
     from . import certify
     best, k = certify.max_provable_d(_table(args), mode=args.mode)
     payload = {"mode": args.mode, "max_d": best, "k": k}
-    if k is None:
-        return 0, payload, ["no bounds available (empty table)"]
     return 0, payload, [f"max certifiable modulus: {best} (k = {k}, "
                         f"mode {args.mode})"]
 

@@ -231,12 +231,10 @@ class _Search:
                 # capacity check fails: count the node and skip it.
                 self._tick()
                 continue
-            shifted = [j for j in live if j != i]
-            if shifted:
-                self._shift(hit, shifted, -1)
+            # i's own counts shift too: the child drops i, so never reads them
+            self._shift(hit, live, -1)
             sub = self._dfs_pos(uncov ^ hit, rem[:at] + rem[at + 1:], caps)
-            if shifted:
-                self._shift(hit, shifted, 1)
+            self._shift(hit, live, 1)
             if sub is not None:
                 sub[primes[i]] = u0 % primes[i]
                 return sub

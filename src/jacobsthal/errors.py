@@ -13,10 +13,6 @@ class NotEligible(JacobsthalError):
     """The residue and modulus of an arithmetic progression are not coprime."""
 
 
-class NotInProgression(JacobsthalError):
-    """An integer does not belong to the arithmetic progression at hand."""
-
-
 class BudgetExceeded(JacobsthalError):
     """A node, time, or size limit was reached before an exact answer.
 

@@ -17,7 +17,7 @@ from math import gcd, prod
 # (perfbench/tracing.py)
 from .arith import (crt_solve, decimal_excerpt, is_prime,  # noqa: F401
                     primorial, validated_primes)
-from .errors import NotEligible, NotInProgression
+from .errors import NotEligible
 
 
 @dataclass(frozen=True)
@@ -73,18 +73,8 @@ class ApIso:
         if self.d < 1:
             raise ValueError(f"modulus must be >= 1, got {self.d}")
 
-    @property
-    def a(self) -> int:
-        return self.c % self.d
-
     def __call__(self, n: int) -> int:
         return self.c + self.d * n
-
-    def invert(self, x: int) -> int:
-        offset = x - self.c
-        if offset % self.d:
-            raise NotInProgression(f"{x} is not in {self.a}+{self.d}Z")
-        return offset // self.d
 
 
 def coprime_iso(ap: EligibleAP, primes) -> ApIso:

@@ -28,11 +28,9 @@ hide in the oracle as well:
   ``certify.find_prime``'s scan of the small images;
 - ``least_k_walk`` and ``max_d_walk`` walk the bound table from its first
   k on every call, the reference for ``certify.min_k_for`` and
-  ``certify.max_provable_d``, which keep their walks on the table: one
-  per table in cw mode, and in unconditional mode one that computes rows
-  up to the compute cap for ``min_k_for`` and ``find_prime``, and a
-  second over the table's rows only, which never computes, for
-  ``max_provable_d``;
+  ``certify.max_provable_d``, which read one walk: cw mode's validity
+  range, or in unconditional mode the table's k and every k up to the
+  compute cap, computing a missing row there;
 - ``certificate_json`` renders a certificate through ``json.dumps`` with
   sorted keys and a two-space indent, the reference for
   ``certify.certificate_to_json``, which formats the same text itself;
@@ -218,10 +216,10 @@ def least_k_walk(d: int, ks, h_at) -> tuple[str, int]:
     return "max", best
 
 
-def max_d_walk(ks, h_at) -> tuple[int, int | None]:
-    """The largest d any k of ``ks`` reaches, with the first k that reaches
-    it; ``(0, None)`` when none reaches a d >= 1."""
-    best, best_k = 0, None
+def max_d_walk(ks, h_at) -> tuple[int, int]:
+    """The largest d any k of the nonempty ``ks`` reaches, with the first k
+    that reaches it."""
+    best, best_k = -1, None
     for k in ks:
         p_next = sympy.sieve[k + 1]
         largest = (p_next * p_next - 2) // (h_at(k) + 1)

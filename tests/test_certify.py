@@ -222,8 +222,27 @@ def test_min_k_for_matches_the_reference_walk(shipped_table, variant, mode,
         assert _outcome(d, table, mode) == outcome, d
         passed = ks[:ks.index(outcome[1]) + 1] if outcome[0] == "k" else ks
         assert looked_up == list(passed), d
-    max_ks, max_h_at = _reference_walk(table, mode, 0)
-    assert max_provable_d(table, mode=mode) == max_d_walk(max_ks, max_h_at)
+    assert max_provable_d(table, mode=mode) == max_d_walk(ks, h_at)
+
+
+MAX_D_TABLES = dict(TABLE_VARIANTS, **{
+    "1, 2": lambda t: _copy_rows(t, lambda k: k <= 2),
+    "empty": lambda t: KnownHTable(),
+})
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("variant", sorted(MAX_D_TABLES))
+def test_max_provable_d_is_the_largest_d_a_refusal_names(shipped_table,
+                                                         variant, mode):
+    # one walk answers both questions: min_k_for certifies the largest d at
+    # the k max_provable_d names, and refuses the next d naming that d
+    table = MAX_D_TABLES[variant](shipped_table)
+    best, k = max_provable_d(table, mode=mode)
+    assert min_k_for(best, table, mode=mode) == k
+    with pytest.raises(NotProvable) as err:
+        min_k_for(best + 1, table, mode=mode)
+    assert err.value.max_provable_d == best
 
 
 def test_min_k_for_computes_what_the_reference_walk_computes():
@@ -241,7 +260,7 @@ def test_min_k_for_computes_what_the_reference_walk_computes():
         assert engine.ks() == reference.ks(), d
     assert engine.ks() == list(range(1, cap + 1))
     assert max_provable_d(engine) == (25, 12)
-    assert max_provable_d(KnownHTable()) == (0, None)
+    assert max_provable_d(KnownHTable()) == (25, 12)
 
 
 def test_min_k_for_cw_walk_stays_lazy(monkeypatch):
@@ -1077,7 +1096,7 @@ def test_max_provable_d_unconditional(shipped_table):
             entry = shipped_table.get(k)
             trimmed.set(k, entry.h, entry.source)
     assert max_provable_d(trimmed) == (71, 50)
-    assert max_provable_d(KnownHTable()) == (0, None)
+    assert max_provable_d(KnownHTable()) == (25, 12)
 
 
 def test_max_provable_d_cw(shipped_table):

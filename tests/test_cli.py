@@ -685,14 +685,33 @@ def test_max_d_cw_json(capsys):
 
 
 def test_max_d_of_an_empty_table(tmp_path, capsys):
+    # the walk computes h(1..12), as find-prime's does
     table = tmp_path / "table.txt"
     table.write_text("# no rows\n")
     code, out, _ = _run(capsys, "max-d", "--table", str(table))
-    assert (code, out) == (0, "no bounds available (empty table)\n")
+    assert (code, out) == (
+        0, "max certifiable modulus: 25 (k = 12, mode unconditional)\n")
     code, out, _ = _run(capsys, "max-d", "--table", str(table), "--json")
     assert code == 0
-    assert json.loads(out) == {"k": None, "max_d": 0,
+    assert json.loads(out) == {"k": 12, "max_d": 25,
                                "mode": "unconditional"}
+
+
+def test_max_d_is_the_largest_d_find_prime_names(tmp_path, capsys):
+    # with rows k = 1, 2 only, max-d and find-prime walk the same bounds:
+    # max-d prints the d that find-prime's refusal of the next d names
+    table = tmp_path / "table.txt"
+    table.write_text("1,2,computed\n2,4,computed\n")
+    code, out, _ = _run(capsys, "max-d", "--table", str(table))
+    assert (code, out) == (
+        0, "max certifiable modulus: 25 (k = 12, mode unconditional)\n")
+    code, out, _ = _run(capsys, "find-prime", "1", "25", "--table",
+                        str(table))
+    assert (code, certificate_from_json(out).k) == (0, 12)
+    code, out, err = _run(capsys, "find-prime", "1", "26", "--table",
+                          str(table))
+    assert (code, out, err) == (1, "", "error: no available bound reaches "
+                                "d = 26 (largest provable: 25)\n")
 
 
 def test_env_table_and_flag_precedence(tmp_path, capsys, monkeypatch):

@@ -205,6 +205,27 @@ def test_no_public_certify_function_takes_a_policy():
     assert found == []
 
 
+def test_every_certify_question_reads_one_bound_walk():
+    # certify._bounds(table, mode) is the one walk over k and the one place
+    # a reach is computed: the least row and the largest reach read it, the
+    # row carries p_{k+1} to find_prime, and no cap picks a second walk
+    path = Path(jacobsthal.__file__).parent / "certify.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    walk = functions["_bounds"].args
+    assert [arg.arg for arg in walk.posonlyargs + walk.args
+            + walk.kwonlyargs] == ["table", "mode"]
+    assert walk.vararg is walk.kwarg is None
+    assert _top_level_users("_bounds") == {"certify._least_row",
+                                           "certify.max_provable_d"}
+    assert not _references(functions["find_prime"], "nth_prime")
+    capped = [f"{node.lineno}" for node in ast.walk(tree)
+              if isinstance(node, (ast.arg, ast.keyword))
+              and node.arg == "max_compute_k"]
+    assert capped == []
+
+
 def test_only_records_that_need_it_are_dataclasses():
     # a record is a NamedTuple unless callers copy it with
     # dataclasses.replace (PrimeCertificate) or it validates on
