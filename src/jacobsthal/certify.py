@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_string
 from math import ceil, gcd, log, prod
+from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import (_COPRIME_BLOCK, _PIECE_DIGITS, _decimal_to_int,
@@ -32,10 +33,11 @@ from .errors import BudgetExceeded, JacobsthalError, NotProvable, OutOfRange
 from .progressions import (EligibleAP, _coprime_factor,  # noqa: F401
                            coprime_iso)
 
-if TYPE_CHECKING:  # bound imports it when it builds a row
+if TYPE_CHECKING:  # BoundRow.value imports it when read
     from fractions import Fraction
 
 HSOURCE_CW = "cw"
+_new_row = tuple.__new__  # bound's rows skip BoundRow's slower __new__
 
 # Conditional quadratic bound on h(n), verified by computation for
 # 50 <= n <= 10000 (natural logarithm).
@@ -58,13 +60,19 @@ CHECK_NAMES = (
 class BoundRow(NamedTuple):
     """One row of the provability table: with ``h_value`` consecutive
     integers always containing one coprime to the first k primes, every
-    eligible progression with ``d <= value`` gets a certified prime."""
+    eligible progression with ``d <= reach`` gets a certified prime."""
 
     k: int
     next_prime: int
     h_value: int
     h_source: str
-    value: Fraction
+    reach: int  # (p_{k+1}**2 - 2) // (h + 1), the largest d k certifies
+
+    @property
+    def value(self) -> Fraction:
+        """The exact rational ``(p_{k+1}**2 - 2) / (h + 1)``."""
+        from fractions import Fraction
+        return Fraction(self.next_prime ** 2 - 2, self.h_value + 1)
 
     @property
     def text(self) -> str:
@@ -128,8 +136,8 @@ def cw_upper(n: int) -> int:
 
 def _h_at(k: int, table: KnownHTable, mode: str) -> tuple[int, str]:
     """``(h, source)`` for index k under ``mode``: the exact h(k), or the
-    conditional formula in cw mode.  find_prime's walk, ``bound`` and
-    verify's h-consistent clause all read the bound from here."""
+    conditional formula in cw mode.  ``bound``, and so every row of the
+    walk, and verify's h-consistent clause read the bound from here."""
     if mode == MODE_UNCONDITIONAL:
         return h_of(k, table)
     if mode == MODE_CW:
@@ -139,16 +147,15 @@ def _h_at(k: int, table: KnownHTable, mode: str) -> tuple[int, str]:
 
 def bound(k: int, table: KnownHTable, *,
           mode: str = MODE_UNCONDITIONAL) -> BoundRow:
-    """The exact rational ``(p_{k+1}**2 - 2) / (h + 1)`` for index k, using
-    the exact h(k) in unconditional mode or the conditional formula in cw
-    mode."""
-    from fractions import Fraction
+    """The bound row for index k, using the exact h(k) in unconditional
+    mode or the conditional formula in cw mode: the one place a row is
+    built, for ``bound_table`` and for the walk alike."""
     if k < 1:
         raise ValueError(f"index must be >= 1, got {k}")
     h_value, h_source = _h_at(k, table, mode)
     p_next = nth_prime(k + 1)
-    return BoundRow(k, p_next, h_value, h_source,
-                    Fraction(p_next * p_next - 2, h_value + 1))
+    return _new_row(BoundRow, (k, p_next, h_value, h_source,
+                               (p_next * p_next - 2) // (h_value + 1)))
 
 
 def bound_table(ks, table: KnownHTable, *,
@@ -157,27 +164,22 @@ def bound_table(ks, table: KnownHTable, *,
 
 
 def _bounds(table: KnownHTable, mode: str):
-    """``(k, h, source, p_{k+1}, reach)`` for each k in ascending order: the
-    table's k and every k up to the compute cap, or cw mode's validity
-    range.  ``reach = (p_{k+1}**2 - 2) // (h + 1)`` is the largest d k
-    certifies.  Every certify question reads this one walk."""
+    """The rows ``bound`` builds, in ascending k: the table's k and every k
+    up to the compute cap, or cw mode's validity range.  Every certify
+    question reads this one walk."""
     ks = (range(CW_MIN_K, CW_MAX_K + 1) if mode == MODE_CW else
           sorted(set(table.ks()).union(range(1, DEFAULT_MAX_COMPUTE_K + 1))))
     for k in ks:  # an unknown mode raises at the first _h_at
-        h_value, h_source = _h_at(k, table, mode)
-        p_next = nth_prime(k + 1)
-        yield (k, h_value, h_source, p_next,
-               (p_next * p_next - 2) // (h_value + 1))
+        yield bound(k, table, mode=mode)
 
 
-def _least_row(d: int, table: KnownHTable,
-               mode: str) -> tuple[int, int, str, int, int]:
+def _least_row(d: int, table: KnownHTable, mode: str) -> BoundRow:
     """The row of ``_bounds`` at the least k whose bound certifies d."""
     best = 0
     for row in _bounds(table, mode):
-        if row[4] >= d:
+        best = max(best, row.reach)
+        if best >= d:  # the rows before all reached less than d
             return row
-        best = max(best, row[4])
     raise NotProvable(f"no available bound reaches d = {decimal_excerpt(d)} "
                       f"(largest provable: {best})", max_provable_d=best)
 
@@ -189,7 +191,7 @@ def min_k_for(d: int, table: KnownHTable, *,
     conditional validity range (cw)."""
     if d < 1:
         raise ValueError(f"modulus must be >= 1, got {d}")
-    return _least_row(d, table, mode)[0]
+    return _least_row(d, table, mode).k
 
 
 def find_prime(ap: EligibleAP, table: KnownHTable, *,
@@ -209,9 +211,10 @@ def find_prime(ap: EligibleAP, table: KnownHTable, *,
     derived = table._derived  # read once: a set() from here on orphans it
     record = derived.get((mode, ap.d))
     if record is None:  # a d past every bound raises here and keeps none
-        k, h_value, h_source, p_next, _ = _least_row(ap.d, table, mode)
-        record = derived[mode, ap.d] = (k, h_value, h_source, p_next,
-                                        *_coprime_factor(ap.d, k))
+        row = _least_row(ap.d, table, mode)
+        record = derived[mode, ap.d] = (row.k, row.h_value, row.h_source,
+                                        row.next_prime,
+                                        *_coprime_factor(ap.d, row.k))
     k, h_value, h_source, p_next, f, f_inv = record
     c = f * (ap.a * f_inv % ap.d)
     for x in range(p_next + (ap.a - p_next) % ap.d, p_next * p_next, ap.d):
@@ -393,8 +396,8 @@ def max_provable_d(table: KnownHTable, *,
     that certifies it: the largest reach of the walk ``min_k_for`` and
     ``find_prime`` take, so always the ``max_provable_d`` that their
     NotProvable carries."""
-    k, *_, best = max(_bounds(table, mode), key=lambda row: row[4])
-    return best, k
+    row = max(_bounds(table, mode), key=attrgetter("reach"))
+    return row.reach, row.k
 
 
 # --- serialization -----------------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from math import gcd, prod
 
@@ -43,7 +42,6 @@ def __getattr__(name: str):
     return value
 
 
-H_TABLE_ENV = "JACOBSTHAL_H_TABLE"
 # bound-table's indices without --ks: cw mode's lie in its range 50..10000
 DEFAULT_BOUND_KS = {
     MODE_UNCONDITIONAL: (5, 10, 15, 20, 25, 30, 35, 40, 45, 50),
@@ -63,9 +61,8 @@ def _budget(args) -> SearchBudget | None:
 
 
 def _table(args) -> KnownHTable:
-    """``--table``, else ``$JACOBSTHAL_H_TABLE``, else the packaged table."""
-    path = args.table or os.environ.get(H_TABLE_ENV)
-    return load_h_table(path) if path else default_h_table()
+    """``--table``, else the packaged table."""
+    return load_h_table(args.table) if args.table else default_h_table()
 
 
 def _diag(message: str) -> None:
@@ -295,8 +292,8 @@ def cmd_bound_table(args) -> _Result:
     payload = [{"k": row.k, "next_prime": row.next_prime, "h": row.h_value,
                 "h_source": row.h_source, "value": row.text} for row in rows]
     cells = [("k", "p_{k+1}", "h(k)", "(p_{k+1}^2-2)/(h(k)+1)")]
-    cells += [(str(r.k), str(r.next_prime), str(r.h_value), r.text)
-              for r in rows]
+    cells += [(str(r["k"]), str(r["next_prime"]), str(r["h"]), r["value"])
+              for r in payload]
     widths = [max(len(t[i]) for t in cells) for i in range(4)]
     return 0, payload, ["  ".join(t[i].rjust(widths[i]) for i in range(4))
                         for t in cells]
@@ -332,8 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tableopts = argparse.ArgumentParser(add_help=False)
     tableopts.add_argument("--table", default=None, metavar="PATH",
-                           help="h-table file (default: packaged table, or "
-                                f"${H_TABLE_ENV})")
+                           help="h-table file (default: packaged table)")
 
     modeopt = argparse.ArgumentParser(add_help=False)
     modeopt.add_argument("--mode", choices=MODES, default=MODE_UNCONDITIONAL,

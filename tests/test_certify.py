@@ -7,7 +7,7 @@ import time
 from dataclasses import replace
 from decimal import Decimal, ROUND_HALF_UP, localcontext
 from fractions import Fraction
-from math import gcd, prod
+from math import floor, gcd, prod
 
 import mpmath
 import pytest
@@ -195,6 +195,23 @@ def _outcome(d, table, mode):
         return "max", best
 
 
+# cw rows checked against bound: the range's ends, the k where the formula
+# comes closest to an integer, and the k that certifies d = 42
+CW_CHECKED_KS = (50, 7361, 8119, 10000)
+
+
+def _checked_walk(table, mode):
+    """The walk's rows, each checked as the row bound builds for its k, with
+    the floor of its exact value as its reach: every unconditional row, and
+    the cw rows at CW_CHECKED_KS."""
+    rows = list(certify._bounds(table, mode))
+    for row in rows:
+        if mode == MODE_UNCONDITIONAL or row.k in CW_CHECKED_KS:
+            assert row == bound(row.k, table, mode=mode), row
+            assert row.reach == floor(row.value), row
+    return rows
+
+
 TABLE_VARIANTS = {
     "shipped": lambda t: _copy_rows(t),
     "k<=50": lambda t: _copy_rows(t, lambda k: k <= 50),
@@ -223,6 +240,9 @@ def test_min_k_for_matches_the_reference_walk(shipped_table, variant, mode,
         passed = ks[:ks.index(outcome[1]) + 1] if outcome[0] == "k" else ks
         assert looked_up == list(passed), d
     assert max_provable_d(table, mode=mode) == max_d_walk(ks, h_at)
+    rows = _checked_walk(table, mode)
+    assert [row.k for row in rows] == list(ks)
+    assert [row.h_value for row in rows] == list(map(h_at, ks))
 
 
 MAX_D_TABLES = dict(TABLE_VARIANTS, **{
@@ -239,6 +259,8 @@ def test_max_provable_d_is_the_largest_d_a_refusal_names(shipped_table,
     # the k max_provable_d names, and refuses the next d naming that d
     table = MAX_D_TABLES[variant](shipped_table)
     best, k = max_provable_d(table, mode=mode)
+    widest = max(_checked_walk(table, mode), key=lambda row: row.reach)
+    assert (widest.k, widest.reach) == (k, best)
     assert min_k_for(best, table, mode=mode) == k
     with pytest.raises(NotProvable) as err:
         min_k_for(best + 1, table, mode=mode)
@@ -993,7 +1015,7 @@ def test_verify_makes_no_closure_cells():
     for fn in (verify_certificate, certify._prime_clauses,
                certify._h_consistency, min_k_for,
                find_prime, certify._least_row, certify._bounds,
-               certify._h_at):
+               certify._h_at, bound):
         assert fn.__code__.co_cellvars == (), fn.__name__
 
 

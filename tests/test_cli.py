@@ -8,12 +8,7 @@ import pytest
 from jacobsthal import cli, cover
 from jacobsthal.arith import primorial
 from jacobsthal.certify import certificate_from_json, int_to_decimal
-from jacobsthal.cli import H_TABLE_ENV, run
-
-
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv(H_TABLE_ENV, raising=False)
+from jacobsthal.cli import run
 
 
 def _run(capsys, *argv):
@@ -23,9 +18,7 @@ def _run(capsys, *argv):
 
 
 def _spawn(*argv, env_extra=None, flags=()):
-    env = {k: v for k, v in os.environ.items() if k != H_TABLE_ENV}
-    if env_extra:
-        env.update(env_extra)
+    env = dict(os.environ, **(env_extra or {}))
     return subprocess.run([sys.executable, *flags, "-m", "jacobsthal", *argv],
                           capture_output=True, text=True, env=env)
 
@@ -714,18 +707,6 @@ def test_max_d_is_the_largest_d_find_prime_names(tmp_path, capsys):
                                 "d = 26 (largest provable: 25)\n")
 
 
-def test_env_table_and_flag_precedence(tmp_path, capsys, monkeypatch):
-    env_table = tmp_path / "env_table.txt"
-    env_table.write_text("50,762,paper\n")
-    flag_table = tmp_path / "flag_table.txt"
-    flag_table.write_text("54,858,paper\n")
-    monkeypatch.setenv(H_TABLE_ENV, str(env_table))
-    code, out, _ = _run(capsys, "max-d", "--json")
-    assert json.loads(out) == {"mode": "unconditional", "max_d": 71, "k": 50}
-    code, out, _ = _run(capsys, "max-d", "--json", "--table", str(flag_table))
-    assert json.loads(out) == {"mode": "unconditional", "max_d": 76, "k": 54}
-
-
 @pytest.mark.parametrize("argv", [
     ("g",),                          # missing argument
     ("g", "0"),                      # domain of n
@@ -825,10 +806,12 @@ def test_subprocess_outputs_hold_under_python_O(tmp_path):
         same_either_way("verify", str(path))
 
 
-def test_subprocess_env_table(tmp_path):
-    env_table = tmp_path / "env_table.txt"
-    env_table.write_text("50,762,paper\n")
-    proc = _spawn("max-d", "--json", env_extra={H_TABLE_ENV: str(env_table)})
-    assert proc.returncode == 0
+def test_subprocess_reads_no_table_from_the_environment(tmp_path):
+    # --table is the one way to pick a table: JACOBSTHAL_H_TABLE in the
+    # environment is ignored, even when it names a missing file
+    missing = tmp_path / "missing.txt"
+    proc = _spawn("max-d", "--json",
+                  env_extra={"JACOBSTHAL_H_TABLE": str(missing)})
+    assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout) == {"mode": "unconditional",
-                                       "max_d": 71, "k": 50}
+                                       "max_d": 76, "k": 54}

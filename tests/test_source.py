@@ -206,9 +206,10 @@ def test_no_public_certify_function_takes_a_policy():
 
 
 def test_every_certify_question_reads_one_bound_walk():
-    # certify._bounds(table, mode) is the one walk over k and the one place
-    # a reach is computed: the least row and the largest reach read it, the
-    # row carries p_{k+1} to find_prime, and no cap picks a second walk
+    # certify._bounds(table, mode) is the one walk over k: the least row and
+    # the largest reach read it, the row carries p_{k+1} to find_prime, and
+    # no cap picks a second walk.  bound is the one place a row is built:
+    # the walk yields what it returns, and only it and verify read p_{k+1}
     path = Path(jacobsthal.__file__).parent / "certify.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body
@@ -220,6 +221,18 @@ def test_every_certify_question_reads_one_bound_walk():
     assert _top_level_users("_bounds") == {"certify._least_row",
                                            "certify.max_provable_d"}
     assert not _references(functions["find_prime"], "nth_prime")
+    assert {getattr(node, "name", node.lineno) for node in tree.body
+            if _references(node, "nth_prime")} == {"bound",
+                                                   "verify_certificate"}
+    assert {name for name, function in functions.items()
+            if any(_references(statement, "BoundRow")
+                   for statement in function.body)} == {"bound"}
+    assert [ast.unparse(node.value)
+            for node in ast.walk(functions["_bounds"])
+            if isinstance(node, (ast.Yield, ast.YieldFrom))] == [
+        "bound(k, table, mode=mode)"]
+    assert [name for name in ("_h_at", "nth_prime", "BoundRow")
+            if _references(functions["_bounds"], name)] == []
     capped = [f"{node.lineno}" for node in ast.walk(tree)
               if isinstance(node, (ast.arg, ast.keyword))
               and node.arg == "max_compute_k"]

@@ -46,11 +46,19 @@ def test_h_g_and_h_search_load_no_certify_code(argv):
         assert "jacobsthal.gaps" not in modules
 
 
-def test_certify_commands_load_no_gaps_or_fractions(tmp_path):
-    found, cert = _traced("-m", "jacobsthal", "find-prime", "1", "76")
+@pytest.mark.parametrize("argv", [
+    ("find-prime", "1", "76"), ("max-d",), ("max-d", "--mode", "cw"),
+    ("primes", "1", "3", "--count", "2"),
+], ids=["find-prime", "max-d", "max-d-cw", "primes"])
+def test_certify_commands_load_no_gaps_or_fractions(tmp_path, argv):
+    # a bound row's exact value is computed only when read, and only
+    # bound-table reads it: the walk these commands take loads no fractions
+    found, out = _traced("-m", "jacobsthal", *argv)
     assert "jacobsthal.certify" in found
     assert found & {"jacobsthal.gaps", "fractions"} == set()
-    (tmp_path / "cert.json").write_text(cert)
+    if argv[0] != "find-prime":
+        return
+    (tmp_path / "cert.json").write_text(out)
     checked = _command("verify", "cert.json", cwd=tmp_path)
     assert "jacobsthal.certify" in checked
     assert checked & {"jacobsthal.gaps", "fractions"} == set()
