@@ -346,20 +346,13 @@ def _refined(ap: EligibleAP, prime: int) -> EligibleAP:
     Even d: split modulo 2d; both halves stay eligible (a must be odd) and
     exactly one contains the prime.  Odd d: of the four residues mod 4d that
     reduce to a, exactly the two odd ones are eligible, and the (odd) prime
-    sits in at most one of them.
+    sits in at most one of them.  Each residue tried is a + j*d, coprime to
+    d, so it is coprime to the new modulus exactly when it is odd.
     """
-    d = ap.d
-    if d % 2 == 0:
-        candidates = [ap.a, ap.a + d]
-        new_d = 2 * d
-    else:
-        candidates = sorted((ap.a + j * d) % (4 * d) for j in range(4))
-        new_d = 4 * d
-    for residue in candidates:
-        if gcd(residue, new_d) != 1:
-            continue
-        if prime % new_d != residue % new_d:
-            return EligibleAP(residue % new_d, new_d)
+    new_d = ap.d * (2 if ap.d % 2 == 0 else 4)
+    for residue in range(ap.a, new_d, ap.d):
+        if residue % 2 and residue != prime % new_d:
+            return EligibleAP(residue, new_d)
     raise JacobsthalError(
         f"internal: no eligible refinement of {ap} avoiding {prime}")
 

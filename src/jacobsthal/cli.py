@@ -76,6 +76,14 @@ def _quoted(text: str) -> str:
     return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
 
 
+def _columns(rows) -> list[str]:
+    """Rows of text cells, each right-aligned to its column's widest cell,
+    two spaces between columns."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return ["  ".join(cell.rjust(width) for cell, width in zip(row, widths))
+            for row in rows]
+
+
 def _int_at_least(minimum: int):
     def parse(text: str) -> int:
         try:
@@ -207,20 +215,15 @@ def cmd_iso(args) -> _Result:
                          "image_coprime": x_ok}
                         for n, x, n_ok, x_ok in rows]}
     prime_set = "{" + ", ".join(str(p) for p in ps) + "}"
-    image = f"{c}+{ap.d}n"
-    cells = [(f"[{n}]" if n_ok else f"{n}", f"[{x}]" if x_ok else x)
-             for n, x, n_ok, x_ok in rows]
-    left = max(len("n"), max(len(cell) for cell, _ in cells))
-    right = max(len(image), max(len(cell) for _, cell in cells))
-    lines = [f"c = {c}: n -> {c} + {ap.d}*n maps Z onto {ap}, "
-             f"preserving coprimality to {prime_set}",
-             f"{'n':>{left}}  {image:>{right}}"]
-    lines += [f"{n_cell:>{left}}  {x_cell:>{right}}"
-              for n_cell, x_cell in cells]
-    lines.append(f"brackets mark integers coprime to "
-                 f"{int_to_decimal(modulus)}; every bracketed n has a "
-                 "bracketed image")
-    return 0, payload, lines
+    cells = [("n", f"{c}+{ap.d}n")]
+    cells += [(f"[{n}]" if n_ok else f"{n}", f"[{x}]" if x_ok else x)
+              for n, x, n_ok, x_ok in rows]
+    return 0, payload, [
+        f"c = {c}: n -> {c} + {ap.d}*n maps Z onto {ap}, "
+        f"preserving coprimality to {prime_set}",
+        *_columns(cells),
+        f"brackets mark integers coprime to {int_to_decimal(modulus)}; "
+        "every bracketed n has a bracketed image"]
 
 
 def cmd_find_prime(args) -> _Result:
@@ -294,9 +297,7 @@ def cmd_bound_table(args) -> _Result:
     cells = [("k", "p_{k+1}", "h(k)", "(p_{k+1}^2-2)/(h(k)+1)")]
     cells += [(str(r["k"]), str(r["next_prime"]), str(r["h"]), r["value"])
               for r in payload]
-    widths = [max(len(t[i]) for t in cells) for i in range(4)]
-    return 0, payload, ["  ".join(t[i].rjust(widths[i]) for i in range(4))
-                        for t in cells]
+    return 0, payload, _columns(cells)
 
 
 def cmd_max_d(args) -> _Result:

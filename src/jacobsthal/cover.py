@@ -16,9 +16,9 @@ the smaller problem, and offset 1 leaves more positions.  Hence
 
 from __future__ import annotations
 
+import os
 import threading
 import time
-from importlib import resources
 from math import prod
 from typing import NamedTuple
 
@@ -510,9 +510,9 @@ def load_h_table(path) -> KnownHTable:
 
 
 def default_h_table() -> KnownHTable:
-    """Fresh copy of the table shipped with the package."""
-    text = resources.files("jacobsthal").joinpath("data/h_table.txt").read_text()
-    return _parse_h_table(text.splitlines())
+    """Fresh copy of the packaged table, read like a ``--table`` file."""
+    return load_h_table(os.path.join(os.path.dirname(__file__), "data",
+                                     "h_table.txt"))
 
 
 def h_of(k: int, table: KnownHTable, *, budget: SearchBudget | None = None,

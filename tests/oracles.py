@@ -31,6 +31,10 @@ hide in the oracle as well:
   ``certify.max_provable_d``, which read one walk: cw mode's validity
   range, or in unconditional mode the table's k and every k up to the
   compute cap, computing a missing row there;
+- ``refined_two_branch`` picks the sub-progression that avoids a found
+  prime by the two-branch rule (the two halves mod 2d for even d, the four
+  residues mod 4d sorted and gcd-tested for odd d), the reference for
+  ``certify._refined``'s one ascending walk;
 - ``certificate_json`` renders a certificate through ``json.dumps`` with
   sorted keys and a two-space indent, the reference for
   ``certify.certificate_to_json``, which formats the same text itself;
@@ -226,6 +230,20 @@ def max_d_walk(ks, h_at) -> tuple[int, int]:
         if largest > best:
             best, best_k = largest, k
     return best, best_k
+
+
+def refined_two_branch(a: int, d: int, prime: int) -> tuple[int, int]:
+    """``(residue, modulus)`` of the first eligible sub-progression of
+    a + dZ, mod 2d for even d and mod 4d for odd d, that misses ``prime``."""
+    if d % 2 == 0:
+        candidates, new_d = [a, a + d], 2 * d
+    else:
+        candidates = sorted((a + j * d) % (4 * d) for j in range(4))
+        new_d = 4 * d
+    for residue in candidates:
+        if gcd(residue, new_d) == 1 and prime % new_d != residue % new_d:
+            return residue % new_d, new_d
+    raise AssertionError(f"no refinement of {a}+{d}Z avoids {prime}")
 
 
 def certificate_json(cert) -> str:

@@ -29,7 +29,7 @@ from jacobsthal.cover import KnownHTable, default_h_table
 from jacobsthal.errors import (JacobsthalError, NotProvable, OutOfRange)
 from jacobsthal.progressions import coprime_iso, make_eligible
 from oracles import (certificate_json, is_decimal_integer, least_k_walk,
-                     max_d_walk, preimage_scan)
+                     max_d_walk, preimage_scan, refined_two_branch)
 
 REMARK_TABLE = [
     (5, 13, 14, "11.133"),
@@ -1078,6 +1078,24 @@ def test_prime_stream_traced_fixture(shipped_table):
     for cert in certs:
         assert verify_certificate(cert, shipped_table).ok
         assert cert.prime % 3 == 1
+
+
+def test_refined_matches_the_two_branch_rule():
+    # every class r mod the new modulus that reduces to a mod d, as the
+    # prime r and as r + 4d (the same class mod 2d and mod 4d)
+    checked = 0
+    for d in range(1, 121):
+        new_d = d * (2 if d % 2 == 0 else 4)
+        for a in range(d):
+            if gcd(a, d) != 1:
+                continue
+            ap = make_eligible(a, d)
+            for r in range(a, new_d, d):
+                for prime in (r, r + 4 * d):
+                    got = certify._refined(ap, prime)
+                    assert (got.a, got.d) == refined_two_branch(a, d, prime)
+                    checked += 1
+    assert checked == 29188
 
 
 def test_prime_stream_whole_line(shipped_table):

@@ -16,6 +16,8 @@ SUBMODULES = ("arith", "certify", "cli", "cover", "errors", "gaps",
 # what h, g and h-search never need
 CERTIFY_ONLY = {"dataclasses", "fractions", "jacobsthal.certify",
                 "jacobsthal.progressions"}
+# what importlib.resources pulls in: the packaged table is a plain file
+RESOURCES_CHAIN = {"importlib.resources", "pathlib", "zipfile", "tempfile"}
 
 
 def _traced(*args, cwd=None) -> tuple[set[str], str]:
@@ -62,6 +64,27 @@ def test_certify_commands_load_no_gaps_or_fractions(tmp_path, argv):
     checked = _command("verify", "cert.json", cwd=tmp_path)
     assert "jacobsthal.certify" in checked
     assert checked & {"jacobsthal.gaps", "fractions"} == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ("h", "5", "--compute", "--json"), ("g", "30030"),
+    ("h-search", "20", "--primes", "5"), ("witness-lower", "5"),
+    ("iso", "1", "3", "--k", "2"), ("find-prime", "1", "76"),
+    ("primes", "1", "3", "--count", "2"), ("bound-table",), ("max-d",),
+], ids=lambda argv: argv[0])
+def test_clean_interpreter_commands_load_no_resources_chain(tmp_path, argv):
+    # python -S runs no site hook that could preload these modules, so the
+    # report shows what the command itself imports
+    found, out = _traced("-S", "-m", "jacobsthal", *argv)
+    assert "jacobsthal.cover" in found
+    assert found & RESOURCES_CHAIN == set()
+    if argv[0] != "find-prime":
+        return
+    (tmp_path / "cert.json").write_text(out)
+    checked = _traced("-S", "-m", "jacobsthal", "verify", "cert.json",
+                      cwd=tmp_path)[0]
+    assert "jacobsthal.certify" in checked
+    assert checked & RESOURCES_CHAIN == set()
 
 
 def test_bare_package_import_loads_no_submodule():
