@@ -3,9 +3,10 @@ progressions.
 
 The pieces, bottom up: `arith` (primes, CRT, factoring), `gaps` (the
 ordinary Jacobsthal function g(n)), `cover` (exact covering searches, the
-primorial function h(k), and the known-value table), `progressions`
+primorial function h(k), and the known-value table), `bounds` (the
+provability bound of each index and the walk over them), `progressions`
 (eligible progressions and coprimality-preserving maps), `certify`
-(provability bounds and self-contained prime certificates), `cli`.
+(self-contained prime certificates), `cli`.
 
 Each top-level name below loads its module on first use.
 """
@@ -15,9 +16,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "arith": "Factorization crt_solve factorize first_primes is_prime "
              "nth_prime primes_upto primorial",
-    "certify": "BoundRow CertificateCheck PrimeCertificate bound bound_table "
-               "certificate_from_json certificate_to_json cw_upper find_prime "
-               "max_provable_d min_k_for prime_stream render_thousandths "
+    "bounds": "BoundRow bound bound_table cw_upper max_provable_d min_k_for "
+              "render_thousandths",
+    "certify": "CertificateCheck PrimeCertificate certificate_from_json "
+               "certificate_to_json find_prime prime_stream "
                "verify_certificate",
     "cover": "MODE_CW MODE_UNCONDITIONAL CoverAssignment CoverWitness "
              "HEntry KnownHTable SearchBudget coverable default_h_table "

@@ -110,7 +110,7 @@ def _positive_float(text: str) -> float:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"not a number: {_quoted(text)}") from None
-    if value <= 0:
+    if not value > 0:  # NaN is not positive either
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
 
@@ -289,9 +289,9 @@ def cmd_primes(args) -> _Result:
 
 
 def cmd_bound_table(args) -> _Result:
-    from . import certify
+    from . import bounds
     ks = DEFAULT_BOUND_KS[args.mode] if args.ks is None else args.ks
-    rows = certify.bound_table(ks, _table(args), mode=args.mode)
+    rows = bounds.bound_table(ks, _table(args), mode=args.mode)
     payload = [{"k": row.k, "next_prime": row.next_prime, "h": row.h_value,
                 "h_source": row.h_source, "value": row.text} for row in rows]
     cells = [("k", "p_{k+1}", "h(k)", "(p_{k+1}^2-2)/(h(k)+1)")]
@@ -301,8 +301,8 @@ def cmd_bound_table(args) -> _Result:
 
 
 def cmd_max_d(args) -> _Result:
-    from . import certify
-    best, k = certify.max_provable_d(_table(args), mode=args.mode)
+    from . import bounds
+    best, k = bounds.max_provable_d(_table(args), mode=args.mode)
     payload = {"mode": args.mode, "max_d": best, "k": k}
     return 0, payload, [f"max certifiable modulus: {best} (k = {k}, "
                         f"mode {args.mode})"]

@@ -34,7 +34,7 @@ HSOURCE_COMPUTED = "computed"
 HSOURCE_INGESTED = "ingested"
 H_SOURCES = frozenset({HSOURCE_PAPER, HSOURCE_COMPUTED, HSOURCE_INGESTED})
 
-# certify's bounds on h(k), here so the CLI parser need not load certify
+# the bounds on h(k), here so the CLI parser need not load bounds or certify
 MODE_UNCONDITIONAL = "unconditional"
 MODE_CW = "cw"
 MODES = (MODE_UNCONDITIONAL, MODE_CW)

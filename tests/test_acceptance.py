@@ -18,8 +18,8 @@ import pytest
 import sympy
 
 from jacobsthal.arith import first_primes, nth_prime, primorial
-from jacobsthal.certify import (MODE_CW, certificate_from_json, bound_table,
-                                cw_upper, find_prime, max_provable_d,
+from jacobsthal.bounds import bound_table, cw_upper, max_provable_d
+from jacobsthal.certify import (MODE_CW, certificate_from_json, find_prime,
                                 verify_certificate)
 from jacobsthal.cover import (CoverWitness, elementary_lower_witness,
                               least_witness, max_cover_length, verify_cover,

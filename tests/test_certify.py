@@ -16,15 +16,14 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from jacobsthal.arith import first_primes, nth_prime, primorial
+from jacobsthal.bounds import (bound, bound_table, cw_upper, max_provable_d,
+                               min_k_for, render_thousandths)
 from jacobsthal.certify import (CHECK_NAMES, MODE_CW, MODE_UNCONDITIONAL,
                                 MODES, CertificateCheck, PrimeCertificate,
-                                bound, bound_table,
                                 certificate_from_json, certificate_to_json,
-                                cw_upper, find_prime, max_provable_d,
-                                min_k_for, prime_stream,
-                                int_to_decimal, render_thousandths,
+                                find_prime, prime_stream, int_to_decimal,
                                 verify_certificate)
-from jacobsthal import arith, certify, cover, progressions
+from jacobsthal import arith, bounds, certify, cover, progressions
 from jacobsthal.cover import KnownHTable, default_h_table
 from jacobsthal.errors import (JacobsthalError, NotProvable, OutOfRange)
 from jacobsthal.progressions import coprime_iso, make_eligible
@@ -178,7 +177,7 @@ def _copy_rows(table, keep=lambda k: True):
 def _reference_walk(table, mode, cap):
     """The k that min_k_for walks, with their h, for the reference walk."""
     if mode == MODE_CW:
-        return range(certify.CW_MIN_K, certify.CW_MAX_K + 1), cw_upper
+        return range(bounds.CW_MIN_K, bounds.CW_MAX_K + 1), cw_upper
     ks = sorted(set(table.ks()) | set(range(1, cap + 1)))
     return ks, lambda k: cover.h_of(k, table, max_compute_k=cap)[0]
 
@@ -204,7 +203,7 @@ def _checked_walk(table, mode):
     """The walk's rows, each checked as the row bound builds for its k, with
     the floor of its exact value as its reach: every unconditional row, and
     the cw rows at CW_CHECKED_KS."""
-    rows = list(certify._bounds(table, mode))
+    rows = list(bounds._bounds(table, mode))
     for row in rows:
         if mode == MODE_UNCONDITIONAL or row.k in CW_CHECKED_KS:
             assert row == bound(row.k, table, mode=mode), row
@@ -228,8 +227,8 @@ def test_min_k_for_matches_the_reference_walk(shipped_table, variant, mode,
     table = TABLE_VARIANTS[variant](shipped_table)
     ks, h_at = _reference_walk(table, mode, cover.DEFAULT_MAX_COMPUTE_K)
     looked_up = []
-    real = certify._h_at
-    monkeypatch.setattr(certify, "_h_at",
+    real = bounds._h_at
+    monkeypatch.setattr(bounds, "_h_at",
                         lambda k, *rest: looked_up.append(k) or real(k, *rest))
     ds = list(range(1, 81))
     random.Random(11).shuffle(ds)
@@ -288,8 +287,8 @@ def test_min_k_for_computes_what_the_reference_walk_computes():
 def test_min_k_for_cw_walk_stays_lazy(monkeypatch):
     # a cw question looks up only the k it needs, from the first
     looked_up = []
-    real = certify.cw_upper
-    monkeypatch.setattr(certify, "cw_upper",
+    real = bounds.cw_upper
+    monkeypatch.setattr(bounds, "cw_upper",
                         lambda k: looked_up.append(k) or real(k))
     table = KnownHTable()
     assert min_k_for(19, table, mode=MODE_CW) == 50
@@ -406,8 +405,8 @@ def test_warm_find_prime_looks_up_h_once(monkeypatch):
     for a, d in cases:
         find_prime(make_eligible(a, d), table)
     looked_up = []
-    real = certify.h_of
-    monkeypatch.setattr(certify, "h_of",
+    real = bounds.h_of
+    monkeypatch.setattr(bounds, "h_of",
                         lambda k, *rest: looked_up.append(k) or real(k, *rest))
     for a, d in cases:
         looked_up.clear()
@@ -419,8 +418,8 @@ def test_certify_calls_hand_h_of_only_k_and_the_table(monkeypatch):
     # no certify call sets a cap or a budget: the walk of find_prime and
     # min_k_for, verify and bound each call h_of(k, table)
     seen = []
-    h_of = certify.h_of
-    monkeypatch.setattr(certify, "h_of", lambda *args, **kwargs: (
+    h_of = bounds.h_of
+    monkeypatch.setattr(bounds, "h_of", lambda *args, **kwargs: (
         seen.append(args[0] if len(args) == 2 and not kwargs
                     else (args, kwargs))
         or h_of(*args, **kwargs)))
@@ -490,7 +489,7 @@ def test_every_bound_stays_below_the_next_prime():
     for k in range(1, 10001):
         p_next = ps[k]
         hs = [2 if k == 1 else 2 * ps[k - 2]]
-        if k >= certify.CW_MIN_K:
+        if k >= bounds.CW_MIN_K:
             hs.append(cw_upper(k))
         for h in hs:
             assert (p_next * p_next - 2) // (h + 1) < p_next, (k, h)
@@ -792,9 +791,9 @@ def test_verify_h_consistency(good_cert, shipped_table):
 def test_find_and_verify_read_one_h_lookup(monkeypatch):
     # a cw bound raised by one reaches find_prime's walk and verify's
     # h-consistent clause alike, so the certificate it yields verifies
-    real = certify._h_at
+    real = bounds._h_at
     monkeypatch.setattr(
-        certify, "_h_at",
+        bounds, "_h_at",
         lambda k, table, mode: (cw_upper(k) + 1, "cw")
         if mode == MODE_CW else real(k, table, mode))
     table = default_h_table()
@@ -1014,8 +1013,8 @@ def test_verify_makes_no_closure_cells():
     # The same holds for the bound walk that find_prime reads.
     for fn in (verify_certificate, certify._prime_clauses,
                certify._h_consistency, min_k_for,
-               find_prime, certify._least_row, certify._bounds,
-               certify._h_at, bound):
+               find_prime, bounds._least_row, bounds._bounds,
+               bounds._h_at, bound):
         assert fn.__code__.co_cellvars == (), fn.__name__
 
 

@@ -288,6 +288,15 @@ def test_an_ample_time_budget_changes_nothing(capsys):
     assert plain[0] == 0 and budgeted == plain
 
 
+def test_a_nan_time_budget_is_a_usage_error(capsys):
+    # NaN compares false with everything, so it is no positive number of
+    # seconds and must not read as "no limit"
+    code, out, err = _run(capsys, "h", "9", "--compute", "--max-seconds",
+                          "nan")
+    assert (code, out) == (2, "")
+    assert "--max-seconds: must be positive, got nan" in err
+
+
 def test_h_search_time_budget_exit(capsys):
     # the time budget is checked at the first node, so a spent one stops it
     code, out, err = _run(capsys, "h-search", "65", "--primes", "12",

@@ -193,12 +193,17 @@ def test_compute_policies_are_built_once():
     assert setters == {"cli.cmd_h"}
 
 
+def _tree(module):
+    path = Path(jacobsthal.__file__).parent / f"{module}.py"
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
 def test_no_public_certify_function_takes_a_policy():
-    # certify computes a missing h(k) with h_of's default cap and no
-    # budget: its callers pick a table, not a compute cap or a budget
-    path = Path(jacobsthal.__file__).parent / "certify.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    found = [node.name for node in tree.body
+    # certify and its bounds compute a missing h(k) with h_of's default cap
+    # and no budget: their callers pick a table, not a compute cap or a
+    # budget
+    found = [node.name for module in ("bounds", "certify")
+             for node in _tree(module).body
              if isinstance(node, ast.FunctionDef)
              and not node.name.startswith("_")
              and any(arg.arg in ("policy", "max_compute_k", "budget")
@@ -207,35 +212,49 @@ def test_no_public_certify_function_takes_a_policy():
     assert found == []
 
 
+def test_bounds_loads_no_certificate_code():
+    # the bound layer sits below certify: it imports the standard library,
+    # arith, cover and errors, and nothing from certify or progressions
+    imported = set()
+    for node in ast.walk(_tree("bounds")):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported |= ({node.module} if node.module else
+                         {alias.name for alias in node.names})
+    assert imported == {"arith", "cover", "errors"}
+
+
 def test_every_certify_question_reads_one_bound_walk():
-    # certify._bounds(table, mode) is the one walk over k: the least row and
+    # bounds._bounds(table, mode) is the one walk over k: the least row and
     # the largest reach read it, the row carries p_{k+1} to find_prime, and
     # no cap picks a second walk.  bound is the one place a row is built:
     # the walk yields what it returns, and only it and verify read p_{k+1}
-    path = Path(jacobsthal.__file__).parent / "certify.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    functions = {node.name: node for node in tree.body
-                 if isinstance(node, ast.FunctionDef)}
-    walk = functions["_bounds"].args
+    trees = {module: _tree(module) for module in ("bounds", "certify")}
+    functions = {module: {node.name: node for node in tree.body
+                          if isinstance(node, ast.FunctionDef)}
+                 for module, tree in trees.items()}
+    walk_fn = functions["bounds"]["_bounds"]
+    walk = walk_fn.args
     assert [arg.arg for arg in walk.posonlyargs + walk.args
             + walk.kwonlyargs] == ["table", "mode"]
     assert walk.vararg is walk.kwarg is None
-    assert _top_level_users("_bounds") == {"certify._least_row",
-                                           "certify.max_provable_d"}
-    assert not _references(functions["find_prime"], "nth_prime")
-    assert {getattr(node, "name", node.lineno) for node in tree.body
-            if _references(node, "nth_prime")} == {"bound",
-                                                   "verify_certificate"}
-    assert {name for name, function in functions.items()
+    assert _top_level_users("_bounds") == {"bounds._least_row",
+                                           "bounds.max_provable_d"}
+    assert not _references(functions["certify"]["find_prime"], "nth_prime")
+    assert {f"{module}.{getattr(node, 'name', node.lineno)}"
+            for module, tree in trees.items() for node in tree.body
+            if _references(node, "nth_prime")} == {
+        "bounds.bound", "certify.verify_certificate"}
+    assert {f"{module}.{name}" for module, named in functions.items()
+            for name, function in named.items()
             if any(_references(statement, "BoundRow")
-                   for statement in function.body)} == {"bound"}
-    assert [ast.unparse(node.value)
-            for node in ast.walk(functions["_bounds"])
+                   for statement in function.body)} == {"bounds.bound"}
+    assert [ast.unparse(node.value) for node in ast.walk(walk_fn)
             if isinstance(node, (ast.Yield, ast.YieldFrom))] == [
         "bound(k, table, mode=mode)"]
     assert [name for name in ("_h_at", "nth_prime", "BoundRow")
-            if _references(functions["_bounds"], name)] == []
-    capped = [f"{node.lineno}" for node in ast.walk(tree)
+            if _references(walk_fn, name)] == []
+    capped = [f"{module}:{node.lineno}" for module, tree in trees.items()
+              for node in ast.walk(tree)
               if isinstance(node, (ast.arg, ast.keyword))
               and node.arg == "max_compute_k"]
     assert capped == []

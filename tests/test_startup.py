@@ -11,11 +11,11 @@ import pytest
 import jacobsthal
 
 SRC = os.path.dirname(os.path.dirname(jacobsthal.__file__))
-SUBMODULES = ("arith", "certify", "cli", "cover", "errors", "gaps",
+SUBMODULES = ("arith", "bounds", "certify", "cli", "cover", "errors", "gaps",
               "progressions")
 # what h, g and h-search never need
-CERTIFY_ONLY = {"dataclasses", "fractions", "jacobsthal.certify",
-                "jacobsthal.progressions"}
+CERTIFY_ONLY = {"dataclasses", "fractions", "jacobsthal.bounds",
+                "jacobsthal.certify", "jacobsthal.progressions"}
 # what importlib.resources pulls in: the packaged table is a plain file
 RESOURCES_CHAIN = {"importlib.resources", "pathlib", "zipfile", "tempfile"}
 
@@ -56,7 +56,8 @@ def test_certify_commands_load_no_gaps_or_fractions(tmp_path, argv):
     # a bound row's exact value is computed only when read, and only
     # bound-table reads it: the walk these commands take loads no fractions
     found, out = _traced("-m", "jacobsthal", *argv)
-    assert "jacobsthal.certify" in found
+    assert ("jacobsthal.bounds" if argv[0] == "max-d"
+            else "jacobsthal.certify") in found
     assert found & {"jacobsthal.gaps", "fractions"} == set()
     if argv[0] != "find-prime":
         return
@@ -64,6 +65,23 @@ def test_certify_commands_load_no_gaps_or_fractions(tmp_path, argv):
     checked = _command("verify", "cert.json", cwd=tmp_path)
     assert "jacobsthal.certify" in checked
     assert checked & {"jacobsthal.gaps", "fractions"} == set()
+
+
+@pytest.mark.parametrize("args", [
+    ("-m", "jacobsthal", "max-d"),
+    ("-m", "jacobsthal", "max-d", "--mode", "cw"),
+    ("-m", "jacobsthal", "bound-table"),
+    ("-c", "from jacobsthal import max_provable_d, default_h_table; "
+           "max_provable_d(default_h_table())"),
+], ids=["max-d", "max-d-cw", "bound-table", "library"])
+def test_bound_questions_load_no_certificate_code(args):
+    # the bound walk lives in bounds, below certify: asking how far the
+    # bounds reach loads no certificate record, no dataclass machinery and
+    # no progressions
+    found = _traced(*args)[0]
+    assert "jacobsthal.bounds" in found
+    assert found & {"jacobsthal.certify", "jacobsthal.progressions",
+                    "dataclasses"} == set()
 
 
 @pytest.mark.parametrize("argv", [
