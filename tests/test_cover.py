@@ -147,6 +147,16 @@ def test_wheel_prunes_partial_assignments(k):
     assert coverable(h, first_primes(k), budget=budget) is None
 
 
+@pytest.mark.parametrize("k, length, spent", [(30, 402, 1499),
+                                              (40, 710, 5110)])
+def test_large_refusals_spend_pinned_nodes(k, length, spent):
+    # refusals well past k = 20, where the capacity check of partial wheel
+    # assignments does most of the cutting; about 0.5 s for both
+    allowance = cover._Allowance(None)
+    assert coverable(length, first_primes(k), budget=allowance) is None
+    assert allowance.spent == spent
+
+
 PRIMES_TO_37 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
