@@ -31,8 +31,7 @@ from .errors import (BudgetExceeded, JacobsthalError, TableParseError,
 
 HSOURCE_PAPER = "paper"
 HSOURCE_COMPUTED = "computed"
-HSOURCE_INGESTED = "ingested"
-H_SOURCES = frozenset({HSOURCE_PAPER, HSOURCE_COMPUTED, HSOURCE_INGESTED})
+H_SOURCES = frozenset({HSOURCE_PAPER, HSOURCE_COMPUTED})
 
 # the bounds on h(k), here so the CLI parser need not load bounds or certify
 MODE_UNCONDITIONAL = "unconditional"
@@ -245,12 +244,11 @@ class _Search:
     # Enumerate the offset combinations of a prefix of small primes directly
     # and run the positions search on each survivor set: once the small
     # primes are fixed the surviving positions are sparse and the capacity
-    # bound on the remaining primes is close to tight.  The bound also runs
-    # on each partial assignment, before the offsets of the next wheel prime
-    # are enumerated: every unassigned wheel prime counts its best residue
-    # class of the survivors, the other primes their caps, and a partial
-    # assignment whose total falls short of the survivors heads a subtree
-    # with no cover.  The caps it tightens hold for the whole subtree.
+    # bound on the remaining primes is close to tight.  Each partial
+    # assignment is a prefix of the positions search, with no cut of its
+    # own: it runs the positions search's capacity check over the primes it
+    # leaves unassigned, the rest of the wheel first, and the caps it
+    # tightens hold for its whole subtree.
 
     def search_wheel(self) -> dict[int, int] | None:
         width, product = 0, 1
@@ -260,33 +258,21 @@ class _Search:
             product *= self.primes[width]
             width += 1
         # At width 0 no wheel fits and _wheel_rec is the positions search.
-        rem = tuple(range(width, len(self.primes)))
         caps = [-(-self.length // p) for p in self.primes]
-        return self._wheel_rec(0, width, self.full, [0] * width, rem, caps)
+        return self._wheel_rec(0, width, self.full, caps)
 
     def _wheel_rec(self, j: int, width: int, uncov: int,
-                   offsets: list[int], rem: tuple[int, ...],
                    caps: list[int]) -> dict[int, int] | None:
+        rem = tuple(range(j, len(self.primes)))  # primes j.. are unassigned
         if j == width:  # a node of the positions search, counted there
-            sub = self._dfs_pos(uncov, rem, caps)
-            if sub is None:
-                return None
-            for i in range(width):
-                sub[self.primes[i]] = offsets[i]
-            return sub
+            return self._dfs_pos(uncov, rem, caps)
         if j:
-            # Each unassigned wheel prime takes at most its best residue
-            # class of the survivors; the rest must fit the other primes.
             self._tick()
-            need = uncov.bit_count() - sum(
-                max([((self.bases[i] << c) & uncov).bit_count()
-                     for c in range(self.primes[i])])
-                for i in range(j, width))
             caps = caps[:]
-            if need > 0 and self._capacity_prune(uncov, rem, caps, need):
+            if self._capacity_prune(uncov, rem, caps, uncov.bit_count()):
                 return None
         p = self.primes[j]
-        live = [i for i in rem if caps[i] > 2]
+        live = [i for i in rem[1:] if caps[i] > 2]  # whose counts children read
         seen: set[int] = set()
         for c in range(p):
             # Reflection x -> length-1-x maps covers to covers: keep one
@@ -297,11 +283,11 @@ class _Search:
             if left in seen:  # identical survivor set, identical subtree
                 continue
             seen.add(left)
-            offsets[j] = c
             self._shift(uncov ^ left, live, -1)
-            found = self._wheel_rec(j + 1, width, left, offsets, rem, caps)
+            found = self._wheel_rec(j + 1, width, left, caps)
             self._shift(uncov ^ left, live, 1)
             if found is not None:
+                found[p] = c
                 return found
         return None
 
@@ -480,26 +466,30 @@ class KnownHTable:
         return sorted(self._entries)
 
 
+def _parse_h_row(line: str, table: KnownHTable) -> None:
+    parts = [p.strip() for p in line.split(",")]
+    if len(parts) != 3:
+        raise TableParseError(f"expected 'k,h,source', got {line!r}")
+    try:
+        k, h = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise TableParseError(
+            f"k and h must be integers, got {line!r}") from None
+    if table.get(k) is not None:
+        raise TableParseError(f"duplicate entry for k = {k}")
+    table.set(k, h, parts[2])
+
+
 def _parse_h_table(lines) -> KnownHTable:
     table = KnownHTable()
     for number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 3:
-            raise TableParseError(f"expected 'k,h,source', got {line!r}", number)
         try:
-            k, h = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise TableParseError(f"k and h must be integers, got {line!r}",
-                                  number) from None
-        if table.get(k) is not None:
-            raise TableParseError(f"duplicate entry for k = {k}", number)
-        try:
-            table.set(k, h, parts[2])
-        except TableValidationError as exc:
-            raise TableValidationError(f"line {number}: {exc}") from None
+            _parse_h_row(line, table)
+        except (TableParseError, TableValidationError) as exc:
+            raise type(exc)(f"line {number}: {exc}") from None
     return table
 
 

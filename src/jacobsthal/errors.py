@@ -33,12 +33,6 @@ class OutOfRange(JacobsthalError):
 class TableParseError(JacobsthalError):
     """A value-table file is malformed."""
 
-    def __init__(self, message, line_number=None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
-        self.line_number = line_number
-
 
 class TableValidationError(JacobsthalError):
     """A value-table entry violates a structural invariant."""

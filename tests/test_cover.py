@@ -483,10 +483,10 @@ def test_default_table_ships_the_known_rows():
 def test_parse_accepts_comments_and_blank_lines():
     table = _parse_h_table([
         "# heading", "", "  5 , 14 , paper", "3,6,computed",
-        "7,26,ingested",
+        "7,26,computed",
     ])
     assert _rows(table) == [(3, 6, "computed"), (5, 14, "paper"),
-                            (7, 26, "ingested")]
+                            (7, 26, "computed")]
 
 
 @pytest.mark.parametrize("line, fragment", [
@@ -504,7 +504,8 @@ def test_parse_errors_carry_line_numbers(line, fragment):
     ("5,3,paper", "h(5) = 3 violates the elementary bound 2*p_4 = 14"),
     ("0,14,paper", "index k must be >= 1, got 0"),
     ("5,14,guessed", "unknown source 'guessed'"),
-], ids=["below-the-bound", "k-zero", "unknown-source"])
+    ("5,14,ingested", "unknown source 'ingested'"),
+], ids=["below-the-bound", "k-zero", "unknown-source", "ingested-source"])
 def test_rows_the_table_refuses_carry_line_numbers(line, fragment):
     with pytest.raises(TableValidationError) as err:
         _parse_h_table(["1,2,computed", line])

@@ -103,7 +103,9 @@ def test_the_cover_search_keeps_one_copy_of_its_state():
     # the count table has one writer (_shift) and one reader
     # (_capacity_prune) after __init__ builds it; nodes and limits live on
     # the walk's allowance alone, and no residue table or per-offset mask
-    # table is kept
+    # table is kept.  A partial wheel assignment is a prefix of the
+    # positions search: it keeps no offsets or prime list of its own and
+    # counts no class sizes, so _capacity_prune is the only capacity rule.
     path = Path(jacobsthal.__file__).parent / "cover.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     search = next(node for node in tree.body
@@ -118,6 +120,19 @@ def test_the_cover_search_keeps_one_copy_of_its_state():
               and node.attr in ("nodes", "max_nodes", "deadline", "residues",
                                 "masks")]
     assert copies == []
+    wheel = next(node for node in search.body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "_wheel_rec")
+    assert [arg.arg for arg in wheel.args.args] == [
+        "self", "j", "width", "uncov", "caps"]
+    prunes = [node for node in ast.walk(wheel)
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "_capacity_prune"]
+    assert len(prunes) == 1
+    # the one popcount left is the need it hands the capacity check
+    assert _references(wheel, "bit_count") == _references(prunes[0],
+                                                          "bit_count")
 
 
 def test_verify_walks_the_first_k_primes_in_one_helper():
