@@ -16,8 +16,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "arith": "Factorization crt_solve factorize first_primes is_prime "
              "nth_prime primes_upto primorial",
-    "bounds": "BoundRow bound bound_table cw_upper max_provable_d min_k_for "
-              "render_thousandths",
+    "bounds": "BoundRow bound bound_table cw_upper max_provable_d min_k_for",
     "certify": "CertificateCheck PrimeCertificate certificate_from_json "
                "certificate_to_json find_prime prime_stream "
                "verify_certificate",

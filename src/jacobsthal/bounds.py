@@ -6,15 +6,12 @@ from __future__ import annotations
 
 from math import ceil, log
 from operator import attrgetter
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .arith import decimal_excerpt, nth_prime
 from .cover import (DEFAULT_MAX_COMPUTE_K, MODE_CW, MODE_UNCONDITIONAL,
                     KnownHTable, h_of)
 from .errors import NotProvable, OutOfRange
-
-if TYPE_CHECKING:  # BoundRow.value imports it when read
-    from fractions import Fraction
 
 HSOURCE_CW = "cw"
 _new_row = tuple.__new__  # bound's rows skip BoundRow's slower __new__
@@ -38,22 +35,11 @@ class BoundRow(NamedTuple):
     reach: int  # (p_{k+1}**2 - 2) // (h + 1), the largest d k certifies
 
     @property
-    def value(self) -> Fraction:
-        """The exact rational ``(p_{k+1}**2 - 2) / (h + 1)``."""
-        from fractions import Fraction
-        return Fraction(self.next_prime ** 2 - 2, self.h_value + 1)
-
-    @property
     def text(self) -> str:
-        return render_thousandths(self.value)
-
-
-def render_thousandths(value: Fraction) -> str:
-    """Exact 3-decimal rendering, rounding halves away from zero."""
-    sign = "-" if value < 0 else ""
-    n, den = abs(value.numerator), value.denominator
-    scaled = (2000 * n + den) // (2 * den)
-    return f"{sign}{scaled // 1000}.{scaled % 1000:03d}"
+        """``(p_{k+1}**2 - 2) / (h + 1)`` to 3 decimals, halves rounded up."""
+        den = self.h_value + 1
+        scaled = (2000 * (self.next_prime ** 2 - 2) + den) // (2 * den)
+        return f"{scaled // 1000}.{scaled % 1000:03d}"
 
 
 def cw_upper(n: int) -> int:

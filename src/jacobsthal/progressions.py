@@ -86,9 +86,7 @@ def coprime_iso(ap: EligibleAP, primes) -> ApIso:
     4
     """
     ps = validated_primes(primes)
-    # handed back as it is only when it is the first primes already sieved
-    f, f_inv = _coprime_factor(ap.d, len(ps),
-                               None if ps is primes else prod(ps))
+    f, f_inv = _coprime_factor(ap.d, len(ps), prod(ps))
     return ApIso(f * (ap.a * f_inv % ap.d), ap.d)
 
 

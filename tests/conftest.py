@@ -1,8 +1,16 @@
+import os
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, settings
+
+import jacobsthal
+
+# the checkout's src, whichever way the test process found the package
+SRC = os.path.dirname(os.path.dirname(jacobsthal.__file__))
 
 settings.register_profile(
     "suite",
@@ -12,6 +20,16 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+def run_python(*args, **kwargs):
+    """``python ARGS`` in a fresh process that imports the package under
+    test: SRC goes ahead of any PYTHONPATH already set, so a child starts
+    the same with or without one.  Output is captured as text."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, **kwargs)
 
 
 @pytest.fixture(scope="session")

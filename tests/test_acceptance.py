@@ -9,8 +9,6 @@ its runtime limit, and reports one ``ACCEPTANCE NN PASS``/``FAIL`` line
 
 import json
 import random
-import subprocess
-import sys
 from math import gcd
 
 import mpmath
@@ -27,6 +25,7 @@ from jacobsthal.cover import (CoverWitness, elementary_lower_witness,
 from jacobsthal.cover import h_of
 from jacobsthal.gaps import g_of
 from jacobsthal.progressions import coprime_iso, make_eligible
+from conftest import run_python
 from oracles import is_coprime_preserving_on_window
 
 REMARK_ROWS = [
@@ -153,16 +152,12 @@ def test_criterion_08_randomized_isomorphisms(acceptance):
 
 def test_criterion_09_prime_streams(acceptance, shipped_table):
     with acceptance.criterion(9, seconds=5.0):
-        human = subprocess.run(
-            [sys.executable, "-m", "jacobsthal", "primes", "1", "3",
-             "--count", "2"],
-            capture_output=True, text=True)
+        human = run_python("-m", "jacobsthal", "primes", "1", "3",
+                           "--count", "2")
         assert human.returncode == 0
         assert human.stdout == "7\n97\n"
-        machine = subprocess.run(
-            [sys.executable, "-m", "jacobsthal", "primes", "0", "1",
-             "--count", "3", "--json"],
-            capture_output=True, text=True)
+        machine = run_python("-m", "jacobsthal", "primes", "0", "1",
+                             "--count", "3", "--json")
         assert machine.returncode == 0
         payload = json.loads(machine.stdout)
         primes = [int(item["prime"]) for item in payload]

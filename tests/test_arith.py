@@ -1,6 +1,4 @@
-import os
 import random
-import subprocess
 import sys
 import threading
 
@@ -14,6 +12,7 @@ from jacobsthal.arith import (Factorization, crt_solve, factorize, first_primes,
                               is_prime, nth_prime, primes_upto, primorial,
                               validated_primes, _MR_LIMIT)
 from jacobsthal.errors import BudgetExceeded, JacobsthalError, NonCoprimeModuli
+from conftest import run_python
 from oracles import prime_flags, shared_factor_flags
 
 from math import gcd, prod
@@ -85,18 +84,13 @@ def test_a_fresh_process_sieves_only_what_it_reads():
     # the primes up to 100000, and factorize(9699690) those up to
     # isqrt(9699690) = 3114, where its trial division stops: one sieve
     # each, with no larger floor behind them
-    import jacobsthal
-    src = os.path.dirname(os.path.dirname(jacobsthal.__file__))
-
     def sieves(*calls):
         script = ("from jacobsthal import arith, default_h_table\n"
                   "sieves = []\n"
                   "real = arith._sieve\n"
                   "arith._sieve = lambda n: sieves.append(n) or real(n)\n"
                   + "".join(f"{call}\nprint(*sieves)\n" for call in calls))
-        proc = subprocess.run([sys.executable, "-c", script],
-                              env=dict(os.environ, PYTHONPATH=src),
-                              capture_output=True, text=True, timeout=60)
+        proc = run_python("-c", script, timeout=60)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()
 

@@ -16,8 +16,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from jacobsthal.arith import first_primes, nth_prime, primorial
-from jacobsthal.bounds import (bound, bound_table, cw_upper, max_provable_d,
-                               min_k_for, render_thousandths)
+from jacobsthal.bounds import (BoundRow, bound, bound_table, cw_upper,
+                               max_provable_d, min_k_for)
 from jacobsthal.certify import (CHECK_NAMES, MODE_CW, MODE_UNCONDITIONAL,
                                 MODES, CertificateCheck, PrimeCertificate,
                                 certificate_from_json, certificate_to_json,
@@ -44,6 +44,11 @@ REMARK_TABLE = [
 ]
 
 
+def _exact(row) -> Fraction:
+    """The row's exact rational ``(p_{k+1}**2 - 2) / (h + 1)``."""
+    return Fraction(row.next_prime ** 2 - 2, row.h_value + 1)
+
+
 def _oracle_thousandths(value: Fraction) -> str:
     with localcontext() as ctx:
         ctx.prec = 60
@@ -51,16 +56,32 @@ def _oracle_thousandths(value: Fraction) -> str:
         return str(dec.quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
 
 
-@given(st.fractions(min_value=-10**9, max_value=10**9, max_denominator=10**6))
-def test_render_thousandths_matches_decimal_oracle(value):
-    assert render_thousandths(value) == _oracle_thousandths(value)
+def _row(next_prime, h_value):
+    return BoundRow(1, next_prime, h_value, "computed",
+                    (next_prime ** 2 - 2) // (h_value + 1))
 
 
-def test_render_thousandths_ties_and_negatives():
-    assert render_thousandths(Fraction(1, 1600)) == "0.001"  # 0.000625
-    assert render_thousandths(Fraction(1, 2000)) == "0.001"  # exact half up
-    assert render_thousandths(Fraction(-1, 2000)) == "-0.001"
-    assert render_thousandths(Fraction(5)) == "5.000"
+@given(st.integers(min_value=2, max_value=10**6),
+       st.integers(min_value=0, max_value=10**9))
+def test_bound_row_text_matches_decimal_oracle(next_prime, h_value):
+    row = _row(next_prime, h_value)
+    assert row.text == _oracle_thousandths(_exact(row))
+
+
+def test_bound_row_text_on_every_shipped_and_cw_row(shipped_table):
+    rows = bound_table(shipped_table.ks(), shipped_table) + bound_table(
+        range(bounds.CW_MIN_K, bounds.CW_MAX_K + 1), shipped_table,
+        mode=MODE_CW)
+    assert len(rows) == 9978
+    assert [row.text for row in rows] == [
+        _oracle_thousandths(_exact(row)) for row in rows]
+
+
+def test_bound_row_text_rounds_halves_up():
+    assert _row(3, 11199).text == "0.001"  # 7/11200 = 0.000625
+    assert _row(3, 13999).text == "0.001"  # 7/14000, an exact half
+    assert _row(3, 1).text == "3.500"
+    assert _row(5, 22).text == "1.000"  # 23/23
 
 
 def test_bound_rows_reproduce_remark_table(shipped_table):
@@ -73,14 +94,14 @@ def test_bound_rows_reproduce_remark_table(shipped_table):
 def test_bound_row_for_largest_tabulated_k(shipped_table):
     row = bound(54, shipped_table)
     assert (row.next_prime, row.h_value) == (257, 858)
-    assert row.value == Fraction(66047, 859)
+    assert _exact(row) == Fraction(66047, 859)
     assert row.text == "76.888"
-    assert row.value > 76
+    assert _exact(row) > 76
 
 
 def test_bound_small_k_and_validation(shipped_table):
     row = bound(1, shipped_table)
-    assert row.value == Fraction(7, 3)
+    assert _exact(row) == Fraction(7, 3)
     assert row.text == "2.333"
     assert row.h_source == "computed"
     with pytest.raises(ValueError):
@@ -120,7 +141,7 @@ def test_cw_mode_bound(shipped_table):
     row = bound(50, shipped_table, mode=MODE_CW)
     assert row.h_value == 2714
     assert row.h_source == "cw"
-    assert int(row.value) == 19
+    assert int(_exact(row)) == 19
 
 
 @pytest.mark.parametrize("d, k", [
@@ -134,11 +155,11 @@ def test_min_k_for_pinned(shipped_table, d, k):
 def test_min_k_is_minimal(shipped_table):
     for d in (5, 17, 40, 62, 76):
         k = min_k_for(d, shipped_table)
-        assert bound(k, shipped_table).value >= d
+        assert _exact(bound(k, shipped_table)) >= d
         smaller = [j for j in range(1, k)
                    if shipped_table.get(j) is not None
                    or j <= cover.DEFAULT_MAX_COMPUTE_K]
-        assert all(bound(j, shipped_table).value < d for j in smaller)
+        assert all(_exact(bound(j, shipped_table)) < d for j in smaller)
 
 
 def test_min_k_not_provable(shipped_table):
@@ -207,7 +228,7 @@ def _checked_walk(table, mode):
     for row in rows:
         if mode == MODE_UNCONDITIONAL or row.k in CW_CHECKED_KS:
             assert row == bound(row.k, table, mode=mode), row
-            assert row.reach == floor(row.value), row
+            assert row.reach == floor(_exact(row)), row
     return rows
 
 

@@ -1,7 +1,5 @@
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
@@ -9,6 +7,7 @@ from jacobsthal import cli, cover
 from jacobsthal.arith import primorial
 from jacobsthal.certify import certificate_from_json, int_to_decimal
 from jacobsthal.cli import run
+from conftest import run_python
 
 
 def _run(capsys, *argv):
@@ -17,10 +16,8 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def _spawn(*argv, env_extra=None, flags=()):
-    env = dict(os.environ, **(env_extra or {}))
-    return subprocess.run([sys.executable, *flags, "-m", "jacobsthal", *argv],
-                          capture_output=True, text=True, env=env)
+def _spawn(*argv, flags=()):
+    return run_python(*flags, "-m", "jacobsthal", *argv)
 
 
 def test_g_human(capsys):
@@ -779,6 +776,15 @@ def test_subprocess_g():
     assert "g(10) = 4" in proc.stdout
 
 
+def test_subprocess_starts_without_pythonpath(monkeypatch):
+    # a plain pytest from a checkout sets no PYTHONPATH: the child still
+    # imports the package under test
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    proc = run_python("-m", "jacobsthal", "g", "10")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "g(10) = 4" in proc.stdout
+
+
 def test_subprocess_certificate_round_trip(tmp_path):
     first = _spawn("find-prime", "9", "7")
     assert first.returncode == 0
@@ -815,12 +821,12 @@ def test_subprocess_outputs_hold_under_python_O(tmp_path):
         same_either_way("verify", str(path))
 
 
-def test_subprocess_reads_no_table_from_the_environment(tmp_path):
+def test_subprocess_reads_no_table_from_the_environment(tmp_path,
+                                                        monkeypatch):
     # --table is the one way to pick a table: JACOBSTHAL_H_TABLE in the
     # environment is ignored, even when it names a missing file
-    missing = tmp_path / "missing.txt"
-    proc = _spawn("max-d", "--json",
-                  env_extra={"JACOBSTHAL_H_TABLE": str(missing)})
+    monkeypatch.setenv("JACOBSTHAL_H_TABLE", str(tmp_path / "missing.txt"))
+    proc = _spawn("max-d", "--json")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout) == {"mode": "unconditional",
                                        "max_d": 76, "k": 54}

@@ -1,7 +1,5 @@
 import functools
-import os
 import subprocess
-import sys
 import tracemalloc
 
 import pytest
@@ -16,6 +14,7 @@ from jacobsthal.arith import factorize, primorial
 from jacobsthal.cover import SearchBudget, verify_cover
 from jacobsthal.errors import BudgetExceeded, JacobsthalError
 from jacobsthal.gaps import g_of
+from conftest import run_python
 from oracles import first_longest_run, g_exhaustive
 
 
@@ -131,14 +130,10 @@ def test_engine_path_respects_budget():
 def test_huge_prime_factor_takes_the_engine_quickly():
     # rad(n) is past the scan limit, so the cover engine runs with a
     # 13-digit prime; in a child process so a regression fails, not hangs
-    import jacobsthal
-    src = os.path.dirname(os.path.dirname(jacobsthal.__file__))
     script = ("from jacobsthal.gaps import g_of\n"
               "print(g_of(1000000000039).g, g_of(2 * 1000000000039).g)\n")
-    env = dict(os.environ, PYTHONPATH=src)
     try:
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=20)
+        proc = run_python("-c", script, timeout=20)
     except subprocess.TimeoutExpired:
         pytest.fail("g_of(1000000000039) ran past 20 s")
     assert proc.returncode == 0, proc.stderr

@@ -1,16 +1,13 @@
 """What a fresh process loads: each CLI command imports only the modules it
 runs, and the package's top-level names load their module on first use."""
 
-import os
-import subprocess
-import sys
 from importlib import import_module
 
 import pytest
 
 import jacobsthal
+from conftest import run_python
 
-SRC = os.path.dirname(os.path.dirname(jacobsthal.__file__))
 SUBMODULES = ("arith", "bounds", "certify", "cli", "cover", "errors", "gaps",
               "progressions")
 # what h, g and h-search never need
@@ -23,9 +20,7 @@ RESOURCES_CHAIN = {"importlib.resources", "pathlib", "zipfile", "tempfile"}
 def _traced(*args, cwd=None) -> tuple[set[str], str]:
     """The modules a fresh ``python -X importtime ARGS`` process imports,
     read from the report it writes to stderr, and its stdout."""
-    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
-                          env=dict(os.environ, PYTHONPATH=SRC), cwd=cwd,
-                          capture_output=True, text=True, timeout=60)
+    proc = run_python("-X", "importtime", *args, cwd=cwd, timeout=60)
     assert proc.returncode == 0, proc.stderr
     modules = {line.rsplit("|", 1)[1].strip()
                for line in proc.stderr.splitlines()
@@ -50,21 +45,23 @@ def test_h_g_and_h_search_load_no_certify_code(argv):
 
 @pytest.mark.parametrize("argv", [
     ("find-prime", "1", "76"), ("max-d",), ("max-d", "--mode", "cw"),
+    ("bound-table",), ("bound-table", "--mode", "cw"),
     ("primes", "1", "3", "--count", "2"),
-], ids=["find-prime", "max-d", "max-d-cw", "primes"])
+], ids=["find-prime", "max-d", "max-d-cw", "bound-table", "bound-table-cw",
+        "primes"])
 def test_certify_commands_load_no_gaps_or_fractions(tmp_path, argv):
-    # a bound row's exact value is computed only when read, and only
-    # bound-table reads it: the walk these commands take loads no fractions
+    # a bound row holds integers only, and bound-table prints its 3-decimal
+    # text from them: no command loads fractions or decimal
     found, out = _traced("-m", "jacobsthal", *argv)
-    assert ("jacobsthal.bounds" if argv[0] == "max-d"
+    assert ("jacobsthal.bounds" if argv[0] in ("max-d", "bound-table")
             else "jacobsthal.certify") in found
-    assert found & {"jacobsthal.gaps", "fractions"} == set()
+    assert found & {"jacobsthal.gaps", "fractions", "decimal"} == set()
     if argv[0] != "find-prime":
         return
     (tmp_path / "cert.json").write_text(out)
     checked = _command("verify", "cert.json", cwd=tmp_path)
     assert "jacobsthal.certify" in checked
-    assert checked & {"jacobsthal.gaps", "fractions"} == set()
+    assert checked & {"jacobsthal.gaps", "fractions", "decimal"} == set()
 
 
 @pytest.mark.parametrize("args", [
