@@ -38,8 +38,8 @@ MODE_UNCONDITIONAL = "unconditional"
 MODE_CW = "cw"
 MODES = (MODE_UNCONDITIONAL, MODE_CW)
 
-# Largest product of small primes whose offsets the wheel search
-# enumerates outright before falling back to the positions search.
+# Largest product of small primes whose offsets the search enumerates
+# outright (the wheel) before it branches on the leftmost hole.
 WHEEL_PRODUCT_CAP = 30030
 
 DEFAULT_MAX_COMPUTE_K = 12
@@ -199,30 +199,64 @@ class _Search:
             offsets[self.primes[i]] = 0
         return offsets
 
-    # -- positions: branch on who covers the leftmost hole -------------------
+    # -- the search: one node rule, two ways to branch ----------------------
     #
-    # The wheel's inner search, and the whole search when no wheel fits.
+    # The first ``wheel`` primes of ``rem`` are still wheel primes (Ziller &
+    # Morack): while there are any, a node branches on every offset of the
+    # next one; after them, on whoever covers the leftmost uncovered
+    # position.  Once the small primes are fixed the surviving positions are
+    # sparse and the capacity bound on the rest is close to tight.  Every
+    # node but the wheel's root makes the same checks, and the caps a node
+    # tightens hold for its whole subtree.
 
-    def _dfs_pos(self, uncov: int, rem: tuple[int, ...],
-                 caps: list[int]) -> dict[int, int] | None:
-        self._tick()
+    def search(self) -> dict[int, int] | None:
+        width, product = 0, 1
+        while (width < len(self.primes)
+               and product * self.primes[width] <= WHEEL_PRODUCT_CAP
+               and self.primes[width] <= self.length // 4):
+            product *= self.primes[width]
+            width += 1
+        caps = [-(-self.length // p) for p in self.primes]
+        return self._node(self.full, tuple(range(len(self.primes))), caps,
+                          width)
+
+    def _node(self, uncov: int, rem: tuple[int, ...], caps: list[int],
+              wheel: int) -> dict[int, int] | None:
         need = uncov.bit_count()
-        if need <= len(rem):
-            return self._finish(uncov, rem)
-        caps = caps[:]
-        if self._capacity_prune(uncov, rem, caps, need):
-            return None
-        u0 = (uncov & -uncov).bit_length() - 1
+        root = len(rem) == len(self.primes)
+        if not (root and wheel):  # the wheel's root is uncounted and unchecked
+            self._tick()
+            if need <= len(rem):
+                return self._finish(uncov, rem)
+            caps = caps[:]
+            if self._capacity_prune(uncov, rem, caps, need):
+                return None
         primes, bases = self.primes, self.bases
-        live = [j for j in rem if caps[j] > 2]  # whose counts children read
         branches = []
-        for at, i in enumerate(rem):
+        if wheel:
+            i = rem[0]
             p = primes[i]
-            hit = (bases[i] << (u0 % p)) & uncov
-            branches.append((hit.bit_count(), -p, at, i, hit))
-        branches.sort(reverse=True)  # biggest bite first, small prime on ties
+            seen: set[int] = set()
+            for c in range(p):
+                # Reflection x -> length-1-x maps covers to covers: keep one
+                # offset per orbit {c, (length-1-c) mod p} of the first prime.
+                if root and c > (self.length - 1 - c) % p:
+                    continue
+                hit = (bases[i] << c) & uncov
+                if hit not in seen:  # same survivor set, same subtree
+                    seen.add(hit)
+                    branches.append((hit.bit_count(), -p, 0, i, c, hit))
+        else:
+            u0 = (uncov & -uncov).bit_length() - 1
+            for at, i in enumerate(rem):
+                p = primes[i]
+                c = u0 % p
+                hit = (bases[i] << c) & uncov
+                branches.append((hit.bit_count(), -p, at, i, c, hit))
+            branches.sort(reverse=True)  # biggest bite first, small prime on ties
         spare = sum([caps[j] for j in rem])
-        for bite, _, at, i, hit in branches:
+        live = [j for j in rem if caps[j] > 2]  # whose counts children read
+        for bite, _, at, i, c, hit in branches:
             child_need = need - bite
             if child_need >= len(rem) and spare - caps[i] < child_need:
                 # The child keeps more uncovered positions than primes, and
@@ -232,63 +266,12 @@ class _Search:
                 continue
             # i's own counts shift too: the child drops i, so never reads them
             self._shift(hit, live, -1)
-            sub = self._dfs_pos(uncov ^ hit, rem[:at] + rem[at + 1:], caps)
+            sub = self._node(uncov ^ hit, rem[:at] + rem[at + 1:], caps,
+                             wheel - 1 if wheel else 0)
             self._shift(hit, live, 1)
             if sub is not None:
-                sub[primes[i]] = u0 % primes[i]
+                sub[primes[i]] = c
                 return sub
-        return None
-
-    # -- wheel: enumerate small-prime offsets, then positions ----------------
-    #
-    # Enumerate the offset combinations of a prefix of small primes directly
-    # and run the positions search on each survivor set: once the small
-    # primes are fixed the surviving positions are sparse and the capacity
-    # bound on the remaining primes is close to tight.  Each partial
-    # assignment is a prefix of the positions search, with no cut of its
-    # own: it runs the positions search's capacity check over the primes it
-    # leaves unassigned, the rest of the wheel first, and the caps it
-    # tightens hold for its whole subtree.
-
-    def search_wheel(self) -> dict[int, int] | None:
-        width, product = 0, 1
-        while (width < len(self.primes)
-               and product * self.primes[width] <= WHEEL_PRODUCT_CAP
-               and self.primes[width] <= self.length // 4):
-            product *= self.primes[width]
-            width += 1
-        # At width 0 no wheel fits and _wheel_rec is the positions search.
-        caps = [-(-self.length // p) for p in self.primes]
-        return self._wheel_rec(0, width, self.full, caps)
-
-    def _wheel_rec(self, j: int, width: int, uncov: int,
-                   caps: list[int]) -> dict[int, int] | None:
-        rem = tuple(range(j, len(self.primes)))  # primes j.. are unassigned
-        if j == width:  # a node of the positions search, counted there
-            return self._dfs_pos(uncov, rem, caps)
-        if j:
-            self._tick()
-            caps = caps[:]
-            if self._capacity_prune(uncov, rem, caps, uncov.bit_count()):
-                return None
-        p = self.primes[j]
-        live = [i for i in rem[1:] if caps[i] > 2]  # whose counts children read
-        seen: set[int] = set()
-        for c in range(p):
-            # Reflection x -> length-1-x maps covers to covers: keep one
-            # offset per orbit {c, (length-1-c) mod p} of the first prime.
-            if j == 0 and c > (self.length - 1 - c) % p:
-                continue
-            left = uncov & ~(self.bases[j] << c)
-            if left in seen:  # identical survivor set, identical subtree
-                continue
-            seen.add(left)
-            self._shift(uncov ^ left, live, -1)
-            found = self._wheel_rec(j + 1, width, left, caps)
-            self._shift(uncov ^ left, live, 1)
-            if found is not None:
-                found[p] = c
-                return found
         return None
 
 
@@ -319,7 +302,7 @@ def coverable(length: int, primes,
             f"a cover search of {len(ps) - halve} primes over {n} positions "
             f"passes the limit of {_MAX_STATE} primes times positions")
     search = _Search(n, ps[halve:], allowance)
-    found = search.search_wheel()
+    found = search.search()
     if found is None:
         return None
     if halve:

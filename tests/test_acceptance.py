@@ -12,7 +12,6 @@ import random
 from math import gcd
 
 import mpmath
-import pytest
 import sympy
 
 from jacobsthal.arith import first_primes, nth_prime, primorial

@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jacobsthal import arith
-from jacobsthal.arith import (Factorization, crt_solve, factorize, first_primes,
-                              is_prime, nth_prime, primes_upto, primorial,
+from jacobsthal.arith import (crt_solve, factorize, first_primes, is_prime,
+                              nth_prime, primes_upto, primorial,
                               validated_primes, _MR_LIMIT)
 from jacobsthal.errors import BudgetExceeded, JacobsthalError, NonCoprimeModuli
 from conftest import run_python

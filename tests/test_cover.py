@@ -10,8 +10,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from math import prod
-
 from jacobsthal import arith, cover
 from jacobsthal.arith import (factorize, first_primes, nth_prime,
                               primes_upto, primorial)
@@ -109,11 +107,12 @@ def test_search_path_is_pinned():
 
 
 # Nodes the search visits (calls of _Search._tick) in
-# max_cover_length(first_primes(k)); a wheel survivor is one node, the
-# positions-search root it starts, and so is each capacity check of a
-# partial wheel assignment.  A change that only makes a node cheaper must
-# leave every count as it is.  Prime 2 never enters the search, so each
-# count is that of the odd primes on half the length.
+# max_cover_length(first_primes(k)); every node but the wheel's root is
+# counted once, a partial wheel assignment and a wheel survivor like any
+# other, and so is a child the skip rule cuts without visiting.  A change
+# that only makes a node cheaper must leave every count as it is.  Prime 2
+# never enters the search, so each count is that of the odd primes on half
+# the length.
 PINNED_NODES = {1: 2, 2: 2, 3: 2, 4: 3, 5: 9, 6: 10, 7: 8, 8: 16, 9: 25,
                 10: 147, 11: 100, 12: 216}
 # The same count for the walks that decide h(13..17), about 0.4 s in all.
@@ -147,14 +146,27 @@ def test_wheel_prunes_partial_assignments(k):
     assert coverable(h, first_primes(k), budget=budget) is None
 
 
-@pytest.mark.parametrize("k, length, spent", [(30, 402, 1499),
+@pytest.mark.parametrize("k, length, spent", [(20, 174, 409_408),
+                                              (30, 402, 1499),
                                               (40, 710, 5110)])
 def test_large_refusals_spend_pinned_nodes(k, length, spent):
-    # refusals well past k = 20, where the capacity check of partial wheel
-    # assignments does most of the cutting; about 0.5 s for both
+    # the refusal that proves h(20) = 174, the one node count pinned for
+    # k = 18..20, and two well past it, where the capacity check at the
+    # wheel's nodes does most of the cutting; about 1.3 s for the three
     allowance = cover._Allowance(None)
     assert coverable(length, first_primes(k), budget=allowance) is None
     assert allowance.spent == spent
+
+
+def test_a_wheel_node_finishes_like_any_other():
+    # 40 positions on the first 15 primes halve to 20 positions on 14 odd
+    # primes, with 3 and 5 on the wheel.  Once 3 is placed, no more
+    # positions are left than primes, so that wheel node hands them out at
+    # once: one node in all, and no branch on 5's offsets
+    allowance = cover._Allowance(None)
+    found = coverable(40, first_primes(15), budget=allowance)
+    assert found is not None and found.is_valid()
+    assert allowance.spent == 1
 
 
 PRIMES_TO_37 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -224,7 +236,7 @@ def test_lower_bound_check_is_an_error_not_an_assert(monkeypatch):
 
 def test_self_check_is_an_error_not_an_assert(monkeypatch):
     # must hold under python -O too, so it cannot be an assert
-    monkeypatch.setattr(cover._Search, "search_wheel",
+    monkeypatch.setattr(cover._Search, "search",
                         lambda self: {p: 0 for p in self.primes})
     with pytest.raises(JacobsthalError):
         coverable(13, first_primes(5))

@@ -103,16 +103,18 @@ def test_the_cover_search_keeps_one_copy_of_its_state():
     # the count table has one writer (_shift) and one reader
     # (_capacity_prune) after __init__ builds it; nodes and limits live on
     # the walk's allowance alone, and no residue table or per-offset mask
-    # table is kept.  A partial wheel assignment is a prefix of the
-    # positions search: it keeps no offsets or prime list of its own and
-    # counts no class sizes, so _capacity_prune is the only capacity rule.
+    # table is kept.  The search is one recursion: a wheel node and a
+    # positions node are the same method and differ only in how they
+    # branch, so every node reaches the one capacity rule (_capacity_prune)
+    # and the one shortcut (_finish) through the same call.
     path = Path(jacobsthal.__file__).parent / "cover.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     search = next(node for node in tree.body
                   if isinstance(node, ast.ClassDef) and node.name == "_Search")
-    users = {node.name for node in search.body
-             if isinstance(node, ast.FunctionDef)
-             and _references(node, "counts")}
+    methods = {node.name: node for node in search.body
+               if isinstance(node, ast.FunctionDef)}
+    users = {name for name, method in methods.items()
+             if _references(method, "counts")}
     assert users == {"__init__", "_shift", "_capacity_prune"}
     copies = [f"{node.attr}:{node.lineno}" for node in ast.walk(search)
               if isinstance(node, ast.Attribute)
@@ -120,19 +122,23 @@ def test_the_cover_search_keeps_one_copy_of_its_state():
               and node.attr in ("nodes", "max_nodes", "deadline", "residues",
                                 "masks")]
     assert copies == []
-    wheel = next(node for node in search.body
-                 if isinstance(node, ast.FunctionDef)
-                 and node.name == "_wheel_rec")
-    assert [arg.arg for arg in wheel.args.args] == [
-        "self", "j", "width", "uncov", "caps"]
-    prunes = [node for node in ast.walk(wheel)
-              if isinstance(node, ast.Call)
-              and isinstance(node.func, ast.Attribute)
-              and node.func.attr == "_capacity_prune"]
-    assert len(prunes) == 1
-    # the one popcount left is the need it hands the capacity check
-    assert _references(wheel, "bit_count") == _references(prunes[0],
-                                                          "bit_count")
+
+    def calls(node, name):
+        return [call for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == name]
+
+    recursive = [name for name, method in methods.items()
+                 if calls(method, name)]
+    assert recursive == ["_node"]
+    node = methods["_node"]
+    assert [arg.arg for arg in node.args.args] == [
+        "self", "uncov", "rem", "caps", "wheel"]
+    for name in ("_capacity_prune", "_finish"):
+        assert len(calls(search, name)) == len(calls(node, name)) == 1, name
+    assert [name for name in ("_wheel_rec", "_dfs_pos", "search_wheel")
+            if name in methods] == []
 
 
 def test_verify_walks_the_first_k_primes_in_one_helper():
@@ -283,3 +289,38 @@ def test_only_records_that_need_it_are_dataclasses():
     found = {name for name in jacobsthal.__all__
              if dataclasses.is_dataclass(getattr(jacobsthal, name))}
     assert found == {"PrimeCertificate", "EligibleAP", "ApIso"}
+
+
+def _unused_imports(path):
+    """``file:line name`` for each name an import binds in ``path`` that
+    the module never reads, except on an import marked ``# noqa: F401``."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line
+               for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    return found
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # an import nothing reads is dead weight and a false lead about what a
+    # module depends on; the few kept on purpose, such as the names the
+    # benchmark's tracer wraps, say so with "# noqa: F401"
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    assert tests
+    found = [entry for path in SOURCES + tests
+             for entry in _unused_imports(path)]
+    assert found == []
