@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import hashlib
 import random
 import threading
 import time
@@ -456,11 +457,21 @@ def test_elementary_lower_witness_is_fast():
     assert witness.length == 2 * nth_prime(4999) - 1
 
 
+# SHA-256 of "n start length\n" for the witnesses of n = 3..200
+ELEMENTARY_WITNESSES_SHA256 = (
+    "fcc1a971614c5382cf52cb779e45fcce933720fa9fe908431d3cccfb4e042643")
+
+
 def test_elementary_lower_witness():
     pinned = {3: (2, 5), 4: (2, 9), 5: (114, 13)}
     for n, (start, length) in pinned.items():
         witness = elementary_lower_witness(n)
         assert (witness.start, witness.length) == (start, length)
+    digest = hashlib.sha256()
+    for n in range(3, 201):
+        witness = elementary_lower_witness(n)
+        digest.update(f"{n} {witness.start} {witness.length}\n".encode())
+    assert digest.hexdigest() == ELEMENTARY_WITNESSES_SHA256
     for n in range(3, 21):
         witness = elementary_lower_witness(n)
         ps = first_primes(n)
