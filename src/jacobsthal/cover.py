@@ -19,7 +19,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from math import prod
 from typing import NamedTuple
 
 # is_prime stays bound here for the benchmark's tracer (perfbench/tracing.py)
@@ -374,24 +373,20 @@ def least_witness(primes) -> CoverWitness | None:
 
 def elementary_lower_witness(n: int) -> CoverWitness:
     """A run of ``2*p_{n-1} - 1`` consecutive integers, each divisible by one
-    of the first n primes, centered on a CRT-constructed integer.
+    of the first n primes: :func:`witness_integer` of a cover of
+    ``[0, 2p - 1)``, p = p_{n-1}.  Requires n >= 3.
 
-    Construction: pick t ≡ 0 modulo every prime up to p_{n-2}, t ≡ 1 mod
-    p_{n-1} and t ≡ -1 mod p_n.  Then t±1 are caught by the two largest
-    primes and every other offset j has a prime factor <= p_{n-2} (there are
-    no primes strictly between p_{n-2} and p_{n-1}).  Requires n >= 3.
+    Every prime up to p_{n-2} takes the centre position p - 1, p_{n-1}
+    takes p - 2 and p_n takes p.  Any other position lies 2 to p - 1 from
+    the centre, a distance with a prime factor at most p_{n-2} (no prime
+    lies strictly between p_{n-2} and p_{n-1}), whose class holds it.
     """
     if n < 3:
         raise ValueError(f"the construction needs n >= 3, got {n}")
     ps = first_primes(n)
-    p_second = ps[-2]
-    small_modulus = prod(ps[:-2])
-    t, _ = crt_solve([(0, small_modulus), (1, p_second), (-1 % ps[-1], ps[-1])])
-    length = 2 * p_second - 1
-    start = t - (p_second - 1)
-    if not verify_cover(start, length, ps):
-        raise JacobsthalError(f"internal: run from {start} is not covered")
-    return CoverWitness(start, length)
+    p = ps[-2]
+    offsets = tuple((p - 1) % q for q in ps[:-2]) + (p - 2, p)
+    return witness_integer(CoverAssignment(ps, offsets, 2 * p - 1))
 
 
 # --- known-value table -------------------------------------------------------

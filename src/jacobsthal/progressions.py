@@ -1,10 +1,12 @@
 """Arithmetic progressions and coprimality-preserving maps onto them.
 
 The map ``n -> c + d*n`` is an order isomorphism from the integers onto the
-progression ``(c mod d) + dZ``.  When c is chosen so that every prime q in a
-set S either divides d or divides c, the map also preserves coprimality to
-the primes of S in both directions — coprime inputs land on coprime images.
-That choice is a two-modulus CRT solution in closed form, done in
+progression ``(c mod d) + dZ``.  With c ≡ a (mod d), a coprime to d, and
+c ≡ 0 modulo each prime of S not dividing d, a prime q of S not dividing d
+divides n exactly when it divides c + d*n, and a q dividing d divides no
+image (each is ≡ a mod q).  So coprime inputs land on coprime images, but
+not conversely: for d = 2 and S = {2}, the even 0 lands on the odd 1.
+That choice of c is a two-modulus CRT solution in closed form, done in
 :func:`_coprime_factor` for :func:`coprime_iso` and ``find_prime``.
 """
 

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -30,6 +31,17 @@ def run_python(*args, **kwargs):
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, **kwargs)
+
+
+def tracing_targets():
+    """``TARGETS`` of the benchmark's tracer, ``perfbench/tracing.py``,
+    loaded from its file without installing the tracer."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.TARGETS
 
 
 @pytest.fixture(scope="session")

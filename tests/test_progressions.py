@@ -134,6 +134,16 @@ def test_constructed_isos_preserve_coprimality(ap_primes):
     iso = coprime_iso(ap, primes)
     window = 10 * ap.d * prod(primes)
     assert is_coprime_preserving_on_window(iso, primes, window)
+    # prime by prime, for n over one period of prod(primes), whose images
+    # span one period d * prod(primes) of the line: for q not dividing d,
+    # q | n exactly when q | c + d*n; a q dividing d divides no image, even
+    # of an n it divides (the oracle above checks coprime inputs only)
+    pairs = [(n, iso(n)) for n in range(prod(primes))]
+    for q in primes:
+        if ap.d % q:
+            assert all((n % q == 0) == (m % q == 0) for n, m in pairs)
+        else:
+            assert all(m % q for _, m in pairs)
 
 
 @given(_ap_and_primes(), st.integers(-10**6, 10**6), st.integers(0, 200))
