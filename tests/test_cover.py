@@ -118,22 +118,34 @@ PINNED_NODES = {1: 2, 2: 2, 3: 2, 4: 3, 5: 9, 6: 10, 7: 8, 8: 16, 9: 25,
                 10: 147, 11: 100, 12: 216}
 # The same count for the walks that decide h(13..17), about 0.4 s in all.
 PINNED_WALK_NODES = {13: 1594, 14: 1577, 15: 5575, 16: 18269, 17: 70447}
+# Searches (calls of coverable) in the same walks: the one at the start and
+# the refusal at L* + 1, plus one for each length the last cover does not
+# reach.
+PINNED_WALK_SEARCHES = {k: 2 for k in range(1, 18)} | {12: 3, 15: 5, 16: 5,
+                                                       17: 3}
 
 
 def test_search_node_counts_are_pinned(monkeypatch):
-    nodes = 0
-    tick = cover._Search._tick
+    nodes = searches = 0
+    tick, search = cover._Search._tick, cover.coverable
 
     def counting_tick(self):
         nonlocal nodes
         nodes += 1
         tick(self)
 
+    def counting_search(*args, **kwargs):
+        nonlocal searches
+        searches += 1
+        return search(*args, **kwargs)
+
     monkeypatch.setattr(cover._Search, "_tick", counting_tick)
-    for k, expected in {**PINNED_NODES, **PINNED_WALK_NODES}.items():
-        nodes = 0
+    monkeypatch.setattr(cover, "coverable", counting_search)
+    for k in PINNED_WALK_SEARCHES:
+        nodes = searches = 0
         max_cover_length(first_primes(k))
-        assert nodes == expected, k
+        assert nodes == {**PINNED_NODES, **PINNED_WALK_NODES}[k], k
+        assert searches == PINNED_WALK_SEARCHES[k], k
 
 
 @pytest.mark.parametrize("k", [11, 12, 13, 14])
