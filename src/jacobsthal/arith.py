@@ -190,8 +190,8 @@ def shared_factor_windows(primes, limit: int):
 
 
 def first_longest_run(primes) -> tuple[int, int] | None:
-    """``(length, start)`` of the first longest run in ``1..prod(primes)``
-    of integers each divisible by one of ``primes``; ``(0, 1)`` when there
+    """``(start, length)`` of the first longest run in ``1..prod(primes)``
+    of integers each divisible by one of ``primes``; ``(1, 0)`` when there
     is none, and ``None`` when the period exceeds ``RUN_SIEVE_LIMIT``.
 
     In each window, ``find`` the first run one longer than the best so far
@@ -201,16 +201,16 @@ def first_longest_run(primes) -> tuple[int, int] | None:
     period = math.prod(primes)
     if period > RUN_SIEVE_LIMIT:
         return None
-    length, start = 0, 1
+    start, length = 1, 0
     for offset, flags in shared_factor_windows(primes, period):
         at = flags.find(b"\x01" * (length + 1))
         while at >= 0:
             end = flags.find(0, at)
             if end < 0:
                 end = len(flags)
-            length, start = end - at, offset + at
+            start, length = offset + at, end - at
             at = flags.find(b"\x01" * (length + 1), end)
-    return length, start
+    return start, length
 
 
 def primorial(k: int) -> int:

@@ -337,6 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="use exact h values, or the conditional "
                               "quadratic upper bound")
 
+    progression = argparse.ArgumentParser(add_help=False)
+    progression.add_argument("a", type=_int_at_least(0))
+    progression.add_argument("d", type=_int_at_least(1))
+
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("g", parents=[common, budget],
@@ -366,22 +370,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=_int_at_least(3))
     p.set_defaults(func=cmd_witness_lower)
 
-    p = sub.add_parser("iso", parents=[common],
+    p = sub.add_parser("iso", parents=[common, progression],
                        help="coprimality-preserving map onto a progression, "
                             "with a marked window table")
-    p.add_argument("a", type=_int_at_least(0))
-    p.add_argument("d", type=_int_at_least(1))
     p.add_argument("--k", type=_int_at_least(1), required=True,
                    help="preserve coprimality to the first K primes")
     p.add_argument("--window", type=_int_at_least(1), default=8,
                    help="tabulate n in [-window, window]")
     p.set_defaults(func=cmd_iso)
 
-    p = sub.add_parser("find-prime", parents=[tableopts, modeopt],
+    p = sub.add_parser("find-prime", parents=[tableopts, modeopt, progression],
                        help="certified prime in an eligible progression "
                             "(certificate JSON on stdout)")
-    p.add_argument("a", type=_int_at_least(0))
-    p.add_argument("d", type=_int_at_least(1))
     p.set_defaults(func=cmd_find_prime)
 
     p = sub.add_parser("verify", parents=[common, tableopts],
@@ -389,11 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("certificate", metavar="FILE")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("primes", parents=[common, tableopts, modeopt],
+    p = sub.add_parser("primes", parents=[common, tableopts, modeopt,
+                                          progression],
                        help="stream of distinct certified primes in a "
                             "progression")
-    p.add_argument("a", type=_int_at_least(0))
-    p.add_argument("d", type=_int_at_least(1))
     p.add_argument("--count", type=_int_at_least(0), required=True)
     p.set_defaults(func=cmd_primes)
 

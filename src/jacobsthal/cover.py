@@ -57,10 +57,6 @@ class CoverAssignment(NamedTuple):
     offsets: tuple[int, ...]
     length: int
 
-    def covers(self, position: int) -> bool:
-        return any((position - c) % p == 0
-                   for p, c in zip(self.primes, self.offsets))
-
     def is_valid(self) -> bool:
         marks = bytearray(max(self.length, 0))
         for p, c in zip(self.primes, self.offsets):
@@ -317,8 +313,9 @@ def max_cover_length(primes, budget: SearchBudget | None = None
                      ) -> tuple[int, CoverAssignment]:
     """Largest coverable length L* for this prime set, with a witness.
 
-    Starts from the elementary lower bound ``2*p_{k-1} - 1`` when given the
-    first k primes and walks upward; the final refusal at L*+1 is an
+    Walks upward from the elementary lower bound ``2*p_{k-1} - 1`` (for the
+    first k primes), keeping the last cover while it passes ``is_valid`` one
+    position longer, else searching; the final refusal at L*+1 is an
     exhaustive proof.  L* is deterministic; the witness is one valid choice.
     """
     ps = _validated_primes(primes)
@@ -331,9 +328,8 @@ def max_cover_length(primes, budget: SearchBudget | None = None
             f"internal: lower bound {start} not coverable for {ps}")
     length = start
     while True:
-        if assignment.covers(length):  # reuse it when it reaches further
-            longer = CoverAssignment(ps, assignment.offsets, length + 1)
-        else:
+        longer = CoverAssignment(ps, assignment.offsets, length + 1)
+        if not longer.is_valid():  # else keep it: it reaches further
             longer = coverable(length + 1, ps, budget=allowance)
         if longer is None:
             return length, assignment
@@ -368,7 +364,7 @@ def least_witness(primes) -> CoverWitness | None:
     its length is h(k) - 1 and no run of that length starts earlier.
     ``None`` when the period is too large to scan."""
     run = first_longest_run(_validated_primes(primes))
-    return None if run is None else CoverWitness(run[1], run[0])
+    return None if run is None else CoverWitness(*run)
 
 
 def elementary_lower_witness(n: int) -> CoverWitness:

@@ -46,7 +46,7 @@ def g_of(n: int, *,
     primes = fac.primes()
     run = first_longest_run(primes)
     if run is not None:
-        length, start = run
+        start, length = run
         return GapScanResult(n, length + 1, start, length)
     if len(primes) > MAX_SUPPORT:
         raise BudgetExceeded(

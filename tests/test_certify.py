@@ -4,7 +4,6 @@ import random
 import sys
 import threading
 import time
-from dataclasses import replace
 from decimal import Decimal, ROUND_HALF_UP, localcontext
 from fractions import Fraction
 from math import floor, gcd, prod
@@ -721,6 +720,13 @@ def test_find_prime_cw_mode(shipped_table):
 @pytest.fixture(scope="module")
 def good_cert(shipped_table):
     return find_prime(make_eligible(1, 3), shipped_table)
+
+
+def replace(cert, **changes):
+    """A copy of ``cert`` with ``changes``, rebuilt by field name, so a
+    forgery needs neither a dataclass nor a NamedTuple."""
+    return type(cert)(**{name: getattr(cert, name)
+                         for name in certify._FIELDS} | changes)
 
 
 def _failures(cert, table):

@@ -141,10 +141,11 @@ def test_search_node_counts_are_pinned(monkeypatch):
 
     monkeypatch.setattr(cover._Search, "_tick", counting_tick)
     monkeypatch.setattr(cover, "coverable", counting_search)
+    pinned_nodes = {**PINNED_NODES, **PINNED_WALK_NODES}
     for k in PINNED_WALK_SEARCHES:
         nodes = searches = 0
         max_cover_length(first_primes(k))
-        assert nodes == {**PINNED_NODES, **PINNED_WALK_NODES}[k], k
+        assert nodes == pinned_nodes[k], k
         assert searches == PINNED_WALK_SEARCHES[k], k
 
 
@@ -406,6 +407,7 @@ def test_least_witness_matches_the_whole_period_scan(monkeypatch, window):
     h = dict(COMPUTED_ROWS + REMARK_ROWS)
     for k, (start, length) in _first_longest_runs().items():
         assert length == h[k] - 1, k
+        assert arith.first_longest_run(first_primes(k)) == (start, length), k
         assert least_witness(first_primes(k)) == CoverWitness(start,
                                                               length), k
 
@@ -494,10 +496,10 @@ def test_elementary_lower_witness():
 
 
 def test_cover_assignment_helpers():
-    assignment = CoverAssignment((2, 3), (0, 2), 4)
-    assert assignment.covers(2)
-    assert not assignment.covers(1)
-    assert not assignment.is_valid()  # position 1 is uncovered
+    # 2 at offset 0 and 3 at offset 2 cover position 0 and not position 1
+    assert CoverAssignment((2, 3), (0, 2), 1).is_valid()
+    for length in (2, 4):
+        assert not CoverAssignment((2, 3), (0, 2), length).is_valid(), length
 
 
 # --- the known-h table -------------------------------------------------------

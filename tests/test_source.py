@@ -290,9 +290,9 @@ def test_every_certify_question_reads_one_bound_walk():
 
 
 def test_only_records_that_need_it_are_dataclasses():
-    # a record is a NamedTuple unless callers copy it with
-    # dataclasses.replace (PrimeCertificate) or it validates on
-    # construction (EligibleAP, ApIso)
+    # a record is a NamedTuple unless it validates on construction
+    # (EligibleAP, ApIso) or the benchmark's forge copies it with
+    # dataclasses.replace (PrimeCertificate, until ROADMAP item 6)
     import dataclasses
     found = {name for name in jacobsthal.__all__
              if dataclasses.is_dataclass(getattr(jacobsthal, name))}
