@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import hashlib
+import itertools
 import random
 import threading
 import time
@@ -98,6 +99,11 @@ PINNED_SEARCH = {
     10: (45, (0, 1, 2, 1, 0, 9, 5, 3, 21, 23)),
     11: (57, (0, 1, 3, 0, 6, 2, 11, 9, 5, 27, 29)),
     12: (65, (0, 1, 3, 1, 6, 9, 11, 2, 5, 27, 10, 10)),
+    13: (73, (0, 0, 1, 1, 3, 10, 2, 17, 13, 7, 5, 35, 37)),
+    14: (89, (0, 1, 1, 3, 9, 5, 12, 8, 0, 4, 15, 35, 39, 4)),
+    15: (99, (0, 1, 1, 3, 9, 5, 12, 8, 0, 6, 2, 15, 39, 4, 30)),
+    16: (105, (0, 1, 1, 3, 9, 5, 12, 8, 0, 6, 2, 15, 39, 4, 30, 46)),
+    17: (117, (0, 1, 1, 1, 1, 1, 1, 1, 1, 17, 3, 33, 5, 9, 12, 10, 24)),
 }
 
 
@@ -105,6 +111,26 @@ def test_search_path_is_pinned():
     for k, (lstar, offsets) in PINNED_SEARCH.items():
         length, assignment = max_cover_length(first_primes(k))
         assert (length, assignment.offsets) == (lstar, offsets), k
+
+
+# SHA-256 of "ps L* offsets\n" from max_cover_length(ps) for every set ps of
+# 1 to 5 primes up to 43 that is not the first primes, by size and then in
+# itertools.combinations order: the walks g's engine path runs
+NON_PREFIX_WALKS_SHA256 = (
+    "ca06f0c345ea1ac571ad90804bafb492b23832f055c8e359b3e151ac8482ae57")
+
+
+def test_walks_of_other_prime_sets_are_pinned():
+    digest, walks = hashlib.sha256(), 0
+    for r in range(1, 6):
+        for ps in itertools.combinations(primes_upto(43), r):
+            if ps == first_primes(r):
+                continue
+            length, assignment = max_cover_length(ps)
+            digest.update(f"{ps} {length} {assignment.offsets}\n".encode())
+            walks += 1
+    assert walks == 3467
+    assert digest.hexdigest() == NON_PREFIX_WALKS_SHA256
 
 
 # Nodes the search visits (calls of _Search._tick) in
