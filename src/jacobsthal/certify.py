@@ -386,8 +386,7 @@ def _certificate_from_data(data: object) -> PrimeCertificate:
             raise JacobsthalError(f"field {name!r} must be a decimal string")
         if len(digits) > _FIELD_MAX_DIGITS:
             raise _too_many_digits(name)
-        values.append(int(raw) if len(digits) <= _PIECE_DIGITS
-                      else _decimal_to_int(raw))
+        values.append(_decimal_to_int(raw))
     for name in _STR_FIELDS:
         if not isinstance(data[name], str):
             raise JacobsthalError(f"field {name!r} must be a string")

@@ -313,28 +313,25 @@ def max_cover_length(primes, budget: SearchBudget | None = None
                      ) -> tuple[int, CoverAssignment]:
     """Largest coverable length L* for this prime set, with a witness.
 
-    Walks upward from the elementary lower bound ``2*p_{k-1} - 1`` (for the
-    first k primes), keeping the last cover while it passes ``is_valid`` one
+    Walks upward from the elementary cover (the first k >= 3 primes) or one
+    position, keeping the last cover while it passes ``is_valid`` one
     position longer, else searching; the final refusal at L*+1 is an
     exhaustive proof.  L* is deterministic; the witness is one valid choice.
     """
     ps = _validated_primes(primes)
     k = len(ps)
-    start = 2 * ps[-2] - 1 if k >= 2 and ps == first_primes(k) else 1
+    assignment = (_elementary_cover(ps) if k >= 3 and ps == first_primes(k)
+                  else CoverAssignment(ps, (0,) * k, 1))
+    if not assignment.is_valid():
+        raise JacobsthalError(f"internal: start cover fails for {ps}")
     allowance = _Allowance(budget)
-    assignment = coverable(start, ps, budget=allowance)
-    if assignment is None:  # cannot happen: start is a proven lower bound
-        raise JacobsthalError(
-            f"internal: lower bound {start} not coverable for {ps}")
-    length = start
     while True:
-        longer = CoverAssignment(ps, assignment.offsets, length + 1)
+        longer = assignment._replace(length=assignment.length + 1)
         if not longer.is_valid():  # else keep it: it reaches further
-            longer = coverable(length + 1, ps, budget=allowance)
+            longer = coverable(longer.length, ps, budget=allowance)
         if longer is None:
-            return length, assignment
+            return assignment.length, assignment
         assignment = longer
-        length += 1
 
 
 def verify_cover(start: int, length: int, primes) -> bool:
@@ -367,22 +364,25 @@ def least_witness(primes) -> CoverWitness | None:
     return None if run is None else CoverWitness(*run)
 
 
-def elementary_lower_witness(n: int) -> CoverWitness:
-    """A run of ``2*p_{n-1} - 1`` consecutive integers, each divisible by one
-    of the first n primes: :func:`witness_integer` of a cover of
-    ``[0, 2p - 1)``, p = p_{n-1}.  Requires n >= 3.
+def _elementary_cover(ps: tuple[int, ...]) -> CoverAssignment:
+    """The cover of ``[0, 2p - 1)`` by the first n >= 3 primes, p = p_{n-1}.
 
     Every prime up to p_{n-2} takes the centre position p - 1, p_{n-1}
     takes p - 2 and p_n takes p.  Any other position lies 2 to p - 1 from
     the centre, a distance with a prime factor at most p_{n-2} (no prime
     lies strictly between p_{n-2} and p_{n-1}), whose class holds it.
     """
-    if n < 3:
-        raise ValueError(f"the construction needs n >= 3, got {n}")
-    ps = first_primes(n)
     p = ps[-2]
     offsets = tuple((p - 1) % q for q in ps[:-2]) + (p - 2, p)
-    return witness_integer(CoverAssignment(ps, offsets, 2 * p - 1))
+    return CoverAssignment(ps, offsets, 2 * p - 1)
+
+
+def elementary_lower_witness(n: int) -> CoverWitness:
+    """A run of ``2*p_{n-1} - 1`` integers, each divisible by one of the first
+    n >= 3 primes: :func:`witness_integer` of the elementary cover."""
+    if n < 3:
+        raise ValueError(f"the construction needs n >= 3, got {n}")
+    return witness_integer(_elementary_cover(first_primes(n)))
 
 
 # --- known-value table -------------------------------------------------------

@@ -140,14 +140,17 @@ def test_walks_of_other_prime_sets_are_pinned():
 # that only makes a node cheaper must leave every count as it is.  Prime 2
 # never enters the search, so each count is that of the odd primes on half
 # the length.
-PINNED_NODES = {1: 2, 2: 2, 3: 2, 4: 3, 5: 9, 6: 10, 7: 8, 8: 16, 9: 25,
-                10: 147, 11: 100, 12: 216}
+PINNED_NODES = {1: 1, 2: 2, 3: 1, 4: 1, 5: 5, 6: 6, 7: 2, 8: 8, 9: 25,
+                10: 83, 11: 46, 12: 216}
 # The same count for the walks that decide h(13..17), about 0.4 s in all.
-PINNED_WALK_NODES = {13: 1594, 14: 1577, 15: 5575, 16: 18269, 17: 70447}
-# Searches (calls of coverable) in the same walks: the one at the start and
-# the refusal at L* + 1, plus one for each length the last cover does not
-# reach.
-PINNED_WALK_SEARCHES = {k: 2 for k in range(1, 18)} | {12: 3, 15: 5, 16: 5,
+PINNED_WALK_NODES = {13: 952, 14: 1577, 15: 5575, 16: 18222, 17: 70447}
+# Searches (calls of coverable) in the same walks.  The first cover is
+# built, not searched: the elementary one for k >= 3, else one position.
+# So a walk searches once for each length the last cover does not reach,
+# the refusal at L* + 1 among them, and makes only that refusal where the
+# first cover is already the longest (k = 3..8, 10, 11, 13: h = 2 p_{k-1}).
+PINNED_WALK_SEARCHES = {k: 1 for k in range(1, 18)} | {2: 2, 9: 2, 12: 3,
+                                                       14: 2, 15: 5, 16: 4,
                                                        17: 3}
 
 
@@ -269,8 +272,12 @@ def test_g_of_twice_an_odd_number_is_twice_g():
 
 
 def test_lower_bound_check_is_an_error_not_an_assert(monkeypatch):
-    monkeypatch.setattr(cover, "coverable", lambda *args, **kwargs: None)
-    with pytest.raises(JacobsthalError):
+    # the walk checks the cover it starts from, under python -O too
+    def broken(ps):
+        return CoverAssignment(ps, (1,) * len(ps), 2 * ps[-2] - 1)
+
+    monkeypatch.setattr(cover, "_elementary_cover", broken)
+    with pytest.raises(JacobsthalError, match="^internal: start cover "):
         max_cover_length(first_primes(5))
 
 

@@ -96,6 +96,24 @@ def test_only_witness_integer_solves_congruences():
     assert _top_level_users("crt_solve") == {"cover.witness_integer"}
 
 
+def test_the_elementary_construction_has_one_home():
+    # the elementary bound h(k) >= 2 p_{k-1} is proved once, by
+    # cover._elementary_cover: witness-lower turns that cover into a run and
+    # the h(k) walk starts from it, so no search proves it again.  The walk
+    # searches only inside its loop, where the cover it holds stops reaching
+    assert _top_level_users("_elementary_cover") == {
+        "cover.elementary_lower_witness", "cover.max_cover_length"}
+    walk = next(node for node in _tree("cover").body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "max_cover_length")
+    loops = [node for node in walk.body if isinstance(node, ast.While)]
+    assert len(loops) == 1
+    searches = [node for node in ast.walk(walk) if isinstance(node, ast.Call)
+                and _references(node.func, "coverable")]
+    assert len(searches) == 1
+    assert searches[0] in list(ast.walk(loops[0]))
+
+
 def test_only_arith_owns_the_run_scan():
     # one scan of one period serves g(n) and h's least witness: only
     # arith.first_longest_run reads the windows and their size limit, and
