@@ -123,13 +123,10 @@ def nth_prime(k: int) -> int:
     if k > _NTH_CAP:
         raise BudgetExceeded(f"prime index {decimal_excerpt(k)} beyond "
                              f"supported cap {_NTH_CAP}")
-    if k <= len(_primes):
-        return _primes[k - 1]
-    # Rosser-style upper bound on p_k, padded for small k
-    est = 100 if k < 6 else int(k * (math.log(k) + math.log(math.log(k)))) + 10
-    _ensure_sieved(est)
-    while k > len(_primes):  # estimate was short (should not happen)
-        _ensure_sieved(_sieved_to * 2)
+    # p_k < k (ln k + ln ln k) for k >= 6 (Rosser-Schoenfeld), padded
+    if k > len(_primes):
+        _ensure_sieved(100 if k < 6 else
+                       int(k * (math.log(k) + math.log(math.log(k)))) + 10)
     return _primes[k - 1]
 
 
@@ -361,8 +358,15 @@ def factorize(n: int) -> Factorization:
 # cw certificate's c reaches about 45.3k digits at k = 10000, so longer
 # numbers are converted in pieces below that limit.
 _PIECE_DIGITS = 4000
-# most digits a message shows of one number
-_EXCERPT_DIGITS = 40
+# most digits a message shows of one number, or characters of one text
+_EXCERPT_CHARS = 40
+
+
+def is_decimal(text: str) -> bool:
+    """Whether outside text is an integer: an optional '-', then ASCII
+    digits (int() also takes '+', '_', spaces and other scripts' digits)."""
+    digits = text.removeprefix("-")
+    return digits.isascii() and digits.isdigit()
 
 
 def int_to_decimal(n: int) -> str:
@@ -377,6 +381,13 @@ def int_to_decimal(n: int) -> str:
     return int_to_decimal(high) + int_to_decimal(low).zfill(low_digits)
 
 
+def quoted_excerpt(text: str) -> str:
+    """``repr(text)``, or of its first 40 characters and the character
+    count when longer, so a message can echo outside text of any size."""
+    return (repr(text) if len(text) <= _EXCERPT_CHARS else
+            f"{text[:_EXCERPT_CHARS]!r}... ({len(text)} characters)")
+
+
 def decimal_excerpt(n: int) -> str:
     """``str(n)`` when it has at most 40 digits, else its first 40 digits
     and the digit count, so a message can name a number of any size.  One
@@ -384,12 +395,12 @@ def decimal_excerpt(n: int) -> str:
     ``n // 10**(s - 39)`` keeps 40 or more leading digits of n."""
     if n < 0:
         return "-" + decimal_excerpt(-n)
-    if n < 10 ** _EXCERPT_DIGITS:
+    if n < 10 ** _EXCERPT_CHARS:
         return str(n)
     s = (n.bit_length() - 1) * 30102999 // 10**8
-    head = str(n // 10 ** (s - _EXCERPT_DIGITS + 1))
-    return (f"{head[:_EXCERPT_DIGITS]}... "
-            f"({len(head) + s - _EXCERPT_DIGITS + 1} digits)")
+    head = str(n // 10 ** (s - _EXCERPT_CHARS + 1))
+    return (f"{head[:_EXCERPT_CHARS]}... "
+            f"({len(head) + s - _EXCERPT_CHARS + 1} digits)")
 
 
 def _decimal_to_int(text: str) -> int:

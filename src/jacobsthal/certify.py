@@ -24,8 +24,8 @@ from typing import NamedTuple
 
 from . import bounds
 from .arith import (_COPRIME_BLOCK, _PIECE_DIGITS, _decimal_to_int,
-                    decimal_excerpt, first_primes, int_to_decimal, is_prime,
-                    nth_prime, primorial)
+                    decimal_excerpt, first_primes, int_to_decimal, is_decimal,
+                    is_prime, nth_prime, primorial)
 # bound, min_k_for, default_h_table, h_of and coprime_iso stay bound for
 # perfbench/tracing.py's tracer
 from .bounds import HSOURCE_CW, _least_row, bound, min_k_for  # noqa: F401
@@ -380,11 +380,9 @@ def _certificate_from_data(data: object) -> PrimeCertificate:
     values: list[object] = []  # in field order: positional is cheaper
     for name in _INT_FIELDS:
         raw = data[name]
-        # an optional '-', then ASCII digits: isdigit alone takes any script's
-        digits = raw.removeprefix("-") if isinstance(raw, str) else ""
-        if not (digits.isascii() and digits.isdigit()):
+        if not (isinstance(raw, str) and is_decimal(raw)):
             raise JacobsthalError(f"field {name!r} must be a decimal string")
-        if len(digits) > _FIELD_MAX_DIGITS:
+        if len(raw) - (raw[0] == "-") > _FIELD_MAX_DIGITS:
             raise _too_many_digits(name)
         values.append(_decimal_to_int(raw))
     for name in _STR_FIELDS:

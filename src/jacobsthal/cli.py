@@ -20,7 +20,7 @@ from math import gcd, prod
 
 from . import cover
 from .arith import (_decimal_to_int, decimal_excerpt, first_primes,
-                    int_to_decimal)
+                    int_to_decimal, is_decimal, quoted_excerpt)
 from .cover import (DEFAULT_MAX_COMPUTE_K, MODE_CW, MODE_UNCONDITIONAL, MODES,
                     KnownHTable, SearchBudget, default_h_table, load_h_table)
 from .errors import BudgetExceeded, JacobsthalError, NotProvable
@@ -47,8 +47,6 @@ DEFAULT_BOUND_KS = {
     MODE_UNCONDITIONAL: (5, 10, 15, 20, 25, 30, 35, 40, 45, 50),
     MODE_CW: (50, 100, 200, 500, 1000, 2000, 5000, 10000),
 }
-# longest argument text an error message echoes in full
-_ECHO_CHARS = 40
 
 # what a command returns to run(): exit code, JSON payload, text lines
 _Result = tuple[int, object, list[str]]
@@ -69,13 +67,6 @@ def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _quoted(text: str) -> str:
-    """``repr(text)``, cut to a short prefix when the text is long."""
-    if len(text) <= _ECHO_CHARS:
-        return repr(text)
-    return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
-
-
 def _columns(rows) -> list[str]:
     """Rows of text cells, each right-aligned to its column's widest cell,
     two spaces between columns."""
@@ -86,20 +77,13 @@ def _columns(rows) -> list[str]:
 
 def _int_at_least(minimum: int):
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            digits = text.strip()
-            body = digits[1:] if digits[:1] in ("+", "-") else digits
-            if not (body.isascii() and body.isdigit()):
-                raise argparse.ArgumentTypeError(
-                    f"not an integer: {_quoted(text)}") from None
-            # a well-formed number past the interpreter's digit limit
-            value = _decimal_to_int(digits.removeprefix("+"))
-        if value < minimum:
-            shown = value if len(text) <= _ECHO_CHARS else _quoted(text)
+        if not is_decimal(text):
             raise argparse.ArgumentTypeError(
-                f"must be >= {minimum}, got {shown}")
+                f"not an integer: {quoted_excerpt(text)}")
+        value = _decimal_to_int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {decimal_excerpt(value)}")
         return value
     return parse
 
@@ -109,7 +93,7 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"not a number: {_quoted(text)}") from None
+            f"not a number: {quoted_excerpt(text)}") from None
     if not value > 0:  # NaN is not positive either
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value

@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 # is_prime stays bound here for the benchmark's tracer (perfbench/tracing.py)
 from .arith import (crt_solve, decimal_excerpt,  # noqa: F401
-                    first_longest_run, first_primes, is_prime, nth_prime,
-                    validated_primes)
+                    first_longest_run, first_primes, is_decimal, is_prime,
+                    nth_prime, quoted_excerpt, validated_primes)
 from .errors import (BudgetExceeded, JacobsthalError, TableParseError,
                      TableValidationError, Unavailable)
 
@@ -396,13 +396,18 @@ class HEntry(NamedTuple):
 
 def _validate_h(k: int, h: int) -> None:
     if k < 1:
-        raise TableValidationError(f"index k must be >= 1, got {k}")
-    if h < 2:
-        raise TableValidationError(f"h({k}) = {h} is impossible (h >= 2)")
-    if k >= 2 and h < 2 * nth_prime(k - 1):
         raise TableValidationError(
-            f"h({k}) = {h} violates the elementary bound 2*p_{k - 1} = "
-            f"{2 * nth_prime(k - 1)}")
+            f"index k must be >= 1, got {decimal_excerpt(k)}")
+    try:  # a row past the prime-index cap is refused as a row
+        floor = 2 * nth_prime(k - 1) if k >= 2 else 2
+    except BudgetExceeded as exc:
+        raise TableValidationError(f"k is too large: {exc}") from None
+    if h < 2:
+        raise TableValidationError(
+            f"h({k}) = {decimal_excerpt(h)} is impossible (h >= 2)")
+    if h < floor:
+        raise TableValidationError(
+            f"h({k}) = {h} violates the elementary bound 2*p_{k-1} = {floor}")
 
 
 class KnownHTable:
@@ -427,7 +432,8 @@ class KnownHTable:
     def set(self, k: int, h: int, source: str,
             witness: CoverWitness | None = None) -> None:
         if source not in H_SOURCES:
-            raise TableValidationError(f"unknown source {source!r}")
+            raise TableValidationError(
+                f"unknown source {quoted_excerpt(source)}")
         _validate_h(k, h)
         if witness is not None and witness.length != h - 1:
             raise TableValidationError(
@@ -441,14 +447,15 @@ class KnownHTable:
 
 
 def _parse_h_row(line: str, table: KnownHTable) -> None:
-    parts = [p.strip() for p in line.split(",")]
+    parts, row = [p.strip() for p in line.split(",")], quoted_excerpt(line)
     if len(parts) != 3:
-        raise TableParseError(f"expected 'k,h,source', got {line!r}")
-    try:
+        raise TableParseError(f"expected 'k,h,source', got {row}")
+    try:  # int() also refuses a value past the interpreter's digit limit
+        if not (is_decimal(parts[0]) and is_decimal(parts[1])):
+            raise ValueError
         k, h = int(parts[0]), int(parts[1])
     except ValueError:
-        raise TableParseError(
-            f"k and h must be integers, got {line!r}") from None
+        raise TableParseError(f"k and h must be integers, got {row}") from None
     if table.get(k) is not None:
         raise TableParseError(f"duplicate entry for k = {k}")
     table.set(k, h, parts[2])

@@ -13,7 +13,7 @@ from jacobsthal.arith import (crt_solve, factorize, first_primes, is_prime,
                               validated_primes, _MR_LIMIT)
 from jacobsthal.errors import BudgetExceeded, JacobsthalError, NonCoprimeModuli
 from conftest import run_python
-from oracles import prime_flags, shared_factor_flags
+from oracles import is_decimal_integer, prime_flags, shared_factor_flags
 
 from math import gcd, prod
 
@@ -366,3 +366,16 @@ def test_a_run_longer_than_a_window_is_an_internal_error(monkeypatch):
     with pytest.raises(JacobsthalError, match="^internal: no integer in "
                        "217128..217152 is coprime"):
         list(arith.shared_factor_windows(first_primes(7), primorial(7)))
+
+
+@given(st.one_of(st.text(), st.text("-+_ 0123456789\u0663\uff10"),
+                 st.from_regex(r"-?[0-9]+", fullmatch=True)))
+def test_is_decimal_is_a_minus_then_ascii_digits(text):
+    # the one integer rule for outside text agrees with the regex -?[0-9]+
+    assert arith.is_decimal(text) == is_decimal_integer(text)
+
+
+def test_quoted_excerpt_cuts_long_text():
+    assert arith.quoted_excerpt("x" * 40) == repr("x" * 40)
+    assert arith.quoted_excerpt("\u0663" * 41) == (
+        repr("\u0663" * 40) + "... (41 characters)")

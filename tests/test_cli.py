@@ -59,6 +59,19 @@ def test_g_past_the_digit_limit(capsys):
         assert error in err and len(err) < 1000
 
 
+@pytest.mark.parametrize("text", ["1_0", "\u0661\u0660", "+10", " 10"],
+                         ids=["underscore", "arabic-indic", "plus", "space"])
+@pytest.mark.parametrize("padding", [0, 4400])
+def test_an_integer_argument_is_a_minus_and_ascii_digits(capsys, text,
+                                                         padding):
+    # int() reads each of these as 10, or as 10 * 10**4400 past the digit
+    # limit; an argument takes only an optional '-' and ASCII digits
+    text += "0" * padding
+    code, out, err = _run(capsys, "g", text)
+    assert (code, out) == (2, "")
+    assert "not an integer" in err and len(err) < 1000
+
+
 def test_h_tabulated(capsys):
     code, out, _ = _run(capsys, "h", "5")
     assert code == 0
@@ -207,6 +220,17 @@ def test_h_compute_flags_table_mismatch(tmp_path, capsys):
     code, _, err = _run(capsys, "h", "5", "--compute", "--table", str(lying))
     assert code == 1
     assert "refusing" in err
+
+
+def test_a_table_row_past_the_prime_index_cap_is_a_bad_row(tmp_path,
+                                                          capsys):
+    # refused as a row (exit 1), not as an exhausted search (exit 3)
+    table = tmp_path / "table.txt"
+    table.write_text("1,2,paper\n5000000,10,paper\n")
+    code, out, err = _run(capsys, "max-d", "--table", str(table))
+    assert (code, out) == (1, "")
+    assert err == ("error: line 2: k is too large: prime index 4999999 "
+                   "beyond supported cap 4000000\n")
 
 
 @pytest.mark.parametrize("row, argv, found", [

@@ -562,6 +562,8 @@ def test_parse_accepts_comments_and_blank_lines():
 @pytest.mark.parametrize("line, fragment", [
     ("5,14", "expected 'k,h,source'"),
     ("5,fourteen,paper", "must be integers"),
+    ("1_0,4_6,paper", "must be integers"),
+    ("+5,14,paper", "must be integers"),
 ])
 def test_parse_errors_carry_line_numbers(line, fragment):
     with pytest.raises(TableParseError) as err:
@@ -575,11 +577,31 @@ def test_parse_errors_carry_line_numbers(line, fragment):
     ("0,14,paper", "index k must be >= 1, got 0"),
     ("5,14,guessed", "unknown source 'guessed'"),
     ("5,14,ingested", "unknown source 'ingested'"),
-], ids=["below-the-bound", "k-zero", "unknown-source", "ingested-source"])
+    ("5000000,10,paper", "k is too large: prime index 4999999 beyond "
+                         "supported cap 4000000"),
+], ids=["below-the-bound", "k-zero", "unknown-source", "ingested-source",
+        "past-the-prime-index-cap"])
 def test_rows_the_table_refuses_carry_line_numbers(line, fragment):
     with pytest.raises(TableValidationError) as err:
         _parse_h_table(["1,2,computed", line])
     assert str(err.value) == f"line 2: {fragment}"
+
+
+@pytest.mark.parametrize("line", [
+    "5," + "1" * 5000 + ",paper",
+    "1" * 5000 + ",14,paper",
+    "5,14," + "x" * 5000,
+    "5,14,paper," + "x" * 5000,
+    "-" + "1" * 4000 + ",14,paper",
+    "5,-" + "1" * 4000 + ",paper",
+], ids=["h", "k", "source", "fields", "negative-k", "negative-h"])
+def test_a_long_row_is_echoed_in_short(line):
+    # a message shows at most 40 characters of a row or 40 digits of a
+    # number, whatever the row's length
+    with pytest.raises((TableParseError, TableValidationError)) as err:
+        _parse_h_table(["# comment", line])
+    assert str(err.value).startswith("line 2: ")
+    assert len(str(err.value)) < 200
 
 
 def test_parse_rejects_duplicate_k():

@@ -205,6 +205,22 @@ def test_only_progressions_computes_the_coprime_factor():
             if _references(find, name)] == []
 
 
+def test_only_arith_decides_what_text_is_an_integer():
+    # one rule for what outside text (an argument, a table row, a
+    # certificate field) counts as an integer, arith.is_decimal, and one
+    # limit on how much of it a message echoes, arith.quoted_excerpt's:
+    # no other module tests characters for digits or names a limit of its
+    # own
+    found = [f"{name}:{node.lineno}" for name, node in _nodes()
+             if name != "arith.py"
+             and (isinstance(node, ast.Attribute)
+                  and node.attr in ("isdigit", "isdecimal", "isnumeric")
+                  or isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Store)
+                  and re.search("ECHO|EXCERPT", node.id))]
+    assert found == []
+
+
 def test_only_the_cli_resolves_the_h_table():
     # one way to resolve the table: library calls take the table they are
     # given, and only cli._table picks the packaged file or a --table path;
