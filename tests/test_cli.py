@@ -64,8 +64,8 @@ def test_g_past_the_digit_limit(capsys):
 @pytest.mark.parametrize("padding", [0, 4400])
 def test_an_integer_argument_is_a_minus_and_ascii_digits(capsys, text,
                                                          padding):
-    # int() reads each of these as 10, or as 10 * 10**4400 past the digit
-    # limit; an argument takes only an optional '-' and ASCII digits
+    # int() reads each short text as 10; an argument, short or past the
+    # digit limit, takes only an optional '-' and ASCII digits
     text += "0" * padding
     code, out, err = _run(capsys, "g", text)
     assert (code, out) == (2, "")
