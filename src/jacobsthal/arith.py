@@ -109,8 +109,6 @@ def _ensure_sieved(bound: int) -> None:
 
 def primes_upto(bound: int) -> list[int]:
     """All primes ``<= bound`` in ascending order."""
-    if bound < 2:
-        return []
     _ensure_sieved(bound)
     table = _primes
     return list(table[: bisect_right(table, bound)])
@@ -134,9 +132,7 @@ def first_primes(k: int) -> tuple[int, ...]:
     """The first ``k`` primes as a tuple: a slice of the sieved primes."""
     if k < 0:
         raise ValueError(f"count must be >= 0, got {k}")
-    if k == 0:
-        return ()
-    nth_prime(k)
+    nth_prime(max(k, 1))  # sieves through p_k, and refuses k past the cap
     return _primes[:k]
 
 
@@ -317,8 +313,6 @@ def factorize(n: int) -> Factorization:
     """
     if n < 1:
         raise ValueError(f"can only factor positive integers, got {n}")
-    if n == 1:
-        return Factorization(1, ())
     counts: dict[int, int] = {}
     m = n
     for p in primes_upto(min(_TRIAL_BOUND, math.isqrt(n))):

@@ -14,7 +14,6 @@ from .cover import (DEFAULT_MAX_COMPUTE_K, MODE_CW, MODE_UNCONDITIONAL,
 from .errors import NotProvable, OutOfRange
 
 HSOURCE_CW = "cw"
-_new_row = tuple.__new__  # bound's rows skip BoundRow's slower __new__
 
 # Conditional quadratic bound on h(n), verified by computation for
 # 50 <= n <= 10000 (natural logarithm).
@@ -75,8 +74,8 @@ def bound(k: int, table: KnownHTable, *,
         raise ValueError(f"index must be >= 1, got {k}")
     h_value, h_source = _h_at(k, table, mode)
     p_next = nth_prime(k + 1)
-    return _new_row(BoundRow, (k, p_next, h_value, h_source,
-                               (p_next * p_next - 2) // (h_value + 1)))
+    return BoundRow(k, p_next, h_value, h_source,
+                    (p_next * p_next - 2) // (h_value + 1))
 
 
 def bound_table(ks, table: KnownHTable, *,

@@ -108,11 +108,10 @@ class _Search:
                  allowance: _Allowance):
         self.length = length
         self.primes = primes
-        self.full = (1 << length) - 1
         # bases[i] marks the multiples of primes[i] in [0, length), a
         # repunit in base 2^p (only position 0 once p >= length, where
-        # 2^p could be huge); offset c covers (bases[i] << c) & full,
-        # formed where it is read.
+        # 2^p could be huge); offset c covers (bases[i] << c) & uncov of
+        # the uncovered set, formed where it is read.
         self.bases = [((1 << p * -(-length // p)) - 1) // ((1 << p) - 1)
                       if p < length else min(length, 1) for p in primes]
         # counts[i][c] = |(bases[i] << c) & uncov| for the uncovered set of
@@ -212,8 +211,8 @@ class _Search:
             product *= self.primes[width]
             width += 1
         caps = [-(-self.length // p) for p in self.primes]
-        return self._node(self.full, tuple(range(len(self.primes))), caps,
-                          width)
+        return self._node((1 << self.length) - 1,
+                          tuple(range(len(self.primes))), caps, width)
 
     def _node(self, uncov: int, rem: tuple[int, ...], caps: list[int],
               wheel: int) -> dict[int, int] | None:
@@ -446,29 +445,25 @@ class KnownHTable:
         return sorted(self._entries)
 
 
-def _parse_h_row(line: str, table: KnownHTable) -> None:
-    parts, row = [p.strip() for p in line.split(",")], quoted_excerpt(line)
-    if len(parts) != 3:
-        raise TableParseError(f"expected 'k,h,source', got {row}")
-    try:  # int() also refuses a value past the interpreter's digit limit
-        if not (is_decimal(parts[0]) and is_decimal(parts[1])):
-            raise ValueError
-        k, h = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise TableParseError(f"k and h must be integers, got {row}") from None
-    if table.get(k) is not None:
-        raise TableParseError(f"duplicate entry for k = {k}")
-    table.set(k, h, parts[2])
-
-
 def _parse_h_table(lines) -> KnownHTable:
     table = KnownHTable()
     for number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        parts, row = [p.strip() for p in line.split(",")], quoted_excerpt(line)
         try:
-            _parse_h_row(line, table)
+            if len(parts) != 3:
+                raise TableParseError(f"expected 'k,h,source', got {row}")
+            if not (is_decimal(parts[0]) and is_decimal(parts[1])):
+                raise TableParseError(f"k and h must be integers, got {row}")
+            k, h = int(parts[0]), int(parts[1])
+            if table.get(k) is not None:
+                raise TableParseError(f"duplicate entry for k = {k}")
+            table.set(k, h, parts[2])
+        except ValueError:  # int() of ASCII digits fails only past the limit
+            raise TableParseError(
+                f"line {number}: k and h must be integers, got {row}") from None
         except (TableParseError, TableValidationError) as exc:
             raise type(exc)(f"line {number}: {exc}") from None
     return table

@@ -45,14 +45,13 @@ def g_of(n: int, *,
     fac = factorize(n)
     primes = fac.primes()
     run = first_longest_run(primes)
-    if run is not None:
-        start, length = run
-        return GapScanResult(n, length + 1, start, length)
-    if len(primes) > MAX_SUPPORT:
-        raise BudgetExceeded(
-            f"rad(n) = {decimal_excerpt(fac.radical())} exceeds the scan "
-            f"limit and n has {len(primes)} distinct primes (engine handles "
-            f"at most {MAX_SUPPORT})")
-    length, assignment = cover.max_cover_length(primes, budget=budget)
-    witness = cover.witness_integer(assignment)
-    return GapScanResult(n, length + 1, witness.start, length)
+    if run is None:
+        if len(primes) > MAX_SUPPORT:
+            raise BudgetExceeded(
+                f"rad(n) = {decimal_excerpt(fac.radical())} exceeds the scan "
+                f"limit and n has {len(primes)} distinct primes (engine "
+                f"handles at most {MAX_SUPPORT})")
+        length, assignment = cover.max_cover_length(primes, budget=budget)
+        run = cover.witness_integer(assignment).start, length
+    start, length = run
+    return GapScanResult(n, length + 1, start, length)
