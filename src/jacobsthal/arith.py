@@ -302,6 +302,18 @@ def _rho_brent(n: int, max_steps: int) -> int | None:
     return None
 
 
+def _strip_prime(m: int, p: int) -> tuple[int, int]:
+    """``(e, m // p**e)`` for the largest such e.  Strips p^2 first, by
+    the same rule, then p once: O(log e) divisions, not e."""
+    e = 0
+    if m % (p * p) == 0:
+        e, m = _strip_prime(m, p * p)
+        e *= 2
+    if m % p == 0:
+        return e + 1, m // p
+    return e, m
+
+
 def factorize(n: int) -> Factorization:
     """Factor ``n >= 1`` by trial division, then verified Pollard rho.
 
@@ -318,9 +330,8 @@ def factorize(n: int) -> Factorization:
     for p in primes_upto(min(_TRIAL_BOUND, math.isqrt(n))):
         if p * p > m:
             break
-        while m % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            m //= p
+        if m % p == 0:
+            counts[p], m = _strip_prime(m, p)
     pending = [m] if m > 1 else []
     while pending:
         v = pending.pop()

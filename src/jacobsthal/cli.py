@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import gcd, prod
+from math import gcd, inf, prod
 
 from . import cover
 from .arith import (_decimal_to_int, decimal_excerpt, first_primes,
@@ -75,6 +75,15 @@ def _columns(rows) -> list[str]:
             for row in rows]
 
 
+def _json_number(decimal: str) -> int | str:
+    """A decimal string as a JSON number, or as itself past the
+    interpreter's digit limit, where json can write no such number."""
+    try:
+        return int(decimal)
+    except ValueError:
+        return decimal
+
+
 def _int_at_least(minimum: int):
     def parse(text: str) -> int:
         if not is_decimal(text):
@@ -89,13 +98,21 @@ def _int_at_least(minimum: int):
 
 
 def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
+    value = None
+    # float() also reads '_', surrounding spaces and other scripts' digits
+    if text.isascii() and "_" not in text and text.strip() == text:
+        try:
+            value = float(text)
+        except ValueError:
+            pass
+    if value is None:
         raise argparse.ArgumentTypeError(
-            f"not a number: {quoted_excerpt(text)}") from None
+            f"not a number: {quoted_excerpt(text)}")
     if not value > 0:  # NaN is not positive either
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    if value == inf:  # 'inf' or past the float range: no limit at all
+        raise argparse.ArgumentTypeError(
+            f"must be finite, got {quoted_excerpt(text)}")
     return value
 
 
@@ -190,20 +207,21 @@ def cmd_iso(args) -> _Result:
     ps = first_primes(args.k)
     iso = _cli.coprime_iso(ap, ps)
     modulus = prod(ps)
-    c = int_to_decimal(iso.c)
+    a, d, c = map(int_to_decimal, (ap.a, ap.d, iso.c))
     images = [(n, iso(n)) for n in range(-args.window, args.window + 1)]
     rows = [(n, int_to_decimal(x), gcd(n, modulus) == 1,
              gcd(x, modulus) == 1) for n, x in images]
-    payload = {"a": ap.a, "d": ap.d, "c": c, "primes": list(ps),
+    payload = {"a": _json_number(a), "d": _json_number(d), "c": c,
+               "primes": list(ps),
                "rows": [{"n": n, "image": x, "n_coprime": n_ok,
                          "image_coprime": x_ok}
                         for n, x, n_ok, x_ok in rows]}
     prime_set = "{" + ", ".join(str(p) for p in ps) + "}"
-    cells = [("n", f"{c}+{ap.d}n")]
+    cells = [("n", f"{c}+{d}n")]
     cells += [(f"[{n}]" if n_ok else f"{n}", f"[{x}]" if x_ok else x)
               for n, x, n_ok, x_ok in rows]
     return 0, payload, [
-        f"c = {c}: n -> {c} + {ap.d}*n maps Z onto {ap}, "
+        f"c = {c}: n -> {c} + {d}*n maps Z onto {ap}, "
         f"preserving coprimality to {prime_set}",
         *_columns(cells),
         f"brackets mark integers coprime to {int_to_decimal(modulus)}; "
@@ -219,15 +237,6 @@ def cmd_find_prime(args) -> _Result:
     _diag(f"certified prime {cert.prime} in {ap} "
           f"(k = {cert.k}, c = {decimal_excerpt(cert.c)}, mode {cert.mode})")
     return 0, None, lines
-
-
-def _json_number(decimal: str) -> int | str:
-    """A decimal string as a JSON number, or as itself past the
-    interpreter's digit limit, where json can write no such number."""
-    try:
-        return int(decimal)
-    except ValueError:
-        return decimal
 
 
 def cmd_verify(args) -> _Result:

@@ -17,6 +17,7 @@ the smaller problem, and offset 1 leaves more positions.  Hence
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import time
 from typing import NamedTuple
@@ -461,9 +462,12 @@ def _parse_h_table(lines) -> KnownHTable:
             if table.get(k) is not None:
                 raise TableParseError(f"duplicate entry for k = {k}")
             table.set(k, h, parts[2])
-        except ValueError:  # int() of ASCII digits fails only past the limit
-            raise TableParseError(
-                f"line {number}: k and h must be integers, got {row}") from None
+        except ValueError:  # int() of ASCII digits fails only past the
+            # interpreter's digit limit, past which h and bound-table could
+            # not print the value either
+            raise TableValidationError(
+                f"line {number}: k and h must have at most "
+                f"{sys.get_int_max_str_digits()} digits, got {row}") from None
         except (TableParseError, TableValidationError) as exc:
             raise type(exc)(f"line {number}: {exc}") from None
     return table

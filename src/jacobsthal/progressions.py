@@ -17,8 +17,8 @@ from math import gcd, prod
 
 # crt_solve and is_prime stay bound here for the benchmark's tracer
 # (perfbench/tracing.py)
-from .arith import (crt_solve, decimal_excerpt, is_prime,  # noqa: F401
-                    primorial, validated_primes)
+from .arith import (crt_solve, decimal_excerpt, int_to_decimal,  # noqa: F401
+                    is_prime, primorial, validated_primes)
 from .errors import NotEligible
 
 
@@ -46,7 +46,7 @@ class EligibleAP:
                 "of scope")
 
     def __str__(self) -> str:
-        return f"{self.a}+{self.d}Z"
+        return f"{int_to_decimal(self.a)}+{int_to_decimal(self.d)}Z"
 
 
 def make_eligible(a: int, d: int) -> EligibleAP:

@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+import time
 
 import pytest
 import sympy
@@ -323,6 +324,29 @@ def test_factorize_names_the_number_a_failed_split_came_from(monkeypatch):
     assert str(err.value) == (
         "cannot factor 70000133000000000210000399: a 26-digit cofactor did "
         "not split within budget")
+
+
+def test_factorize_strips_a_prime_power_in_few_divisions():
+    # dividing 2**200000 by 2 once per power took about 10 s
+    start = time.perf_counter()
+    assert factorize(2**200000).factors == ((2, 200000),)
+    assert time.perf_counter() - start < 2
+    for e in range(1, 70):
+        assert factorize(3**e * 7**(70 - e)).factors == ((3, e), (7, 70 - e))
+
+
+def test_rho_brent_corners():
+    # 35: the batched gcd reaches n, and the step-by-step walk finds 5;
+    # a wide semiprime outlasts a budget of 10 steps; a prime never splits
+    assert arith._rho_brent(35, 10**6) == 5
+    assert arith._rho_brent(1000003 * 1000033, 10) is None
+    assert arith._rho_brent(101, 10**6) is None
+
+
+def test_primes_upto_refuses_past_the_sieve_cap():
+    with pytest.raises(BudgetExceeded) as err:
+        primes_upto(80_000_001)
+    assert str(err.value) == "refusing to sieve beyond 80000000"
 
 
 def test_factorization_helpers():

@@ -72,6 +72,22 @@ def test_an_integer_argument_is_a_minus_and_ascii_digits(capsys, text,
     assert "not an integer" in err and len(err) < 1000
 
 
+@pytest.mark.parametrize("text, error", [
+    ("inf", "must be finite, got 'inf'"),
+    ("infinity", "must be finite, got 'infinity'"),
+    ("1e400", "must be finite, got '1e400'"),
+    ("\u0661", "not a number: '\u0661'"),
+    ("1_0", "not a number: '1_0'"),
+    (" 1 ", "not a number: ' 1 '"),
+], ids=["inf", "infinity", "past-the-float-range", "arabic-indic",
+        "underscore", "spaces"])
+def test_a_time_budget_is_a_finite_ascii_number(capsys, text, error):
+    # float() reads each of these; 'inf' would mean no limit at all
+    code, out, err = _run(capsys, "g", "10", "--max-seconds", text)
+    assert (code, out) == (2, "")
+    assert f"--max-seconds: {error}" in err
+
+
 def test_h_tabulated(capsys):
     code, out, _ = _run(capsys, "h", "5")
     assert code == 0
@@ -376,6 +392,17 @@ def test_iso_past_the_digit_limit(capsys):
     assert f"coprime to {modulus};" in text
     assert payload["c"] == c
     assert [row["image"] for row in payload["rows"]] == [below, c, above]
+
+
+def test_iso_with_a_modulus_past_the_digit_limit(capsys):
+    # a and d print in full in both forms; JSON keeps a short one a
+    # number and writes one past the digit limit as a string
+    d = "1" * 5000
+    text, payload = _both_formats(capsys, "iso", "1", d, "--k", "2",
+                                  "--window", "1")
+    assert f"+ {d}*n maps Z onto 1+{d}Z," in text.splitlines()[0]
+    assert text.splitlines()[1].endswith(f"+{d}n")
+    assert (payload["a"], payload["d"]) == (1, d)
 
 
 def test_witness_lower_past_the_digit_limit(capsys):

@@ -579,8 +579,11 @@ def test_parse_errors_carry_line_numbers(line, fragment):
     ("5,14,ingested", "unknown source 'ingested'"),
     ("5000000,10,paper", "k is too large: prime index 4999999 beyond "
                          "supported cap 4000000"),
+    ("5," + "1" * 5000 + ",paper", "k and h must have at most 4300 digits, "
+                                   "got '5," + "1" * 38 + "'... "
+                                   "(5008 characters)"),
 ], ids=["below-the-bound", "k-zero", "unknown-source", "ingested-source",
-        "past-the-prime-index-cap"])
+        "past-the-prime-index-cap", "past-the-digit-limit"])
 def test_rows_the_table_refuses_carry_line_numbers(line, fragment):
     with pytest.raises(TableValidationError) as err:
         _parse_h_table(["1,2,computed", line])
