@@ -458,16 +458,17 @@ def _parse_h_table(lines) -> KnownHTable:
                 raise TableParseError(f"expected 'k,h,source', got {row}")
             if not (is_decimal(parts[0]) and is_decimal(parts[1])):
                 raise TableParseError(f"k and h must be integers, got {row}")
-            k, h = int(parts[0]), int(parts[1])
+            try:
+                k, h = int(parts[0]), int(parts[1])
+            except ValueError:  # past the interpreter's digit limit, where
+                # h and bound-table could not print the value either
+                limit = sys.get_int_max_str_digits()
+                raise TableValidationError(
+                    f"k and h must have at most {limit} digits, "
+                    f"got {row}") from None
             if table.get(k) is not None:
                 raise TableParseError(f"duplicate entry for k = {k}")
             table.set(k, h, parts[2])
-        except ValueError:  # int() of ASCII digits fails only past the
-            # interpreter's digit limit, past which h and bound-table could
-            # not print the value either
-            raise TableValidationError(
-                f"line {number}: k and h must have at most "
-                f"{sys.get_int_max_str_digits()} digits, got {row}") from None
         except (TableParseError, TableValidationError) as exc:
             raise type(exc)(f"line {number}: {exc}") from None
     return table
