@@ -75,15 +75,6 @@ def _columns(rows) -> list[str]:
             for row in rows]
 
 
-def _json_number(decimal: str) -> int | str:
-    """A decimal string as a JSON number, or as itself past the
-    interpreter's digit limit, where json can write no such number."""
-    try:
-        return int(decimal)
-    except ValueError:
-        return decimal
-
-
 def _int_at_least(minimum: int):
     def parse(text: str) -> int:
         if not is_decimal(text):
@@ -237,6 +228,15 @@ def cmd_find_prime(args) -> _Result:
     _diag(f"certified prime {cert.prime} in {ap} "
           f"(k = {cert.k}, c = {decimal_excerpt(cert.c)}, mode {cert.mode})")
     return 0, None, lines
+
+
+def _json_number(decimal: str) -> int | str:
+    """A decimal string as a JSON number, or as itself past the
+    interpreter's digit limit, where json can write no such number."""
+    try:
+        return int(decimal)
+    except ValueError:
+        return decimal
 
 
 def cmd_verify(args) -> _Result:
